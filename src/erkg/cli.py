@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import nuclear
 from .data import (
@@ -42,6 +41,8 @@ from .ranking import TIE_POLICIES, evaluate
 from .regularizers import RegularizerSpec
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
+logger = logging.getLogger(__name__)
+
 
 def _write_json(path, obj) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -67,7 +68,6 @@ class RunConfig:
     train: TrainConfig
     tie_policy: str
     out_dir: str
-    threads: int = 1
     grid: dict = field(default_factory=dict)
 
 
@@ -107,9 +107,14 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
-    top = {"model", "data", "train", "regularizer", "eval", "output", "threads"}
+    top = {"model", "data", "train", "regularizer", "eval", "output"}
     if allow_grid:
         top = top | {"grid"}
+    if "threads" in doc:
+        logger.warning(
+            "config key 'threads' is deprecated and ignored; set OPENBLAS_NUM_THREADS instead"
+        )
+        doc = {k: v for k, v in doc.items() if k != "threads"}
     _check_keys(doc, top, "")
 
     model = doc.get("model")
@@ -177,7 +182,6 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
         train=tconf,
         tie_policy=tie,
         out_dir=out_dir,
-        threads=int(doc.get("threads", 1)),
         grid=grid,
     )
 
@@ -226,16 +230,12 @@ def cmd_evaluate(args) -> int:
     store = load_dataset(args.train, args.valid, args.test)
     if not args.no_reciprocals:
         store = add_reciprocals(store)
-    if store.vocab.n_entities != params.n_entities:
-        raise ConfigError(
-            f"checkpoint has {params.n_entities} entities, "
-            f"data has {store.vocab.n_entities}"
-        )
-    if store.vocab.n_relations != params.n_relations:
-        raise ConfigError(
-            f"checkpoint has {params.n_relations} relations, "
-            f"data has {store.vocab.n_relations}"
-        )
+    for what, ours, data in (
+        ("entities", params.n_entities, store.vocab.n_entities),
+        ("relations", params.n_relations, store.vocab.n_relations),
+    ):
+        if ours != data:
+            raise ConfigError(f"checkpoint has {ours} {what}, data has {data}")
     filter_index = build_filter_index(store)
     queries = store.split(args.split)
     report = evaluate(params, queries, filter_index, tie=args.tie_policy)
@@ -357,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", default=None, help="override output dir")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="rank a split against a checkpoint")

@@ -1,4 +1,4 @@
-"""Embedding tables, score functions, relational transforms, and analytic
+"""Embedding tables, score functions, relation operators, and analytic
 gradients for six link-prediction model families.
 
 The bilinear family (``cp``, ``distmult``, ``complex``, ``rescal``) scores
@@ -7,17 +7,34 @@ a triple as ``Re(conj(h) . R . t)``; the distance family (``transe``,
 ``dim/2`` complex coordinates as interleaved (real, imag) float64 pairs,
 so every parameter block is a plain real array.
 
-Gradients for interleaved blocks are taken with respect to the real
-storage and packed back into complex arrays as
-``G = df/d(re) + i * df/d(im)``.  With that convention the chain rules for
-a real-valued ``f`` are
+``OPERATORS`` maps each kind to its relation operator ``T_r``, batched
+over rows (``X`` holds one embedding row per row of ``R =
+params.relation[rels]``), with real storage in and out:
+
+* ``apply(X, R)`` is ``T_r x``; ``vjp(X, R, G) -> (GX, GR)`` maps a
+  gradient on the output to gradients on ``X`` and ``R``;
+* linear kinds add the adjoint under the real inner product of the
+  storage, ``<T_r x, y> = <x, T_r* y>``, as ``adjoint`` and
+  ``adjoint_vjp``; dura penalizes ``||T_r* t||``;
+* ``distance`` selects the scoring: ``S = Q @ T.T`` for the bilinear
+  family, the Gram expansion of ``-||Q - t||`` for transe and rotate.
+  The query is ``Q = T_r h``, except that ``scores_adjoint`` kinds
+  (``complex``) use ``Q = T_r* h = h conj(r)``, as
+  ``Re(conj(h) r t) = <h conj(r), t>``;
+* ``complex_coords`` marks storage read as complex coordinates, whose
+  3-norm cubes their moduli.
+
+Complex operators compute on ``cview`` of the storage.  The real
+gradient, viewed as ``G = df/d(re) + i * df/d(im)``, follows
 
     c = a * b        ->  G_a = conj(b) * G_c,   G_b = conj(a) * G_c
     c = conj(a)      ->  G_a = conj(G_c)
     f = Re(sum w*t)  ->  G_w = conj(t),         G_t = conj(w)
 
-and ``G.view(float64)`` is exactly the gradient of the interleaved
-storage.
+so ``x * r`` has ``vjp = (conj(r) G, conj(x) G)`` and ``x * conj(r)``
+has ``vjp = (r G, x conj(G))``.  The scalar ``score`` and
+``relational_transform`` do not use the table: tests compare the
+batched paths against them.
 """
 
 from __future__ import annotations
@@ -42,18 +59,24 @@ class ModelKind(str, Enum):
     ROTATE = "rotate"
 
 
-BILINEAR_KINDS = frozenset(
-    {ModelKind.CP, ModelKind.DISTMULT, ModelKind.COMPLEX, ModelKind.RESCAL}
-)
 DIAGONAL_KINDS = frozenset({ModelKind.CP, ModelKind.DISTMULT})
 COMPLEX_KINDS = frozenset({ModelKind.COMPLEX, ModelKind.ROTATE})
-DISTANCE_KINDS = frozenset({ModelKind.TRANSE, ModelKind.ROTATE})
 N3_KINDS = frozenset({ModelKind.CP, ModelKind.DISTMULT, ModelKind.COMPLEX})
 
 
 def cview(a: np.ndarray) -> np.ndarray:
     """View interleaved (re, im) float64 pairs as complex128."""
     return a.view(np.complex128)
+
+
+def block_shapes(
+    kind: ModelKind, n_entities: int, n_relations: int, dim: int
+) -> dict[str, tuple[int, ...]]:
+    """Parameter block shapes in declared (checkpoint) order."""
+    ent = (n_entities, dim)
+    shapes = {"ent_h": ent, "ent_t": ent} if kind == ModelKind.CP else {"ent": ent}
+    shapes["rel"] = (n_relations, dim, dim) if kind == ModelKind.RESCAL else (n_relations, dim)
+    return shapes
 
 
 @dataclass
@@ -80,6 +103,12 @@ class ModelParams:
         if self.kind == ModelKind.CP:
             return {"ent_h": self.entity, "ent_t": self.entity_tail, "rel": self.relation}
         return {"ent": self.entity, "rel": self.relation}
+
+    def grad_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shapes of every gradient block: the parameter blocks plus ``"eps"``."""
+        shapes = block_shapes(self.kind, self.n_entities, self.n_relations, self.dim)
+        shapes["eps"] = (self.n_relations,)
+        return shapes
 
     @property
     def head_key(self) -> str:
@@ -213,6 +242,101 @@ def project_constraints(params: ModelParams) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
+# Relation operators: one per model kind (see the module docstring).
+
+
+def _c(a: np.ndarray) -> np.ndarray:
+    return cview(np.ascontiguousarray(a))
+
+
+class _Operator:
+    """Defaults of the flags described in the module docstring."""
+
+    distance = False
+    scores_adjoint = False
+    complex_coords = False
+
+
+class _Diagonal(_Operator):
+    """``x * r`` with a real diagonal (cp, distmult); self-adjoint."""
+
+    def apply(self, X, R):
+        return X * R
+
+    def vjp(self, X, R, G):
+        return G * R, G * X
+
+    adjoint = apply
+    adjoint_vjp = vjp
+
+
+class _ComplexDiagonal(_Operator):
+    """``x * r`` on complex coordinates (complex); adjoint ``x * conj(r)``."""
+
+    scores_adjoint = True
+    complex_coords = True
+
+    def apply(self, X, R):
+        return (_c(X) * _c(R)).view(np.float64)
+
+    def vjp(self, X, R, G):
+        Gc = _c(G)
+        return (np.conj(_c(R)) * Gc).view(np.float64), (np.conj(_c(X)) * Gc).view(np.float64)
+
+    def adjoint(self, X, R):
+        return (_c(X) * np.conj(_c(R))).view(np.float64)
+
+    def adjoint_vjp(self, X, R, G):
+        Gc = _c(G)
+        return (_c(R) * Gc).view(np.float64), (_c(X) * np.conj(Gc)).view(np.float64)
+
+
+class _Rotation(_ComplexDiagonal):
+    """Unit-modulus complex diagonal scored by distance (rotate)."""
+
+    distance = True
+    scores_adjoint = False
+
+
+class _Matrix(_Operator):
+    """Row vector times a full d x d matrix, ``x @ R_r`` (rescal)."""
+
+    def apply(self, X, R):
+        return np.einsum("bd,bde->be", X, R)
+
+    def vjp(self, X, R, G):
+        return np.einsum("be,bde->bd", G, R), np.einsum("bd,be->bde", X, G)
+
+    def adjoint(self, X, R):
+        return np.einsum("be,bde->bd", X, R)
+
+    def adjoint_vjp(self, X, R, G):
+        return np.einsum("bd,bde->be", G, R), np.einsum("bd,be->bde", G, X)
+
+
+class _Translation(_Operator):
+    """``x + r`` scored by distance (transe)."""
+
+    distance = True
+
+    def apply(self, X, R):
+        return X + R
+
+    def vjp(self, X, R, G):
+        return G, G
+
+
+OPERATORS = {
+    ModelKind.CP: _Diagonal(),
+    ModelKind.DISTMULT: _Diagonal(),
+    ModelKind.COMPLEX: _ComplexDiagonal(),
+    ModelKind.RESCAL: _Matrix(),
+    ModelKind.TRANSE: _Translation(),
+    ModelKind.ROTATE: _Rotation(),
+}
+
+
+# ---------------------------------------------------------------------------
 # Batched 1-vs-all scoring kernels.
 #
 # forward_all_tails computes the B x |E| score matrix for a batch of
@@ -228,118 +352,39 @@ _EPS_DIST = 1e-30
 
 def forward_all_tails(params: ModelParams, heads: np.ndarray, rels: np.ndarray):
     """Score every entity as tail for each (head, relation) query."""
-    kind = params.kind
+    op = OPERATORS[params.kind]
     H = params.head_table[heads]
+    R = params.relation[rels]
     T = params.tail_table
-    ctx = {"heads": heads, "rels": rels}
-    if kind in DIAGONAL_KINDS:
-        W = H * params.relation[rels]
-        S = W @ T.T
-        ctx.update(H=H, W=W)
-    elif kind == ModelKind.COMPLEX:
-        Hc = cview(H)
-        Rc = cview(params.relation[rels])
-        Wc = np.conj(Hc) * Rc
-        S = (Wc @ cview(T).T).real
-        ctx.update(Hc=Hc, Rc=Rc, Wc=Wc)
-    elif kind == ModelKind.RESCAL:
-        Rb = params.relation[rels]
-        HR = np.einsum("bd,bde->be", H, Rb)
-        S = HR @ T.T
-        ctx.update(H=H, Rb=Rb, HR=HR)
-    elif kind == ModelKind.TRANSE:
-        Z = H + params.relation[rels]
-        d2 = (
-            np.sum(Z * Z, axis=1)[:, None]
-            + np.sum(T * T, axis=1)[None, :]
-            - 2.0 * (Z @ T.T)
-        )
+    Q = op.adjoint(H, R) if op.scores_adjoint else op.apply(H, R)
+    S = Q @ T.T
+    D = None
+    if op.distance:
+        d2 = np.sum(Q * Q, axis=1)[:, None] + np.sum(T * T, axis=1)[None, :] - 2.0 * S
         D = np.sqrt(np.maximum(d2, 0.0))
         S = -D
-        ctx.update(Z=Z, D=D)
-    elif kind == ModelKind.ROTATE:
-        Hc = cview(H)
-        Rc = cview(params.relation[rels])
-        Zc = Hc * Rc
-        Z = Zc.view(np.float64)
-        d2 = (
-            np.sum(Z * Z, axis=1)[:, None]
-            + np.sum(T * T, axis=1)[None, :]
-            - 2.0 * (Z @ T.T)
-        )
-        D = np.sqrt(np.maximum(d2, 0.0))
-        S = -D
-        ctx.update(Hc=Hc, Rc=Rc, Zc=Zc, D=D)
-    else:
-        raise ConfigError(f"unknown kind {kind}")
-    return S, ctx
+    return S, {"heads": heads, "rels": rels, "H": H, "R": R, "Q": Q, "D": D}
 
 
 def backward_all_tails(params: ModelParams, ctx, G: np.ndarray):
     """Backpropagate an upstream B x |E| gradient through forward_all_tails."""
-    kind = params.kind
-    heads, rels = ctx["heads"], ctx["rels"]
+    op = OPERATORS[params.kind]
+    heads, H, R, Q, D = ctx["heads"], ctx["H"], ctx["R"], ctx["Q"], ctx["D"]
     T = params.tail_table
-    grads: dict[str, tuple[np.ndarray | None, np.ndarray]] = {}
-    if kind in DIAGONAL_KINDS:
-        W, H = ctx["W"], ctx["H"]
-        GT = G.T @ W
-        GW = G @ T
-        GH = GW * params.relation[rels]
-        GR = GW * H
-        if kind == ModelKind.CP:
-            grads["ent_t"] = (None, GT)
-            grads["ent_h"] = (heads, GH)
-        else:
-            np.add.at(GT, heads, GH)
-            grads["ent"] = (None, GT)
-        grads["rel"] = (rels, GR)
-    elif kind == ModelKind.COMPLEX:
-        Hc, Rc, Wc = ctx["Hc"], ctx["Rc"], ctx["Wc"]
-        Tc = cview(T)
-        GW = G @ np.conj(Tc)
-        GT = G.T @ np.conj(Wc)
-        GH = Rc * np.conj(GW)
-        GR = Hc * GW
-        GTr = np.ascontiguousarray(GT).view(np.float64)
-        np.add.at(GTr, heads, np.ascontiguousarray(GH).view(np.float64))
-        grads["ent"] = (None, GTr)
-        grads["rel"] = (rels, np.ascontiguousarray(GR).view(np.float64))
-    elif kind == ModelKind.RESCAL:
-        H, Rb, HR = ctx["H"], ctx["Rb"], ctx["HR"]
-        GHR = G @ T
-        GT = G.T @ HR
-        GH = np.einsum("be,bde->bd", GHR, Rb)
-        GRb = np.einsum("bd,be->bde", H, GHR)
-        np.add.at(GT, heads, GH)
-        grads["ent"] = (None, GT)
-        grads["rel"] = (rels, GRb)
-    elif kind == ModelKind.TRANSE:
-        Z, D = ctx["Z"], ctx["D"]
-        C = G / np.maximum(D, _EPS_DIST)
-        cs1 = C.sum(axis=1)
-        cs0 = C.sum(axis=0)
-        GZ = C @ T - cs1[:, None] * Z
-        GT = C.T @ Z - cs0[:, None] * T
-        np.add.at(GT, heads, GZ)
-        grads["ent"] = (None, GT)
-        grads["rel"] = (rels, GZ)
-    elif kind == ModelKind.ROTATE:
-        Hc, Rc, Zc, D = ctx["Hc"], ctx["Rc"], ctx["Zc"], ctx["D"]
-        Tc = cview(T)
-        C = G / np.maximum(D, _EPS_DIST)
-        cs1 = C.sum(axis=1)
-        cs0 = C.sum(axis=0)
-        GZ = C @ Tc - cs1[:, None] * Zc
-        GT = C.T @ Zc - cs0[:, None] * Tc
-        GH = np.conj(Rc) * GZ
-        GR = np.conj(Hc) * GZ
-        GTr = np.ascontiguousarray(GT).view(np.float64)
-        np.add.at(GTr, heads, np.ascontiguousarray(GH).view(np.float64))
-        grads["ent"] = (None, GTr)
-        grads["rel"] = (rels, np.ascontiguousarray(GR).view(np.float64))
+    if D is None:
+        GT = G.T @ Q
+        GQ = G @ T
     else:
-        raise ConfigError(f"unknown kind {kind}")
+        C = G / np.maximum(D, _EPS_DIST)
+        GQ = C @ T - C.sum(axis=1)[:, None] * Q
+        GT = C.T @ Q - C.sum(axis=0)[:, None] * T
+    GH, GR = op.adjoint_vjp(H, R, GQ) if op.scores_adjoint else op.vjp(H, R, GQ)
+    if params.head_key == params.tail_key:
+        np.add.at(GT, heads, GH)
+        grads = {params.tail_key: (None, GT)}
+    else:
+        grads = {params.tail_key: (None, GT), params.head_key: (heads, GH)}
+    grads["rel"] = (ctx["rels"], GR)
     return grads
 
 

@@ -136,10 +136,6 @@ def _tnorm(v: np.ndarray, t: int, axis=0) -> np.ndarray:
     return np.sum(np.abs(v) ** 3, axis=axis) ** (1.0 / 3.0)
 
 
-def _nuclear_value(P, R, Q, t):
-    return float(np.sum(_tnorm(P, t) * _tnorm(R, t) * _tnorm(Q, t)))
-
-
 def _nuclear_grads(P, R, Q, t):
     np_, nr, nq = _tnorm(P, t), _tnorm(R, t), _tnorm(Q, t)
     val = float(np.sum(np_ * nr * nq))
@@ -157,36 +153,6 @@ def _nuclear_grads(P, R, Q, t):
     gR = dnorm(R, nr) * (np_ * nq)
     gQ = dnorm(Q, nq) * (np_ * nr)
     return val, gP, gR, gQ
-
-
-def _variant_value(P, R, Q, name):
-    var = VARIANTS[name]
-    I, J, K = len(P), len(R), len(Q)
-    pref = 1.0 / (var.pref_denom * np.sqrt(J))
-    if name == "amgm4":
-        rho2 = np.sum(R * R, axis=0)
-        core = float(np.sum(np.sum(P * P, axis=0) * rho2) + J * np.sum(Q * Q))
-        return pref * core
-    if var.norm_order == 2:
-        rho = np.sum(R * R, axis=0)
-        sp = P.sum(axis=0)
-        sq = Q.sum(axis=0)
-        c = (
-            K * np.sum(P * P, axis=0)
-            + I * np.sum(Q * Q, axis=0)
-            + 2.0 * var.sign * sp * sq
-        )
-        core = J * K * np.sum(P * P) + I * J * np.sum(Q * Q) + float(np.sum(rho * c))
-        return pref * core
-    rho = np.sum(np.abs(R) ** 3, axis=0)
-    E = P[:, None, :] + var.sign * Q[None, :, :]
-    cube = np.sum(np.abs(E) ** 3, axis=(0, 1))
-    core = (
-        J * K * np.sum(np.abs(P) ** 3)
-        + I * J * np.sum(np.abs(Q) ** 3)
-        + float(np.sum(rho * cube))
-    )
-    return pref * core
 
 
 def _variant_grads(P, R, Q, name):
@@ -247,13 +213,12 @@ def _descend(f_and_g, theta, max_iter):
 class _Problem:
     """Raw objective plus scaled penalty on flattened (P, R, Q)."""
 
-    def __init__(self, X, D, raw_grads, raw_value):
+    def __init__(self, X, D, raw_grads):
         self.X = X
         self.I, self.J, self.K = X.shape
         self.D = D
         self.denom = max(float(np.linalg.norm(X)), 0.0) or 1.0
         self.raw_grads = raw_grads
-        self.raw_value = raw_value
 
     def unpack(self, theta):
         I, J, K, D = self.I, self.J, self.K, self.D
@@ -307,30 +272,31 @@ class _OptResult:
     n_feasible: int
 
 
-def _multi_restart(instance, raw_grads, raw_value, restarts, salt, iters_per_stage=250):
+def _multi_restart(instance, raw_grads, restarts, salt, iters_per_stage=250):
+    """Best feasible restart; ``raw_grads(P, R, Q)`` returns (value, gP, gR, gQ)."""
     X = instance.target
-    prob = _Problem(X, instance.rank, raw_grads, raw_value)
+    prob = _Problem(X, instance.rank, raw_grads)
     size = (prob.I + prob.J + prob.K) * prob.D
     scale = max((prob.denom / np.sqrt(X.size) / instance.rank) ** (1.0 / 3.0), 0.1)
     best = None
     n_feasible = 0
-    worst_resid = np.inf
+    best_resid = np.inf
     for k in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([instance.seed, salt, k]))
         theta0 = rng.normal(0.0, scale, size=size)
         theta, resid, ok = prob.minimize_restart(theta0, iters_per_stage=iters_per_stage)
-        worst_resid = min(worst_resid, resid)
+        best_resid = min(best_resid, resid)
         if not ok:
             continue
         n_feasible += 1
         P, R, Q = prob.unpack(theta)
-        value = float(raw_value(P, R, Q))
+        value = float(raw_grads(P, R, Q)[0])
         if best is None or value < best.value:
             best = _OptResult(value, P.copy(), R.copy(), Q.copy(), resid, restarts, 0)
     if best is None:
         raise InfeasibleError(
             f"no restart reached relative residual {FEASIBILITY_TARGET:g} "
-            f"(best {worst_resid:.3g} over {restarts} restarts)"
+            f"(best {best_resid:.3g} over {restarts} restarts)"
         )
     best.n_feasible = n_feasible
     return best
@@ -361,7 +327,6 @@ def nuclear_estimate(instance: FactorInstance, restarts: int) -> float:
     res = _multi_restart(
         instance,
         lambda P, R, Q: _nuclear_grads(P, R, Q, t),
-        lambda P, R, Q: _nuclear_value(P, R, Q, t),
         restarts,
         salt=0,
     )
@@ -376,7 +341,6 @@ def objective_min(instance: FactorInstance, variant: str, restarts: int) -> floa
     res = _multi_restart(
         instance,
         lambda P, R, Q: _variant_grads(P, R, Q, variant),
-        lambda P, R, Q: _variant_value(P, R, Q, variant),
         restarts,
         salt=1 + list(VARIANTS).index(variant),
     )
@@ -417,14 +381,12 @@ def check_instance(instance: FactorInstance, variant: str, restarts: int) -> Che
     obj = _multi_restart(
         instance,
         lambda P, R, Q: _variant_grads(P, R, Q, variant),
-        lambda P, R, Q: _variant_value(P, R, Q, variant),
         restarts,
         salt=1 + list(VARIANTS).index(variant),
     )
     nuc = _multi_restart(
         instance,
         lambda P, R, Q: _nuclear_grads(P, R, Q, t),
-        lambda P, R, Q: _nuclear_value(P, R, Q, t),
         restarts,
         salt=0,
     )

@@ -85,5 +85,4 @@ def get_preset(model: str, dataset: str, scale: str = "desk") -> dict:
         },
         "eval": {"tie_policy": "mean"},
         "output": {"dir": f"runs/{model}-{dataset}-{scale}"},
-        "threads": 1,
     }

@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import FilterIndex
 from .errors import ConfigError
-from .models import ModelParams, forward_all_tails
+from .models import ModelParams, forward_all_tails, score_all_tails
 
 TIE_POLICIES = ("mean", "optimistic", "pessimistic")
 
@@ -60,12 +60,9 @@ def filtered_rank(
     if tie not in TIE_POLICIES:
         raise ConfigError(f"unknown tie policy {tie!r}")
     h, r, t = (int(x) for x in triple)
-    S, _ = forward_all_tails(
-        params, np.array([h], dtype=np.int64), np.array([r], dtype=np.int64)
-    )
     excluded = filter_index.true_tails(h, r)
     excluded = excluded[excluded != t]
-    return _rank_from_scores(S[0], t, excluded, tie)
+    return _rank_from_scores(score_all_tails(params, h, r), t, excluded, tie)
 
 
 def evaluate(

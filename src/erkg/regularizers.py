@@ -28,22 +28,14 @@ are requested.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import CategoryMap, TripleStore
 from .errors import ConfigError
 from .grads import GradAccumulator, GradSet
-from .models import (
-    COMPLEX_KINDS,
-    DIAGONAL_KINDS,
-    BILINEAR_KINDS,
-    N3_KINDS,
-    ModelKind,
-    ModelParams,
-    cview,
-)
+from .models import N3_KINDS, OPERATORS, ModelParams, cview
 
 logger = logging.getLogger(__name__)
 
@@ -153,12 +145,6 @@ def _sigmoid(u: np.ndarray | float):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(u, dtype=np.float64)))
 
 
-def _shapes(params: ModelParams) -> dict[str, tuple[int, ...]]:
-    shapes = {name: arr.shape for name, arr in params.blocks().items()}
-    shapes["eps"] = (params.n_relations,)
-    return shapes
-
-
 def _norm_value_grad(X: np.ndarray, order: int, complexified: bool):
     """Row-wise penalty norms with gradients in real storage.
 
@@ -179,42 +165,6 @@ def _norm_value_grad(X: np.ndarray, order: int, complexified: bool):
     return val, grad
 
 
-def _transform_batch(params: ModelParams, H: np.ndarray, rels: np.ndarray):
-    kind = params.kind
-    if kind in DIAGONAL_KINDS:
-        Rv = params.relation[rels]
-        return H * Rv, {"H": H, "Rv": Rv}
-    if kind in COMPLEX_KINDS:
-        Hc = cview(np.ascontiguousarray(H))
-        Rc = cview(np.ascontiguousarray(params.relation[rels]))
-        return (Hc * Rc).view(np.float64), {"Hc": Hc, "Rc": Rc}
-    if kind == ModelKind.RESCAL:
-        Rb = params.relation[rels]
-        return np.einsum("bd,bde->be", H, Rb), {"H": H, "Rb": Rb}
-    if kind == ModelKind.TRANSE:
-        return H + params.relation[rels], {}
-    raise ConfigError(f"unknown kind {kind}")
-
-
-def _transform_backward(params: ModelParams, ctx, G: np.ndarray):
-    """Map a gradient on the transform output to (input rows, relation rows)."""
-    kind = params.kind
-    if kind in DIAGONAL_KINDS:
-        return G * ctx["Rv"], G * ctx["H"]
-    if kind in COMPLEX_KINDS:
-        Gc = cview(np.ascontiguousarray(G))
-        GH = (np.conj(ctx["Rc"]) * Gc).view(np.float64)
-        GR = (np.conj(ctx["Hc"]) * Gc).view(np.float64)
-        return GH, GR
-    if kind == ModelKind.RESCAL:
-        GH = np.einsum("be,bde->bd", G, ctx["Rb"])
-        GR = np.einsum("bd,be->bde", ctx["H"], G)
-        return GH, GR
-    if kind == ModelKind.TRANSE:
-        return G, G.copy()
-    raise ConfigError(f"unknown kind {kind}")
-
-
 # ---------------------------------------------------------------------------
 # Baseline penalties.
 
@@ -224,22 +174,34 @@ def _require_batch(batch: np.ndarray) -> None:
         raise ConfigError("penalty needs a nonempty batch")
 
 
+def _norm_terms(
+    params: ModelParams, batch: np.ndarray, order: int, acc: GradAccumulator, cols
+) -> float:
+    """Batch mean of the norms of the rows in columns ``cols`` (0 head,
+    1 relation, 2 tail); their gradients go to ``acc``."""
+    B = len(batch)
+    cx = OPERATORS[params.kind].complex_coords
+    keys = (params.head_key, "rel", params.tail_key)
+    tables = (params.head_table, params.relation, params.tail_table)
+    value = 0.0
+    for col in cols:
+        v, g = _norm_value_grad(tables[col][batch[:, col]], order, cx)
+        value = value + v
+        acc.add(keys[col], batch[:, col], g / B)
+    return float(value.sum() / B)
+
+
+def _norm_penalty(params: ModelParams, batch: np.ndarray, order: int):
+    """Mean ``order``-norm penalty of head, relation, and tail parameters."""
+    _require_batch(batch)
+    acc = GradAccumulator()
+    value = _norm_terms(params, batch, order, acc, (0, 1, 2))
+    return value, acc.finalize(params.grad_shapes())
+
+
 def penalty_fro(params: ModelParams, batch: np.ndarray):
     """Mean squared norm of head, relation, and tail parameters."""
-    _require_batch(batch)
-    B = len(batch)
-    H = params.head_table[batch[:, 0]]
-    Rv = params.relation[batch[:, 1]]
-    T = params.tail_table[batch[:, 2]]
-    vh, gh = _norm_value_grad(H, 2, False)
-    vr, gr = _norm_value_grad(Rv, 2, False)
-    vt, gt = _norm_value_grad(T, 2, False)
-    value = float((vh + vr + vt).sum() / B)
-    acc = GradAccumulator()
-    acc.add(params.head_key, batch[:, 0], gh / B)
-    acc.add("rel", batch[:, 1], gr / B)
-    acc.add(params.tail_key, batch[:, 2], gt / B)
-    return value, acc.finalize(_shapes(params))
+    return _norm_penalty(params, batch, 2)
 
 
 def penalty_n3(params: ModelParams, batch: np.ndarray):
@@ -250,77 +212,63 @@ def penalty_n3(params: ModelParams, batch: np.ndarray):
     """
     if params.kind not in N3_KINDS:
         raise ConfigError(f"n3 penalty does not support {params.kind.value}")
-    _require_batch(batch)
-    B = len(batch)
-    cx = params.kind in COMPLEX_KINDS
-    H = params.head_table[batch[:, 0]]
-    Rv = params.relation[batch[:, 1]]
-    T = params.tail_table[batch[:, 2]]
-    vh, gh = _norm_value_grad(H, 3, cx)
-    vr, gr = _norm_value_grad(Rv, 3, cx)
-    vt, gt = _norm_value_grad(T, 3, cx)
-    value = float((vh + vr + vt).sum() / B)
-    acc = GradAccumulator()
-    acc.add(params.head_key, batch[:, 0], gh / B)
-    acc.add("rel", batch[:, 1], gr / B)
-    acc.add(params.tail_key, batch[:, 2], gt / B)
-    return value, acc.finalize(_shapes(params))
+    return _norm_penalty(params, batch, 3)
 
 
 def penalty_dura(params: ModelParams, batch: np.ndarray):
     """Duality-induced penalty: transformed-head, tail, adjoint-transformed
     tail, and head squared norms, averaged over the batch."""
-    if params.kind not in BILINEAR_KINDS:
+    op = OPERATORS[params.kind]
+    if op.distance:
         raise ConfigError(f"dura penalty does not support {params.kind.value}")
     _require_batch(batch)
     B = len(batch)
-    kind = params.kind
     heads, rels, tails = batch[:, 0], batch[:, 1], batch[:, 2]
     H = params.head_table[heads]
+    R = params.relation[rels]
     T = params.tail_table[tails]
-
+    Th = op.apply(H, R)
+    Ta = op.adjoint(T, R)
+    value = np.sum(Th * Th) + np.sum(T * T) + np.sum(Ta * Ta) + np.sum(H * H)
+    GH, GRh = op.vjp(H, R, 2.0 * Th)
+    GT, GRt = op.adjoint_vjp(T, R, 2.0 * Ta)
     acc = GradAccumulator()
-    if kind in DIAGONAL_KINDS:
-        Rv = params.relation[rels]
-        Th = H * Rv
-        Ta = T * Rv
-        value = np.sum(Th * Th) + np.sum(T * T) + np.sum(Ta * Ta) + np.sum(H * H)
-        GH = 2.0 * Th * Rv + 2.0 * H
-        GT = 2.0 * Ta * Rv + 2.0 * T
-        GR = 2.0 * Th * H + 2.0 * Ta * T
-    elif kind == ModelKind.COMPLEX:
-        Hc = cview(np.ascontiguousarray(H))
-        Tc = cview(np.ascontiguousarray(T))
-        Rc = cview(np.ascontiguousarray(params.relation[rels]))
-        Thc = Hc * Rc
-        Tac = Tc * np.conj(Rc)
-        value = (
-            np.sum(np.abs(Thc) ** 2)
-            + np.sum(T * T)
-            + np.sum(np.abs(Tac) ** 2)
-            + np.sum(H * H)
-        )
-        GH = (np.conj(Rc) * (2.0 * Thc) + 2.0 * Hc).view(np.float64)
-        GT = (Rc * (2.0 * Tac) + 2.0 * Tc).view(np.float64)
-        GR = (np.conj(Hc) * (2.0 * Thc) + Tc * np.conj(2.0 * Tac)).view(np.float64)
-    else:  # rescal
-        Rb = params.relation[rels]
-        Th = np.einsum("bd,bde->be", H, Rb)
-        Ta = np.einsum("be,bde->bd", T, Rb)
-        value = np.sum(Th * Th) + np.sum(T * T) + np.sum(Ta * Ta) + np.sum(H * H)
-        GH = 2.0 * np.einsum("be,bde->bd", Th, Rb) + 2.0 * H
-        GT = 2.0 * np.einsum("bd,bde->be", Ta, Rb) + 2.0 * T
-        GR = 2.0 * np.einsum("bd,be->bde", H, Th) + 2.0 * np.einsum(
-            "bd,be->bde", Ta, T
-        )
-    acc.add(params.head_key, heads, GH / B)
-    acc.add(params.tail_key, tails, GT / B)
-    acc.add("rel", rels, GR / B)
-    return float(value / B), acc.finalize(_shapes(params))
+    acc.add(params.head_key, heads, (GH + 2.0 * H) / B)
+    acc.add(params.tail_key, tails, (GT + 2.0 * T) / B)
+    acc.add("rel", rels, (GRh + GRt) / B)
+    return float(value / B), acc.finalize(params.grad_shapes())
 
 
 # ---------------------------------------------------------------------------
 # Pair sampling and labeling.
+
+
+def _budget_pairs(groups: dict, budget: int, seed: int):
+    """Unordered pairs with distinct heads, at most ``budget`` per group.
+
+    ``groups`` maps a key to parallel (members, heads) lists, in
+    first-appearance order; each group's eligible pairs are enumerated
+    and at most ``budget`` of them kept (uniform, without replacement).
+    Returns parallel lists (keys, members_a, members_b).
+    """
+    rng = np.random.default_rng(seed)
+    keys, ma, mb = [], [], []
+    for key, (members, heads) in groups.items():
+        n = len(members)
+        eligible = [
+            (members[i], members[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if heads[i] != heads[j]
+        ]
+        if len(eligible) > budget:
+            chosen = np.sort(rng.choice(len(eligible), size=budget, replace=False))
+            eligible = [eligible[c] for c in chosen]
+        for a, b in eligible:
+            keys.append(key)
+            ma.append(a)
+            mb.append(b)
+    return keys, ma, mb
 
 
 def select_pairs(batch: np.ndarray, budget: int, seed: int) -> PairSet:
@@ -333,31 +281,12 @@ def select_pairs(batch: np.ndarray, budget: int, seed: int) -> PairSet:
     """
     if budget < 1:
         raise ConfigError("pair budget must be >= 1")
-    rng = np.random.default_rng(seed)
-    order: list[int] = []
-    groups: dict[int, list[int]] = {}
-    for pos, rel in enumerate(batch[:, 1]):
-        rel = int(rel)
-        if rel not in groups:
-            groups[rel] = []
-            order.append(rel)
-        groups[rel].append(pos)
-    idx_a, idx_b, rels = [], [], []
-    for rel in order:
-        positions = groups[rel]
-        eligible = [
-            (positions[i], positions[j])
-            for i in range(len(positions))
-            for j in range(i + 1, len(positions))
-            if batch[positions[i], 0] != batch[positions[j], 0]
-        ]
-        if len(eligible) > budget:
-            chosen = np.sort(rng.choice(len(eligible), size=budget, replace=False))
-            eligible = [eligible[c] for c in chosen]
-        for a, b in eligible:
-            idx_a.append(a)
-            idx_b.append(b)
-            rels.append(rel)
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for pos, (h, rel) in enumerate(batch[:, :2].tolist()):
+        positions, heads = groups.setdefault(rel, ([], []))
+        positions.append(pos)
+        heads.append(h)
+    rels, idx_a, idx_b = _budget_pairs(groups, budget, seed)
     return PairSet(
         idx_a=np.array(idx_a, dtype=np.int64),
         idx_b=np.array(idx_b, dtype=np.int64),
@@ -410,17 +339,17 @@ def _init_epsilon(eps: EpsilonState, rels: np.ndarray, dists: np.ndarray) -> Non
             eps.initialized[r] = True
 
 
+@dataclass
 class _LabeledPairs:
     """Kept pairs with labels plus the bookkeeping for label gradients."""
 
-    def __init__(self, ha, hb, rel, label, joint_mask, dists, diffs):
-        self.ha = ha
-        self.hb = hb
-        self.rel = rel
-        self.label = label
-        self.joint_mask = joint_mask
-        self.dists = dists
-        self.diffs = diffs
+    ha: np.ndarray
+    hb: np.ndarray
+    rel: np.ndarray
+    label: np.ndarray
+    joint_mask: np.ndarray
+    dists: np.ndarray
+    diffs: np.ndarray
 
     @property
     def n(self) -> int:
@@ -481,6 +410,26 @@ def _label_pair_entities(
     return _LabeledPairs(ha, hb, rel, label, joint, dists, diffs), keep
 
 
+def _add_label_grads(
+    acc: GradAccumulator, params: ModelParams, lp: _LabeledPairs, dfda: np.ndarray, tau: float
+) -> None:
+    """Chain per-pair d(value)/d(label) through the soft labels.
+
+    Soft labels ``sigmoid((eps_r - ||x_a - x_b||) / tau)`` pass it on to
+    the thresholds (``"eps"``) and to the raw head embeddings.
+    """
+    jm = lp.joint_mask
+    if not jm.any():
+        return
+    a = lp.label[jm]
+    g = dfda[jm] * (a * (1.0 - a) / tau)
+    acc.add("eps", lp.rel[jm], g)
+    unit = lp.diffs[jm] / np.maximum(lp.dists[jm], _EPS_DIST)[:, None]
+    gx = -g[:, None] * unit
+    acc.add(params.head_key, lp.ha[jm], gx)
+    acc.add(params.head_key, lp.hb[jm], -gx)
+
+
 # ---------------------------------------------------------------------------
 # Equivariance penalty.
 
@@ -502,18 +451,10 @@ def penalty_er(
     if spec.kind != "er":
         raise ConfigError("spec.kind must be 'er'")
     _require_batch(batch)
-    B = len(batch)
-    cx = params.kind in COMPLEX_KINDS
+    op = OPERATORS[params.kind]
     order = spec.norm_order
     acc = GradAccumulator()
-
-    H = params.head_table[batch[:, 0]]
-    T = params.tail_table[batch[:, 2]]
-    vh, gh = _norm_value_grad(H, order, cx)
-    vt, gt = _norm_value_grad(T, order, cx)
-    value = float((vh + vt).sum() / B)
-    acc.add(params.head_key, batch[:, 0], gh / B)
-    acc.add(params.tail_key, batch[:, 2], gt / B)
+    value = _norm_terms(params, batch, order, acc, (0, 2))
 
     if pairs.n > 0:
         lp, _ = _label_pair_entities(
@@ -530,32 +471,24 @@ def penalty_er(
             wd = spec.dissim_weight
             Ha = params.head_table[lp.ha]
             Hb = params.head_table[lp.hb]
-            Ta, ctx_a = _transform_batch(params, Ha, lp.rel)
-            Tb, ctx_b = _transform_batch(params, Hb, lp.rel)
-            vd, gd = _norm_value_grad(Ta - Tb, order, cx)
-            vs, gs = _norm_value_grad(Ta + Tb, order, cx)
+            R = params.relation[lp.rel]
+            Ta = op.apply(Ha, R)
+            Tb = op.apply(Hb, R)
+            vd, gd = _norm_value_grad(Ta - Tb, order, op.complex_coords)
+            vs, gs = _norm_value_grad(Ta + Tb, order, op.complex_coords)
             a = lp.label
             value += float(np.sum(a * vd + (1.0 - a) * wd * vs) / P)
 
             ga = (a[:, None] * gd + ((1.0 - a) * wd)[:, None] * gs) / P
             gb = (-a[:, None] * gd + ((1.0 - a) * wd)[:, None] * gs) / P
-            GHa, GRa = _transform_backward(params, ctx_a, ga)
-            GHb, GRb = _transform_backward(params, ctx_b, gb)
+            GHa, GRa = op.vjp(Ha, R, ga)
+            GHb, GRb = op.vjp(Hb, R, gb)
             acc.add(params.head_key, lp.ha, GHa)
             acc.add(params.head_key, lp.hb, GHb)
             acc.add("rel", lp.rel, GRa)
             acc.add("rel", lp.rel, GRb)
-
-            if lp.joint_mask.any():
-                jm = lp.joint_mask
-                dfda = (vd - wd * vs)[jm] / P
-                slope = a[jm] * (1.0 - a[jm]) / spec.tau
-                acc.add("eps", lp.rel[jm], dfda * slope)
-                unit = lp.diffs[jm] / np.maximum(lp.dists[jm], _EPS_DIST)[:, None]
-                gx = -(dfda * slope)[:, None] * unit
-                acc.add(params.head_key, lp.ha[jm], gx)
-                acc.add(params.head_key, lp.hb[jm], -gx)
-    return value, acc.finalize(_shapes(params))
+            _add_label_grads(acc, params, lp, (vd - wd * vs) / P, spec.tau)
+    return value, acc.finalize(params.grad_shapes())
 
 
 def sample_path_pairs(
@@ -576,39 +509,17 @@ def sample_path_pairs(
             adj.setdefault(int(h), []).append((int(r), int(t)))
         store._adjacency = adj
 
-    rng = np.random.default_rng(seed)
-    order: list[tuple[int, int]] = []
     groups: dict[tuple[int, int], list[int]] = {}
-    for h, r1, m in batch:
-        for r2, _e in adj.get(int(m), ()):
-            key = (int(r1), r2)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(int(h))
-
-    ha, hb, rel1, rel2 = [], [], [], []
-    for key in order:
-        heads = groups[key]
-        eligible = [
-            (heads[i], heads[j])
-            for i in range(len(heads))
-            for j in range(i + 1, len(heads))
-            if heads[i] != heads[j]
-        ]
-        if len(eligible) > budget:
-            chosen = np.sort(rng.choice(len(eligible), size=budget, replace=False))
-            eligible = [eligible[c] for c in chosen]
-        for a, b in eligible:
-            ha.append(a)
-            hb.append(b)
-            rel1.append(key[0])
-            rel2.append(key[1])
+    for h, r1, m in batch.tolist():
+        for r2, _e in adj.get(m, ()):
+            groups.setdefault((r1, r2), []).append(h)
+    keys, ha, hb = _budget_pairs({k: (v, v) for k, v in groups.items()}, budget, seed)
+    rel1, rel2 = np.array(keys, dtype=np.int64).reshape(-1, 2).T.copy()
     return PathPairSet(
         head_a=np.array(ha, dtype=np.int64),
         head_b=np.array(hb, dtype=np.int64),
-        rel1=np.array(rel1, dtype=np.int64),
-        rel2=np.array(rel2, dtype=np.int64),
+        rel1=rel1,
+        rel2=rel2,
     )
 
 
@@ -627,7 +538,7 @@ def penalty_er_second_order(
     """
     if path_pairs.n == 0:
         return 0.0, {}
-    cx = params.kind in COMPLEX_KINDS
+    op = OPERATORS[params.kind]
     lp, keep = _label_pair_entities(
         params, path_pairs.head_a, path_pairs.head_b, path_pairs.rel1, spec,
         categories, eps,
@@ -640,33 +551,24 @@ def penalty_er_second_order(
 
     Ha = params.head_table[lp.ha]
     Hb = params.head_table[lp.hb]
-    Ua, ctx1a = _transform_batch(params, Ha, lp.rel)
-    Ub, ctx1b = _transform_batch(params, Hb, lp.rel)
-    Va, ctx2a = _transform_batch(params, Ua, rel2)
-    Vb, ctx2b = _transform_batch(params, Ub, rel2)
-    vd, gd = _norm_value_grad(Va - Vb, spec.norm_order, cx)
+    R1 = params.relation[lp.rel]
+    R2 = params.relation[rel2]
+    Ua = op.apply(Ha, R1)
+    Ub = op.apply(Hb, R1)
+    vd, gd = _norm_value_grad(op.apply(Ua, R2) - op.apply(Ub, R2), spec.norm_order, op.complex_coords)
     a = lp.label
     value = float(np.sum(a * vd) / P)
 
     ga = a[:, None] * gd / P
-    GUa, GR2a = _transform_backward(params, ctx2a, ga)
-    GUb, GR2b = _transform_backward(params, ctx2b, -ga)
-    GHa, GR1a = _transform_backward(params, ctx1a, GUa)
-    GHb, GR1b = _transform_backward(params, ctx1b, GUb)
+    GUa, GR2a = op.vjp(Ua, R2, ga)
+    GUb, GR2b = op.vjp(Ub, R2, -ga)
+    GHa, GR1a = op.vjp(Ha, R1, GUa)
+    GHb, GR1b = op.vjp(Hb, R1, GUb)
     acc.add(params.head_key, lp.ha, GHa)
     acc.add(params.head_key, lp.hb, GHb)
     acc.add("rel", lp.rel, GR1a)
     acc.add("rel", lp.rel, GR1b)
     acc.add("rel", rel2, GR2a)
     acc.add("rel", rel2, GR2b)
-
-    if lp.joint_mask.any():
-        jm = lp.joint_mask
-        dfda = vd[jm] / P
-        slope = a[jm] * (1.0 - a[jm]) / spec.tau
-        acc.add("eps", lp.rel[jm], dfda * slope)
-        unit = lp.diffs[jm] / np.maximum(lp.dists[jm], _EPS_DIST)[:, None]
-        gx = -(dfda * slope)[:, None] * unit
-        acc.add(params.head_key, lp.ha[jm], gx)
-        acc.add(params.head_key, lp.hb[jm], -gx)
-    return value, acc.finalize(_shapes(params))
+    _add_label_grads(acc, params, lp, vd / P, spec.tau)
+    return value, acc.finalize(params.grad_shapes())

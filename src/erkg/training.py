@@ -21,7 +21,10 @@ import numpy as np
 from .data import CategoryMap, TripleStore, build_filter_index
 from .errors import CheckpointError, ConfigError, NumericError
 from .grads import GradAccumulator, all_finite
-from .models import ModelKind, ModelParams, backward_all_tails, forward_all_tails, init_params, project_constraints
+from .models import (
+    ModelKind, ModelParams, backward_all_tails, block_shapes, forward_all_tails,
+    init_params, project_constraints,
+)
 from .ranking import RankingReport, evaluate
 from .regularizers import (
     EpsilonState,
@@ -65,6 +68,12 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 0")
         if self.adagrad_eps <= 0:
             raise ConfigError("adagrad_eps must be positive")
+        if self.patience is not None and (
+            not isinstance(self.patience, (int, np.integer))
+            or isinstance(self.patience, bool)
+            or self.patience < 1
+        ):
+            raise ConfigError(f"patience must be an integer >= 1, got {self.patience!r}")
         self.regularizer.validate()
 
 
@@ -179,9 +188,7 @@ def _penalty(params, batch, spec, categories, eps, store, pair_seed, path_seed):
             acc = GradAccumulator()
             acc.add_set(grads)
             acc.add_set(g2)
-            shapes = {name: arr.shape for name, arr in params.blocks().items()}
-            shapes["eps"] = (params.n_relations,)
-            grads = acc.finalize(shapes)
+            grads = acc.finalize(params.grad_shapes())
         return value, grads
     raise ConfigError(f"unknown regularizer kind {spec.kind!r}")
 
@@ -211,9 +218,7 @@ def batch_objective(
             params, batch, spec, categories, eps, store, pair_seed, path_seed
         )
         acc.add_set(grads_reg, scale=spec.lam)
-    shapes = {name: arr.shape for name, arr in params.blocks().items()}
-    shapes["eps"] = (params.n_relations,)
-    return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(shapes)
+    return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())
 
 
 def train(
@@ -349,18 +354,6 @@ def save_checkpoint(params: ModelParams, eps: EpsilonState, path) -> None:
         fh.write(np.ascontiguousarray(eps.epsilon, dtype="<f8").tobytes())
 
 
-def _block_shapes(kind: ModelKind, n_ent: int, n_rel: int, dim: int):
-    if kind == ModelKind.CP:
-        shapes = [("ent_h", (n_ent, dim)), ("ent_t", (n_ent, dim))]
-    else:
-        shapes = [("ent", (n_ent, dim))]
-    if kind == ModelKind.RESCAL:
-        shapes.append(("rel", (n_rel, dim, dim)))
-    else:
-        shapes.append(("rel", (n_rel, dim)))
-    return shapes
-
-
 def load_checkpoint(path):
     """Read a checkpoint back into ``(ModelParams, EpsilonState)``.
 
@@ -380,9 +373,9 @@ def load_checkpoint(path):
         raise CheckpointError(f"unknown model kind byte {kind_byte}")
     kind = _BYTE_KINDS[kind_byte]
     n_ent, n_rel, dim = struct.unpack_from("<QQQ", raw, 9)
-    shapes = _block_shapes(kind, n_ent, n_rel, dim)
+    shapes = block_shapes(kind, n_ent, n_rel, dim)
     expected = header + 8 * (
-        sum(int(np.prod(s)) for _, s in shapes) + n_rel
+        sum(int(np.prod(s)) for s in shapes.values()) + n_rel
     )
     if len(raw) != expected:
         raise CheckpointError(
@@ -390,7 +383,7 @@ def load_checkpoint(path):
         )
     offset = header
     blocks = {}
-    for name, shape in shapes:
+    for name, shape in shapes.items():
         count = int(np.prod(shape))
         blocks[name] = (
             np.frombuffer(raw, dtype="<f8", count=count, offset=offset)

@@ -98,6 +98,25 @@ class TestTrain:
         cfg.write_text(json.dumps(doc))
         assert run_cli("train", "--config", str(cfg)) == 2
 
+    def test_string_patience_exits_2(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        doc = json.loads(cfg.read_text())
+        doc["train"].update(patience="3", eval_every=1)
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "patience" in capsys.readouterr().err
+
+    def test_deprecated_threads_key_loads_with_warning(self, synth_dir, tmp_path, caplog):
+        # configs written by earlier `erkg preset` carry a top-level "threads"
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run", threads=1)
+        doc = json.loads(cfg.read_text())
+        doc["train"]["epochs"] = 1
+        cfg.write_text(json.dumps(doc))
+        with caplog.at_level("WARNING", logger="erkg.cli"):
+            assert run_cli("train", "--config", str(cfg)) == 0
+        warnings = [r for r in caplog.records if r.name == "erkg.cli"]
+        assert len(warnings) == 1 and "threads" in warnings[0].getMessage()
+
     def test_determinism_byte_identical(self, synth_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "r1")
         assert run_cli("train", "--config", str(cfg)) == 0
@@ -249,3 +268,7 @@ class TestPreset:
         assert run_cli("preset", "complex", "fb15k237") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["train"]["dim"] <= 128
+
+    def test_no_threads_key(self, capsys):
+        assert run_cli("preset", "cp", "wn18rr") == 0
+        assert "threads" not in json.loads(capsys.readouterr().out)

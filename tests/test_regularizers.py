@@ -125,6 +125,26 @@ class TestDura:
             with pytest.raises(ConfigError):
                 penalty_dura(p, np.array([[0, 0, 1]]))
 
+    @pytest.mark.parametrize(
+        "kind",
+        [ModelKind.CP, ModelKind.DISTMULT, ModelKind.COMPLEX, ModelKind.RESCAL],
+        ids=lambda k: k.value,
+    )
+    def test_value_matches_per_triple_oracle(self, kind):
+        # ||T_r h||^2 + ||t||^2 + ||T_r* t||^2 + ||h||^2 per triple, with the
+        # adjoint taken through <T_r e_k, t> = <e_k, T_r* t> on basis vectors
+        p = init_params(kind, 5, 3, 4, seed=23)
+        batch = np.array([[0, 1, 2], [3, 0, 3], [4, 2, 0], [1, 1, 4]])
+        basis = np.eye(p.dim)
+        total = 0.0
+        for h, r, t in batch:
+            hv, tv = p.head_table[h], p.tail_table[t]
+            th = relational_transform(p, hv, int(r))
+            ta = np.array([relational_transform(p, e, int(r)) @ tv for e in basis])
+            total += th @ th + tv @ tv + ta @ ta + hv @ hv
+        value, _ = penalty_dura(p, batch)
+        assert value == pytest.approx(total / len(batch), rel=1e-12)
+
 
 class TestSelectPairs:
     def test_three_heads_give_three_pairs(self):

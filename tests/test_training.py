@@ -101,6 +101,17 @@ def dataset_loss(params, arr):
     return total / len(arr)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("patience", [0, -1, True, "3", 2.0])
+    def test_bad_patience_rejected(self, patience):
+        with pytest.raises(ConfigError):
+            TrainConfig(patience=patience).validate()
+
+    @pytest.mark.parametrize("patience", [None, 1, 5])
+    def test_good_patience_accepted(self, patience):
+        TrainConfig(patience=patience).validate()
+
+
 class TestTrain:
     def test_one_epoch_decreases_loss(self):
         store = toy_store()
