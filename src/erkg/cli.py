@@ -57,6 +57,29 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"unknown config key: {where}{key}")
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` checked to be of ``kind``, or a ``ConfigError`` naming it.
+
+    Nothing is coerced: ``int`` accepts only integers, ``float`` integers
+    or floats (returned as float), and neither accepts ``true``/``false``.
+    """
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    if not ok:
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _get(doc: dict, key: str, default, kind: type, where: str):
+    """``doc[key]`` (``default`` when absent), checked by :func:`_typed`."""
+    return _typed(doc.get(key, default), kind, where + key)
+
+
 @dataclass
 class RunConfig:
     model: str
@@ -81,18 +104,22 @@ def _parse_regularizer(doc: dict) -> RegularizerSpec:
         },
         "regularizer.",
     )
+    w = "regularizer."
+    epsilon_init = doc.get("epsilon_init", "batch_median")
+    if not isinstance(epsilon_init, str):
+        epsilon_init = _typed(epsilon_init, float, w + "epsilon_init")
     spec = RegularizerSpec(
-        kind=doc.get("kind", "none"),
-        lam=float(doc.get("lambda", 0.0)),
-        er_mode=doc.get("er_mode", "joint"),
-        norm_order=int(doc.get("norm_order", 2)),
-        pair_budget=int(doc.get("pair_budget", 32)),
-        second_order=bool(doc.get("second_order", False)),
-        path_budget=int(doc.get("path_budget", 32)),
-        tau=float(doc.get("tau", 1.0)),
-        epsilon_init=doc.get("epsilon_init", "batch_median"),
-        dissim_weight=float(doc.get("dissim_weight", 1.0)),
-        strict_labels=bool(doc.get("strict_labels", False)),
+        kind=_get(doc, "kind", "none", str, w),
+        lam=_get(doc, "lambda", 0.0, float, w),
+        er_mode=_get(doc, "er_mode", "joint", str, w),
+        norm_order=_get(doc, "norm_order", 2, int, w),
+        pair_budget=_get(doc, "pair_budget", 32, int, w),
+        second_order=_get(doc, "second_order", False, bool, w),
+        path_budget=_get(doc, "path_budget", 32, int, w),
+        tau=_get(doc, "tau", 1.0, float, w),
+        epsilon_init=epsilon_init,
+        dissim_weight=_get(doc, "dissim_weight", 1.0, float, w),
+        strict_labels=_get(doc, "strict_labels", False, bool, w),
     )
     spec.validate()
     return spec
@@ -130,10 +157,10 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
     for key in ("train", "valid", "test"):
         if key not in data:
             raise ConfigError(f"config is missing data.{key}")
-        if not Path(data[key]).exists():
+        if not Path(_get(data, key, None, str, "data.")).exists():
             raise ConfigError(f"data.{key} path does not exist: {data[key]}")
     categories = data.get("categories")
-    if categories is not None and not Path(categories).exists():
+    if categories is not None and not Path(_get(data, "categories", None, str, "data.")).exists():
         raise ConfigError(f"data.categories path does not exist: {categories}")
 
     tdoc = doc.get("train", {})
@@ -144,33 +171,38 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
         "train.",
     )
     spec = _parse_regularizer(doc.get("regularizer", {}))
+    w = "train."
     tconf = TrainConfig(
         model=model,
-        dim=int(tdoc.get("dim", 64)),
-        batch_size=int(tdoc.get("batch_size", 256)),
-        learning_rate=float(tdoc.get("learning_rate", 0.1)),
-        epochs=int(tdoc.get("epochs", 10)),
-        seed=int(tdoc.get("seed", 0)),
+        dim=_get(tdoc, "dim", 64, int, w),
+        batch_size=_get(tdoc, "batch_size", 256, int, w),
+        learning_rate=_get(tdoc, "learning_rate", 0.1, float, w),
+        epochs=_get(tdoc, "epochs", 10, int, w),
+        seed=_get(tdoc, "seed", 0, int, w),
         regularizer=spec,
-        eval_every=int(tdoc.get("eval_every", 0)),
-        adagrad_eps=float(tdoc.get("adagrad_eps", 1e-10)),
+        eval_every=_get(tdoc, "eval_every", 0, int, w),
+        adagrad_eps=_get(tdoc, "adagrad_eps", 1e-10, float, w),
         patience=tdoc.get("patience"),
     )
     tconf.validate()
 
     edoc = doc.get("eval", {})
     _check_keys(edoc, {"tie_policy"}, "eval.")
-    tie = edoc.get("tie_policy", "mean")
+    tie = _get(edoc, "tie_policy", "mean", str, "eval.")
     if tie not in TIE_POLICIES:
         raise ConfigError(f"unknown eval.tie_policy {tie!r}")
 
     odoc = doc.get("output", {})
     _check_keys(odoc, {"dir"}, "output.")
-    out_dir = odoc.get("dir", "runs/out")
+    out_dir = _get(odoc, "dir", "runs/out", str, "output.")
 
     grid = doc.get("grid", {}) if allow_grid else {}
     if grid:
         _check_keys(grid, {"learning_rate", "lambda"}, "grid.")
+        for key, values in grid.items():
+            if not isinstance(values, list):
+                raise ConfigError(f"grid.{key} must be a list, got {values!r}")
+            grid[key] = [_typed(v, float, f"grid.{key}[]") for v in values]
 
     return RunConfig(
         model=model,
@@ -178,7 +210,7 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
         valid_path=data["valid"],
         test_path=data["test"],
         categories_path=categories,
-        reciprocals=bool(data.get("reciprocals", True)),
+        reciprocals=_get(data, "reciprocals", True, bool, "data."),
         train=tconf,
         tie_policy=tie,
         out_dir=out_dir,
@@ -309,8 +341,8 @@ def cmd_synth(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     cfg = load_run_config(args.config, allow_grid=True)
-    lrs = [float(x) for x in cfg.grid.get("learning_rate", LEARNING_RATE_GRID)]
-    lams = [float(x) for x in cfg.grid.get("lambda", LAMBDA_GRID)]
+    lrs = cfg.grid.get("learning_rate", LEARNING_RATE_GRID)
+    lams = cfg.grid.get("lambda", LAMBDA_GRID)
     out = Path(args.out if args.out is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,13 +85,38 @@ def _empty_triples() -> np.ndarray:
     return np.empty((0, 3), dtype=np.int64)
 
 
+class Adjacency(NamedTuple):
+    """Training edges grouped by head (CSR).
+
+    The edges leaving entity ``h`` have relation ids
+    ``rel[offsets[h]:offsets[h + 1]]``, in training order.
+    """
+
+    offsets: np.ndarray
+    rel: np.ndarray
+
+    def edges_from(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge leaving each of ``nodes`` in turn: the index into
+        ``nodes`` it leaves from and its relation id.  Ids without
+        training edges (or outside the table) have none."""
+        known = (nodes >= 0) & (nodes < len(self.offsets) - 1)
+        start = np.zeros(len(nodes), dtype=np.int64)
+        deg = np.zeros(len(nodes), dtype=np.int64)
+        start[known] = self.offsets[nodes[known]]
+        deg[known] = self.offsets[nodes[known] + 1] - start[known]
+        src = np.repeat(np.arange(len(nodes)), deg)
+        edge = np.arange(len(src)) - np.repeat(np.cumsum(deg) - deg, deg) + start[src]
+        return src, self.rel[edge]
+
+
 @dataclass
 class TripleStore:
     """Train/valid/test triple splits over a shared vocabulary.
 
     Immutable after construction; safe to share read-only across threads.
     ``duplicates`` counts exact duplicate lines kept (not dropped) per
-    split.
+    split.  ``adjacency`` (an :class:`Adjacency` of the training edges by
+    head) is a cache, built from ``train`` on first use and kept.
     """
 
     train: np.ndarray
@@ -107,6 +134,15 @@ class TripleStore:
     def splits(self):
         for name in SPLIT_NAMES:
             yield name, getattr(self, name)
+
+    @cached_property
+    def adjacency(self) -> Adjacency:
+        heads = self.train[:, 0]
+        n = max(self.vocab.n_entities, int(heads.max()) + 1 if len(heads) else 0)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(heads, minlength=n), out=offsets[1:])
+        order = np.argsort(heads, kind="stable")
+        return Adjacency(offsets, self.train[order, 1])
 
     def all_triples(self) -> np.ndarray:
         return np.concatenate([self.train, self.valid, self.test], axis=0)

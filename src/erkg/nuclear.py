@@ -92,6 +92,8 @@ class CheckReport:
     restarts: int
     reconstruction_residual: float
     flagged: bool
+    lhs_feasible: int
+    nuclear_feasible: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,6 +105,8 @@ class CheckReport:
             "restarts": self.restarts,
             "reconstruction_residual": self.reconstruction_residual,
             "flagged": self.flagged,
+            "lhs_feasible": self.lhs_feasible,
+            "nuclear_feasible": self.nuclear_feasible,
         }
 
 
@@ -408,4 +412,6 @@ def check_instance(instance: FactorInstance, variant: str, restarts: int) -> Che
         restarts=restarts,
         reconstruction_residual=float(max(obj.residual, nuc.residual)),
         flagged=flagged,
+        lhs_feasible=obj.n_feasible,
+        nuclear_feasible=nuc.n_feasible,
     )

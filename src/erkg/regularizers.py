@@ -243,55 +243,85 @@ def penalty_dura(params: ModelParams, batch: np.ndarray):
 # Pair sampling and labeling.
 
 
-def _budget_pairs(groups: dict, budget: int, seed: int):
+def _budget_pairs(keys: np.ndarray, heads: np.ndarray, budget: int, seed: int):
     """Unordered pairs with distinct heads, at most ``budget`` per group.
 
-    ``groups`` maps a key to parallel (members, heads) lists, in
-    first-appearance order; each group's eligible pairs are enumerated
-    and at most ``budget`` of them kept (uniform, without replacement).
-    Returns parallel lists (keys, members_a, members_b).
+    Elements with equal ``keys`` form a group, taken in first-appearance
+    order.  A group of n elements, c_h of them with head h, has
+    C(n, 2) - sum_h C(c_h, 2) eligible pairs (i < j in sequence order,
+    different heads), ranked lexicographically.  A group with more than
+    ``budget`` of them keeps ``budget`` ranks drawn uniformly without
+    replacement; the others keep all.  Kept ranks are unranked to (i, j)
+    directly, so no pair list is built: cost is O(n log n + kept).
+    Returns the indices (into ``keys``) of each kept pair's two elements,
+    groups in order and pairs in rank order within a group.
     """
     rng = np.random.default_rng(seed)
-    keys, ma, mb = [], [], []
-    for key, (members, heads) in groups.items():
-        n = len(members)
-        eligible = [
-            (members[i], members[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if heads[i] != heads[j]
-        ]
-        if len(eligible) > budget:
-            chosen = np.sort(rng.choice(len(eligible), size=budget, replace=False))
-            eligible = [eligible[c] for c in chosen]
-        for a, b in eligible:
-            keys.append(key)
-            ma.append(a)
-            mb.append(b)
-    return keys, ma, mb
+    N = len(keys)
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    gid = np.argsort(np.argsort(first))[inv]
+    # Elements grouped, sequence order kept inside each group.
+    order = np.argsort(gid, kind="stable")
+    g = gid[order]
+    sizes = np.bincount(g)
+    gstart = np.cumsum(sizes) - sizes
+    pos = np.arange(N) - gstart[g]
+    # Runs of one (group, head); each run keeps the group's order.
+    h = heads[order]
+    by_run = np.lexsort((h, g))
+    rg, rh = g[by_run], h[by_run]
+    new_run = np.ones(N, dtype=bool)
+    new_run[1:] = (rg[1:] != rg[:-1]) | (rh[1:] != rh[:-1])
+    run_start = np.flatnonzero(new_run)
+    run_len = np.diff(np.append(run_start, N))
+    run = np.empty(N, dtype=np.int64)
+    run[by_run] = np.cumsum(new_run) - 1
+    # Earlier members of the group with the same head, and with another.
+    same = np.empty(N, dtype=np.int64)
+    same[by_run] = np.arange(N) - run_start[run[by_run]]
+    others = pos - same
+    # Later members with another head: (n - 1 - pos) - (run_len - 1 - same).
+    partners = sizes[g] - pos - run_len[run] + same
+    cum = np.cumsum(partners)
+    cum0 = np.concatenate(([0], cum))
+    base = cum0[gstart]
+    eligible = cum0[gstart + sizes] - base
+
+    small = eligible <= budget
+    e_small = eligible[small]
+    shift = base[small] - np.cumsum(e_small) + e_small
+    ranks = [np.arange(e_small.sum()) + np.repeat(shift, e_small)]
+    for k in np.flatnonzero(~small):
+        chosen = rng.choice(int(eligible[k]), size=budget, replace=False)
+        ranks.append(base[k] + np.sort(chosen))
+    R = np.sort(np.concatenate(ranks))
+
+    # Unrank.  Element i owns ranks [cum[i] - partners[i], cum[i]); its
+    # k-th partner j has others[i] + k members with another head before
+    # it, plus the members of i's run before it, which are those of the
+    # run with ``others`` at most that (``others`` is nondecreasing in a run).
+    i = np.searchsorted(cum, R, side="right")
+    target = others[i] + R - (cum[i] - partners[i])
+    run_key = (run * N + others)[by_run]
+    skipped = np.searchsorted(run_key, run[i] * N + target, side="right") - run_start[run[i]]
+    j = gstart[g[i]] + target + skipped
+    return order[i], order[j]
 
 
 def select_pairs(batch: np.ndarray, budget: int, seed: int) -> PairSet:
     """Sample same-relation pairs of batch triples with distinct heads.
 
     Triples are grouped by relation in first-appearance order; each
-    group's unordered pairs are enumerated and at most ``budget`` of them
-    kept (uniform, without replacement).  Deterministic given the batch
-    order and seed.
+    group keeps at most ``budget`` of its unordered pairs (uniform, without
+    replacement).  Deterministic given the batch order and seed.  Pairs
+    are drawn by rank, never listed: cost is O(B + budget x groups) for a
+    batch of B triples (up to the log factor of sorting B keys), however
+    skewed the heads are.
     """
     if budget < 1:
         raise ConfigError("pair budget must be >= 1")
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for pos, (h, rel) in enumerate(batch[:, :2].tolist()):
-        positions, heads = groups.setdefault(rel, ([], []))
-        positions.append(pos)
-        heads.append(h)
-    rels, idx_a, idx_b = _budget_pairs(groups, budget, seed)
-    return PairSet(
-        idx_a=np.array(idx_a, dtype=np.int64),
-        idx_b=np.array(idx_b, dtype=np.int64),
-        rel=np.array(rels, dtype=np.int64),
-    )
+    ia, ib = _budget_pairs(batch[:, 1], batch[:, 0], budget, seed)
+    return PairSet(idx_a=ia, idx_b=ib, rel=batch[ia, 1].astype(np.int64))
 
 
 def pair_label(
@@ -497,29 +527,26 @@ def sample_path_pairs(
     """Pair two-hop paths that share both relations.
 
     Each batch triple (h, r1, m) is extended by training continuations
-    (m, r2, e); paths are grouped by (r1, r2) and at most ``budget`` pairs
-    with distinct heads kept per group.  Deterministic given the seed.
+    (m, r2, e), read from ``store.adjacency``; paths are grouped by
+    (r1, r2) and at most ``budget`` pairs with distinct heads kept per
+    group.  The budget applies to each (r1, r2) group, so kept pairs grow
+    with the number of groups in the batch.  Deterministic given the seed.
+    Pairs are drawn by rank, never listed: cost is O(P + budget x groups)
+    for P paths (up to the log factor of sorting P keys), however large a
+    hub's group.
     """
     if budget < 1:
         raise ConfigError("path budget must be >= 1")
-    adj = getattr(store, "_adjacency", None)
-    if adj is None:
-        adj = {}
-        for h, r, t in store.train:
-            adj.setdefault(int(h), []).append((int(r), int(t)))
-        store._adjacency = adj
-
-    groups: dict[tuple[int, int], list[int]] = {}
-    for h, r1, m in batch.tolist():
-        for r2, _e in adj.get(m, ()):
-            groups.setdefault((r1, r2), []).append(h)
-    keys, ha, hb = _budget_pairs({k: (v, v) for k, v in groups.items()}, budget, seed)
-    rel1, rel2 = np.array(keys, dtype=np.int64).reshape(-1, 2).T.copy()
+    src, r2 = store.adjacency.edges_from(batch[:, 2])
+    heads = batch[src, 0].astype(np.int64)
+    r1 = batch[src, 1].astype(np.int64)
+    span = int(r2.max()) + 1 if len(r2) else 1
+    ia, ib = _budget_pairs(r1 * span + r2, heads, budget, seed)
     return PathPairSet(
-        head_a=np.array(ha, dtype=np.int64),
-        head_b=np.array(hb, dtype=np.int64),
-        rel1=rel1,
-        rel2=rel2,
+        head_a=heads[ia],
+        head_b=heads[ib],
+        rel1=r1[ia],
+        rel2=r2[ia].astype(np.int64),
     )
 
 

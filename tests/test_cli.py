@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from erkg.cli import main
+from erkg.cli import load_run_config, main
 
 
 def run_cli(*argv):
@@ -106,6 +106,39 @@ class TestTrain:
         assert run_cli("train", "--config", str(cfg)) == 2
         assert "patience" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("regularizer", "second_order", "false"),
+            ("train", "epochs", True),
+            ("train", "dim", 8.9),
+            ("train", "batch_size", "16"),
+            ("train", "dim", "abc"),
+            ("regularizer", "lambda", False),
+            ("data", "reciprocals", 1),
+        ],
+    )
+    def test_mistyped_value_exits_2(self, synth_dir, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        doc = json.loads(cfg.read_text())
+        doc[section][key] = value
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert f"{section}.{key} must be" in capsys.readouterr().err
+
+    def test_typed_values_load_uncoerced(self, synth_dir, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        doc = json.loads(cfg.read_text())
+        doc["train"]["learning_rate"] = 1
+        doc["regularizer"].update(second_order=True, epsilon_init=2)
+        cfg.write_text(json.dumps(doc))
+        loaded = load_run_config(cfg)
+        assert loaded.train.learning_rate == 1.0
+        assert isinstance(loaded.train.learning_rate, float)
+        assert loaded.train.regularizer.second_order is True
+        assert loaded.train.regularizer.epsilon_init == 2.0
+        assert loaded.train.dim == 16 and loaded.reciprocals is True
+
     def test_deprecated_threads_key_loads_with_warning(self, synth_dir, tmp_path, caplog):
         # configs written by earlier `erkg preset` carry a top-level "threads"
         cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run", threads=1)
@@ -185,6 +218,14 @@ class TestVerifyTheorems:
             assert 0.95 <= row["ratio"] <= 1.05
             assert row["equality_residual"] < 0.05
 
+    def test_rows_report_feasible_restarts(self, tmp_path):
+        assert run_cli(
+            "verify-theorems", "--seeds", "1", "--restarts", "3", "--out", str(tmp_path),
+        ) == 0
+        (row,) = json.loads((tmp_path / "theorem_reports.json").read_text())
+        assert 1 <= row["lhs_feasible"] <= 3
+        assert 1 <= row["nuclear_feasible"] <= 3
+
     def test_mechanism_mismatch_exits_2(self):
         assert run_cli("verify-theorems", "--variants", "thm2") == 2
         assert run_cli(
@@ -233,6 +274,14 @@ class TestGridsearch:
         assert sum(1 for r in rows if r["best"]) == 1
         best = next(r for r in rows if r["best"])
         assert best["mrr"] == max(r["mrr"] for r in rows if r["status"] == "ok")
+
+    def test_non_numeric_grid_value_exits_2(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json", synth_dir, tmp_path / "run",
+            grid={"learning_rate": [0.1, "fast"]},
+        )
+        assert run_cli("gridsearch", "--config", str(cfg)) == 2
+        assert "grid.learning_rate" in capsys.readouterr().err
 
     def test_default_grids_are_standard_sets(self):
         from erkg.presets import LAMBDA_GRID, LEARNING_RATE_GRID

@@ -138,6 +138,13 @@ class TestCheckInstance:
         if not 0.90 <= rep.ratio <= 1.10:
             assert rep.flagged
 
+    def test_feasible_restart_counts(self):
+        inst = make_instance(3, 2, 3, 2, 2, "bilinear", seed=1)
+        rep = check_instance(inst, "amgm4", restarts=3)
+        assert 1 <= rep.lhs_feasible <= rep.restarts
+        assert 1 <= rep.nuclear_feasible <= rep.restarts
+        assert rep.to_json_dict()["lhs_feasible"] == rep.lhs_feasible
+
     def test_upper_bound_sanity(self):
         # any feasible factorization scores at least the nuclear minimum
         from erkg.nuclear import _multi_restart, _nuclear_grads, _variant_grads
