@@ -297,16 +297,22 @@ class FilterIndex:
         return len(self._tails)
 
 
+def _first_of_runs(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a sorted 2-D array that differ from the one before."""
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return first
+
+
 def build_filter_index(store: TripleStore) -> FilterIndex:
     """Index the union of all three splits for filtered ranking."""
-    buckets: dict[tuple[int, int], set[int]] = {}
-    for _, arr in store.splits():
-        for h, r, t in arr:
-            buckets.setdefault((int(h), int(r)), set()).add(int(t))
-    tails = {
-        key: np.array(sorted(vals), dtype=np.int64) for key, vals in buckets.items()
-    }
-    return FilterIndex(tails)
+    rows = np.concatenate([arr.reshape(-1, 3) for _, arr in store.splits()])
+    rows = rows[np.lexsort(rows.T[::-1])].astype(np.int64, copy=False)
+    rows = rows[_first_of_runs(rows)]
+    starts = np.flatnonzero(_first_of_runs(rows[:, :2]))
+    keys = zip(rows[starts, 0].tolist(), rows[starts, 1].tolist())
+    tails = np.ascontiguousarray(rows[:, 2])
+    return FilterIndex(dict(zip(keys, np.split(tails, starts[1:]))))
 
 
 @dataclass
@@ -314,7 +320,9 @@ class CategoryMap:
     """Partial entity -> category labeling with dense category ids.
 
     Lookups for unlabeled entities return ``None``; there is no default
-    category.
+    category.  ``labels_for`` reads a dense label table built from
+    ``category_of`` on its first call and kept, so ``category_of`` must
+    not change after the first lookup.
     """
 
     category_of: dict[int, int]
@@ -326,11 +334,21 @@ class CategoryMap:
     def get(self, entity_id: int) -> int | None:
         return self.category_of.get(int(entity_id))
 
+    @cached_property
+    def _label_table(self) -> np.ndarray:
+        table = np.full(max(self.category_of, default=-1) + 1, -1, dtype=np.int64)
+        table[list(self.category_of)] = list(self.category_of.values())
+        return table
+
     def labels_for(self, ids: np.ndarray) -> np.ndarray:
-        """Vectorized lookup; unlabeled entities map to -1."""
-        return np.array(
-            [self.category_of.get(int(e), -1) for e in ids], dtype=np.int64
-        )
+        """Vectorized lookup; unlabeled entities and ids outside the
+        table map to -1."""
+        ids = np.asarray(ids, dtype=np.int64)
+        table = self._label_table
+        known = (ids >= 0) & (ids < len(table))
+        labels = np.full(ids.shape, -1, dtype=np.int64)
+        labels[known] = table[ids[known]]
+        return labels
 
 
 def load_categories(path, vocab: Vocab) -> CategoryMap:

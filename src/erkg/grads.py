@@ -6,13 +6,53 @@ gradient row per index, indices may repeat, and contributions scatter-add.
 The accumulator merges several such sets (e.g. loss and penalty terms)
 into one canonical set per block, keeping row-sparsity whenever no dense
 contribution was seen.
+
+Rows sharing an index are summed by ``merge_rows``: it takes the sorted
+unique indices of all sparse parts and the inverse once, then adds each
+part with one sparse product, an (unique rows x part rows) 0/1 matrix
+times the part's rows flattened to 2-D.  No part is copied into a
+combined matrix, so the merge needs memory for its output only.  The
+result equals a row-by-row scatter-add (numpy's ``ufunc.at``) up to the
+grouping of the sums: each part's rows are summed before they are added
+to the running total.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 GradSet = dict[str, tuple[np.ndarray | None, np.ndarray]]
+
+
+def merge_rows(parts, out: np.ndarray | None = None):
+    """Sum the rows of sparse ``(idx, arr)`` parts that share an index.
+
+    Returns ``(sorted unique indices, summed rows)``.  Given ``out``, the
+    sums are added into those rows of ``out`` instead, and ``(None, out)``
+    comes back.
+    """
+    uniq, inverse = np.unique(
+        np.concatenate([idx for idx, _ in parts]), return_inverse=True
+    )
+    if out is None:
+        rows = np.zeros((len(uniq),) + parts[0][1].shape[1:])
+    else:
+        rows = out[uniq]
+    pos = 0
+    for idx, arr in parts:
+        n = len(idx)
+        if n:
+            select = scipy.sparse.csr_matrix(
+                (np.ones(n), (inverse[pos : pos + n], np.arange(n))),
+                shape=(len(uniq), n),
+            )
+            rows += (select @ arr.reshape(n, -1)).reshape(rows.shape)
+        pos += n
+    if out is None:
+        return uniq, rows
+    out[uniq] = rows
+    return None, out
 
 
 class GradAccumulator:
@@ -30,23 +70,15 @@ class GradAccumulator:
         """Collapse contributions; densify a block only if one part is dense."""
         out: GradSet = {}
         for name, parts in self._parts.items():
-            if any(idx is None for idx, _ in parts):
-                dense = np.zeros(shapes[name])
-                for idx, arr in parts:
-                    if idx is None:
-                        dense += arr
-                    else:
-                        np.add.at(dense, idx, arr)
-                out[name] = (None, dense)
-            else:
-                all_idx = np.concatenate([idx for idx, _ in parts])
-                uniq, inverse = np.unique(all_idx, return_inverse=True)
-                rows = np.zeros((len(uniq),) + parts[0][1].shape[1:])
-                pos = 0
-                for idx, arr in parts:
-                    np.add.at(rows, inverse[pos : pos + len(idx)], arr)
-                    pos += len(idx)
-                out[name] = (uniq, rows)
+            sparse = [(idx, arr) for idx, arr in parts if idx is not None]
+            if len(sparse) == len(parts):
+                out[name] = merge_rows(sparse)
+                continue
+            dense = np.zeros(shapes[name])
+            for idx, arr in parts:
+                if idx is None:
+                    dense += arr
+            out[name] = merge_rows(sparse, dense) if sparse else (None, dense)
         return out
 
 
@@ -60,7 +92,7 @@ def densify(grads: GradSet, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.
             if idx is None:
                 dense += arr
             else:
-                np.add.at(dense, idx, arr)
+                merge_rows([(idx, arr)], dense)
         out[name] = dense
     return out
 

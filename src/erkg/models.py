@@ -46,6 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
+from .grads import merge_rows
 
 logger = logging.getLogger(__name__)
 
@@ -380,7 +381,7 @@ def backward_all_tails(params: ModelParams, ctx, G: np.ndarray):
         GT = C.T @ Q - C.sum(axis=0)[:, None] * T
     GH, GR = op.adjoint_vjp(H, R, GQ) if op.scores_adjoint else op.vjp(H, R, GQ)
     if params.head_key == params.tail_key:
-        np.add.at(GT, heads, GH)
+        merge_rows([(heads, GH)], GT)
         grads = {params.tail_key: (None, GT)}
     else:
         grads = {params.tail_key: (None, GT), params.head_key: (heads, GH)}

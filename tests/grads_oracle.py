@@ -1,0 +1,53 @@
+"""Reference gradient merges built on ``np.add.at``.
+
+``np.add.at`` adds every row in turn into the running total, so these
+merges fix the order of the additions; ``erkg.grads`` sums each part's
+rows first and must agree with them up to that regrouping.
+"""
+
+import numpy as np
+
+
+def finalize_add_at(parts_by_block: dict, shapes: dict) -> dict:
+    """Merge ``{block: [(idx | None, arr), ...]}`` as one gradient set."""
+    out = {}
+    for name, parts in parts_by_block.items():
+        if any(idx is None for idx, _ in parts):
+            dense = np.zeros(shapes[name])
+            for idx, arr in parts:
+                if idx is None:
+                    dense += arr
+                else:
+                    np.add.at(dense, idx, arr)
+            out[name] = (None, dense)
+        else:
+            all_idx = np.concatenate([idx for idx, _ in parts])
+            uniq, inverse = np.unique(all_idx, return_inverse=True)
+            rows = np.zeros((len(uniq),) + parts[0][1].shape[1:])
+            pos = 0
+            for idx, arr in parts:
+                np.add.at(rows, inverse[pos : pos + len(idx)], arr)
+                pos += len(idx)
+            out[name] = (uniq, rows)
+    return out
+
+
+def merge_rows_add_at(parts, out):
+    """Scatter-add ``(idx, arr)`` parts into the rows of ``out``; a part
+    with ``None`` indices adds to every row."""
+    for idx, arr in parts:
+        if idx is None:
+            out += arr
+        else:
+            np.add.at(out, idx, arr)
+    return None, out
+
+
+def densify_add_at(grads: dict, shapes: dict) -> dict:
+    """Expand a gradient set to full dense arrays."""
+    out = {}
+    for name, shape in shapes.items():
+        out[name] = np.zeros(shape)
+        if name in grads:
+            merge_rows_add_at([grads[name]], out[name])
+    return out

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from erkg.data import (
+    CategoryMap,
+    TripleStore,
+    Vocab,
     add_reciprocals,
     build_filter_index,
     generate_synthetic,
@@ -17,6 +20,15 @@ from erkg.errors import ConfigError, ParseError
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def filter_index_loop(store):
+    """Reference filter index: one set insertion per triple of every split."""
+    buckets = {}
+    for _, arr in store.splits():
+        for h, r, t in arr:
+            buckets.setdefault((int(h), int(r)), set()).add(int(t))
+    return {key: np.array(sorted(vals), dtype=np.int64) for key, vals in buckets.items()}
 
 
 class TestLoadTriples:
@@ -155,7 +167,49 @@ class TestFilterIndex:
         assert heads == {vocab.entity_index["a"], vocab.entity_index["c"]}
 
 
+    @pytest.mark.parametrize("empty_split", ["train", "valid", "test"])
+    def test_matches_loop(self, empty_split):
+        rng = np.random.default_rng(5)
+        base = rng.integers(0, 12, size=(300, 3))
+        base[:, 1] %= 4
+        splits = {
+            "train": base[:200],
+            "valid": np.concatenate([base[150:250], base[:20]]),
+            "test": np.concatenate([base[240:], base[100:130], base[240:260]]),
+        }
+        splits[empty_split] = np.empty((0, 3), dtype=np.int64)
+        vocab = Vocab({f"e{i}": i for i in range(12)}, {f"r{i}": i for i in range(4)})
+        store = add_reciprocals(TripleStore(vocab=vocab, **splits))
+        got = build_filter_index(store)._tails
+        ref = filter_index_loop(store)
+        assert set(got) == set(ref)
+        for key, tails in ref.items():
+            assert all(type(k) is int for k in key)
+            assert got[key].dtype == tails.dtype and np.array_equal(got[key], tails)
+
+    def test_no_triples(self):
+        empty = np.empty((0, 3), dtype=np.int64)
+        store = TripleStore(empty, empty, empty, Vocab())
+        assert len(build_filter_index(store)) == 0
+
+
 class TestCategories:
+    @pytest.mark.parametrize(
+        "category_of",
+        [{}, {0: 2, 3: 0, 7: 1}, {int(e): int(e) % 3 for e in range(50)}],
+    )
+    def test_labels_for_matches_dict_lookup(self, category_of):
+        cmap = CategoryMap(category_of=category_of, n_categories=3, coverage=0.5)
+        for ids in (
+            np.array([0, 3, 7, 1, 2, 3, 0, 49]),
+            np.array([8, 50, 1000, -1, 7]),
+            np.empty(0, dtype=np.int64),
+        ):
+            ref = np.array([category_of.get(int(e), -1) for e in ids], dtype=np.int64)
+            got = cmap.labels_for(ids)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref)
+
     def test_coverage(self, tmp_path):
         t = write(tmp_path / "t.txt", "a\tr\tb\nc\tr\td\ne\tr\ta\n")
         store, vocab = load_triples(t)
