@@ -295,6 +295,8 @@ def cmd_verify_theorems(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--dims must be I,J,K,D, got {args.dims!r}") from exc
 
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be >= 1")
     reports = []
     any_bad = False
     for s in range(args.seeds):

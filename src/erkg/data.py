@@ -164,7 +164,11 @@ def _parse_triple_file(path, vocab: Vocab, strict: bool) -> tuple[np.ndarray, in
     triples = []
     seen: set[tuple[int, int, int]] = set()
     n_dup = 0
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read triple file: {exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

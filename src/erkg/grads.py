@@ -7,6 +7,10 @@ The accumulator merges several such sets (e.g. loss and penalty terms)
 into one canonical set per block, keeping row-sparsity whenever no dense
 contribution was seen.
 
+A training batch is merged once: the loss and every penalty add their
+rows, already scaled by their coefficients, to the one accumulator of
+``training.batch_objective``, which calls ``finalize`` once.
+
 Rows sharing an index are summed by ``merge_rows``: it takes the sorted
 unique indices of all sparse parts and the inverse once, then adds each
 part with one sparse product, an (unique rows x part rows) 0/1 matrix

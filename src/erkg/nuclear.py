@@ -380,6 +380,8 @@ def check_instance(instance: FactorInstance, variant: str, restarts: int) -> Che
     factorization.  ``flagged`` marks a ratio outside the variant's band
     (for amgm4 also a residual above 0.05).
     """
+    if restarts < 1:
+        raise ConfigError("restarts must be >= 1")
     _check_variant_pairing(instance, variant)
     t = instance.norm_order
     obj = _multi_restart(

@@ -17,12 +17,16 @@ logistic relaxation ``sigmoid((eps_r - ||x_a - x_b||) / tau)`` with a
 per-relation trainable threshold ``eps_r``.
 
 Such labels make the penalty depend on the raw head embeddings and on
-``eps_r``; both paths are included in the returned gradients.
+``eps_r``; both paths are included in its gradients.
 Proximity mode keeps only same-category pairs (difference term),
 dissimilarity mode only cross-category pairs (sum term), joint mode keeps
 every pair with its soft label.  Pairs touching an unlabeled entity fall
 back to the joint labeling (warned once per call) unless strict labels
 are requested.
+
+Every penalty returns its value and adds ``scale`` times its gradient
+rows (``"eps"`` for the thresholds) to the caller's ``GradAccumulator``,
+which the caller merges once per batch.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .data import CategoryMap, TripleStore
 from .errors import ConfigError
-from .grads import GradAccumulator, GradSet
+from .grads import GradAccumulator
 from .models import N3_KINDS, OPERATORS, ModelParams, cview
 
 logger = logging.getLogger(__name__)
@@ -175,10 +179,12 @@ def _require_batch(batch: np.ndarray) -> None:
 
 
 def _norm_terms(
-    params: ModelParams, batch: np.ndarray, order: int, acc: GradAccumulator, cols
+    params: ModelParams, batch: np.ndarray, order: int, acc: GradAccumulator, scale: float,
+    cols,
 ) -> float:
     """Batch mean of the norms of the rows in columns ``cols`` (0 head,
-    1 relation, 2 tail); their gradients go to ``acc``."""
+    1 relation, 2 tail); ``scale`` times their gradients go to ``acc``."""
+    _require_batch(batch)
     B = len(batch)
     cx = OPERATORS[params.kind].complex_coords
     keys = (params.head_key, "rel", params.tail_key)
@@ -187,37 +193,38 @@ def _norm_terms(
     for col in cols:
         v, g = _norm_value_grad(tables[col][batch[:, col]], order, cx)
         value = value + v
-        acc.add(keys[col], batch[:, col], g / B)
+        acc.add(keys[col], batch[:, col], g * (scale / B))
     return float(value.sum() / B)
 
 
-def _norm_penalty(params: ModelParams, batch: np.ndarray, order: int):
-    """Mean ``order``-norm penalty of head, relation, and tail parameters."""
-    _require_batch(batch)
-    acc = GradAccumulator()
-    value = _norm_terms(params, batch, order, acc, (0, 1, 2))
-    return value, acc.finalize(params.grad_shapes())
+def penalty_fro(
+    params: ModelParams, batch: np.ndarray, acc: GradAccumulator, scale: float = 1.0
+) -> float:
+    """Mean squared norm of head, relation, and tail parameters; adds
+    ``scale`` times its gradient to ``acc``."""
+    return _norm_terms(params, batch, 2, acc, scale, (0, 1, 2))
 
 
-def penalty_fro(params: ModelParams, batch: np.ndarray):
-    """Mean squared norm of head, relation, and tail parameters."""
-    return _norm_penalty(params, batch, 2)
-
-
-def penalty_n3(params: ModelParams, batch: np.ndarray):
+def penalty_n3(
+    params: ModelParams, batch: np.ndarray, acc: GradAccumulator, scale: float = 1.0
+) -> float:
     """Mean cubed 3-norm of head, relation, and tail vectors.
 
     Only defined for diagonal bilinear kinds; complex coordinates
-    contribute the cube of their modulus.
+    contribute the cube of their modulus.  Adds ``scale`` times the
+    gradient to ``acc``.
     """
     if params.kind not in N3_KINDS:
         raise ConfigError(f"n3 penalty does not support {params.kind.value}")
-    return _norm_penalty(params, batch, 3)
+    return _norm_terms(params, batch, 3, acc, scale, (0, 1, 2))
 
 
-def penalty_dura(params: ModelParams, batch: np.ndarray):
+def penalty_dura(
+    params: ModelParams, batch: np.ndarray, acc: GradAccumulator, scale: float = 1.0
+) -> float:
     """Duality-induced penalty: transformed-head, tail, adjoint-transformed
-    tail, and head squared norms, averaged over the batch."""
+    tail, and head squared norms, averaged over the batch; adds ``scale``
+    times its gradient to ``acc``."""
     op = OPERATORS[params.kind]
     if op.distance:
         raise ConfigError(f"dura penalty does not support {params.kind.value}")
@@ -232,11 +239,11 @@ def penalty_dura(params: ModelParams, batch: np.ndarray):
     value = np.sum(Th * Th) + np.sum(T * T) + np.sum(Ta * Ta) + np.sum(H * H)
     GH, GRh = op.vjp(H, R, 2.0 * Th)
     GT, GRt = op.adjoint_vjp(T, R, 2.0 * Ta)
-    acc = GradAccumulator()
-    acc.add(params.head_key, heads, (GH + 2.0 * H) / B)
-    acc.add(params.tail_key, tails, (GT + 2.0 * T) / B)
-    acc.add("rel", rels, (GRh + GRt) / B)
-    return float(value / B), acc.finalize(params.grad_shapes())
+    w = scale / B
+    acc.add(params.head_key, heads, (GH + 2.0 * H) * w)
+    acc.add(params.tail_key, tails, (GT + 2.0 * T) * w)
+    acc.add("rel", rels, (GRh + GRt) * w)
+    return float(value / B)
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +471,64 @@ def _add_label_grads(
 # Equivariance penalty.
 
 
+def _pair_terms(
+    params: ModelParams, ha: np.ndarray, hb: np.ndarray, chain: list[np.ndarray],
+    spec: RegularizerSpec, wd: float, acc: GradAccumulator, scale: float,
+    categories: CategoryMap | None, eps: EpsilonState | None,
+) -> float:
+    """Mean labeled pair term ``a m(T(h_a) - T(h_b)) + (1 - a) wd m(T(h_a) + T(h_b))``.
+
+    Pairs are labeled by their heads and the first relation of ``chain``;
+    ``T`` applies the relation operator once per hop, along ``chain``.
+    ``wd == 0`` drops the sum term.  Adds ``scale`` times the gradients
+    (heads, every hop's relations, soft labels) to ``acc``.
+    """
+    lp, keep = _label_pair_entities(params, ha, hb, chain[0], spec, categories, eps)
+    if lp.n == 0:
+        return 0.0
+    op = OPERATORS[params.kind]
+    w = scale / lp.n
+    chain = [rel[keep] for rel in chain]
+    Rs = [params.relation[rel] for rel in chain]
+    Xa = [params.head_table[lp.ha]]
+    Xb = [params.head_table[lp.hb]]
+    for R in Rs:
+        Xa.append(op.apply(Xa[-1], R))
+        Xb.append(op.apply(Xb[-1], R))
+    a = lp.label
+    vd, gd = _norm_value_grad(Xa[-1] - Xb[-1], spec.norm_order, op.complex_coords)
+    terms, dfda = a * vd, vd
+    ga = (a * w)[:, None] * gd
+    gb = -ga
+    if wd:
+        vs, gs = _norm_value_grad(Xa[-1] + Xb[-1], spec.norm_order, op.complex_coords)
+        terms = terms + (1.0 - a) * wd * vs
+        dfda = vd - wd * vs
+        gsum = ((1.0 - a) * (wd * w))[:, None] * gs
+        ga, gb = ga + gsum, gb + gsum
+    for X_a, X_b, R, rel in reversed(list(zip(Xa, Xb, Rs, chain))):
+        ga, GRa = op.vjp(X_a, R, ga)
+        gb, GRb = op.vjp(X_b, R, gb)
+        acc.add("rel", rel, GRa)
+        acc.add("rel", rel, GRb)
+    acc.add(params.head_key, lp.ha, ga)
+    acc.add(params.head_key, lp.hb, gb)
+    _add_label_grads(acc, params, lp, dfda * w, spec.tau)
+    return float(np.sum(terms) / lp.n)
+
+
 def penalty_er(
     params: ModelParams,
     batch: np.ndarray,
     pairs: PairSet,
     spec: RegularizerSpec,
+    acc: GradAccumulator,
+    scale: float = 1.0,
     categories: CategoryMap | None = None,
     eps: EpsilonState | None = None,
-):
-    """Entity norm terms plus labeled pair terms, with gradients.
+) -> float:
+    """Entity norm terms plus labeled pair terms; adds ``scale`` times its
+    gradient to ``acc``.
 
     Gradients cover embeddings, relation parameters, and (through the soft
     labels) the per-relation thresholds under the ``"eps"`` key.  May
@@ -480,45 +536,11 @@ def penalty_er(
     """
     if spec.kind != "er":
         raise ConfigError("spec.kind must be 'er'")
-    _require_batch(batch)
-    op = OPERATORS[params.kind]
-    order = spec.norm_order
-    acc = GradAccumulator()
-    value = _norm_terms(params, batch, order, acc, (0, 2))
-
-    if pairs.n > 0:
-        lp, _ = _label_pair_entities(
-            params,
-            batch[pairs.idx_a, 0],
-            batch[pairs.idx_b, 0],
-            pairs.rel,
-            spec,
-            categories,
-            eps,
-        )
-        if lp.n > 0:
-            P = lp.n
-            wd = spec.dissim_weight
-            Ha = params.head_table[lp.ha]
-            Hb = params.head_table[lp.hb]
-            R = params.relation[lp.rel]
-            Ta = op.apply(Ha, R)
-            Tb = op.apply(Hb, R)
-            vd, gd = _norm_value_grad(Ta - Tb, order, op.complex_coords)
-            vs, gs = _norm_value_grad(Ta + Tb, order, op.complex_coords)
-            a = lp.label
-            value += float(np.sum(a * vd + (1.0 - a) * wd * vs) / P)
-
-            ga = (a[:, None] * gd + ((1.0 - a) * wd)[:, None] * gs) / P
-            gb = (-a[:, None] * gd + ((1.0 - a) * wd)[:, None] * gs) / P
-            GHa, GRa = op.vjp(Ha, R, ga)
-            GHb, GRb = op.vjp(Hb, R, gb)
-            acc.add(params.head_key, lp.ha, GHa)
-            acc.add(params.head_key, lp.hb, GHb)
-            acc.add("rel", lp.rel, GRa)
-            acc.add("rel", lp.rel, GRb)
-            _add_label_grads(acc, params, lp, (vd - wd * vs) / P, spec.tau)
-    return value, acc.finalize(params.grad_shapes())
+    value = _norm_terms(params, batch, spec.norm_order, acc, scale, (0, 2))
+    return value + _pair_terms(
+        params, batch[pairs.idx_a, 0], batch[pairs.idx_b, 0], [pairs.rel], spec,
+        spec.dissim_weight, acc, scale, categories, eps,
+    )
 
 
 def sample_path_pairs(
@@ -554,48 +576,19 @@ def penalty_er_second_order(
     params: ModelParams,
     path_pairs: PathPairSet,
     spec: RegularizerSpec,
+    acc: GradAccumulator,
+    scale: float = 1.0,
     categories: CategoryMap | None = None,
     eps: EpsilonState | None = None,
-):
-    """Mean labeled difference of doubly-transformed path heads.
+) -> float:
+    """Mean labeled difference of doubly-transformed path heads; adds
+    ``scale`` times its gradient to ``acc``.
 
     Labels follow the first-order policy applied to the path heads, with
     the first relation's threshold in joint mode.  Added by the trainer to
     the first-order total.
     """
-    if path_pairs.n == 0:
-        return 0.0, {}
-    op = OPERATORS[params.kind]
-    lp, keep = _label_pair_entities(
-        params, path_pairs.head_a, path_pairs.head_b, path_pairs.rel1, spec,
-        categories, eps,
+    return _pair_terms(
+        params, path_pairs.head_a, path_pairs.head_b, [path_pairs.rel1, path_pairs.rel2],
+        spec, 0.0, acc, scale, categories, eps,
     )
-    if lp.n == 0:
-        return 0.0, {}
-    rel2 = path_pairs.rel2[keep]
-    acc = GradAccumulator()
-    P = lp.n
-
-    Ha = params.head_table[lp.ha]
-    Hb = params.head_table[lp.hb]
-    R1 = params.relation[lp.rel]
-    R2 = params.relation[rel2]
-    Ua = op.apply(Ha, R1)
-    Ub = op.apply(Hb, R1)
-    vd, gd = _norm_value_grad(op.apply(Ua, R2) - op.apply(Ub, R2), spec.norm_order, op.complex_coords)
-    a = lp.label
-    value = float(np.sum(a * vd) / P)
-
-    ga = a[:, None] * gd / P
-    GUa, GR2a = op.vjp(Ua, R2, ga)
-    GUb, GR2b = op.vjp(Ub, R2, -ga)
-    GHa, GR1a = op.vjp(Ha, R1, GUa)
-    GHb, GR1b = op.vjp(Hb, R1, GUb)
-    acc.add(params.head_key, lp.ha, GHa)
-    acc.add(params.head_key, lp.hb, GHb)
-    acc.add("rel", lp.rel, GR1a)
-    acc.add("rel", lp.rel, GR1b)
-    acc.add("rel", rel2, GR2a)
-    acc.add("rel", rel2, GR2b)
-    _add_label_grads(acc, params, lp, vd / P, spec.tau)
-    return value, acc.finalize(params.grad_shapes())

@@ -40,11 +40,6 @@ from .regularizers import (
 
 logger = logging.getLogger(__name__)
 
-# When set, every optimizer step asserts the Adagrad accumulators never
-# decreased (slow; meant for tests).
-DEBUG_CHECKS = False
-
-
 @dataclass
 class TrainConfig:
     model: str = "distmult"
@@ -143,8 +138,6 @@ def adagrad_update(param, grad, acc, lr, eps):
 
 def _adagrad_step_inplace(param, acc, idx, grad, lr, eps):
     # idx must hold unique rows (GradAccumulator.finalize guarantees it)
-    if DEBUG_CHECKS:
-        before = acc.copy()
     if idx is None:
         acc += grad * grad
         param -= lr * grad / (np.sqrt(acc) + eps)
@@ -152,8 +145,6 @@ def _adagrad_step_inplace(param, acc, idx, grad, lr, eps):
         a = acc[idx] + grad * grad
         acc[idx] = a
         param[idx] -= lr * grad / (np.sqrt(a) + eps)
-    if DEBUG_CHECKS:
-        assert np.all(acc >= before), "adagrad accumulator decreased"
 
 
 def _batch_ce(params: ModelParams, batch: np.ndarray):
@@ -171,25 +162,23 @@ def _batch_ce(params: ModelParams, batch: np.ndarray):
     return loss, backward_all_tails(params, ctx, G)
 
 
-def _penalty(params, batch, spec, categories, eps, store, pair_seed, path_seed):
+def _penalty(params, batch, spec, categories, eps, store, pair_seed, path_seed, acc):
+    """Penalty value; ``spec.lam`` times its gradient goes to ``acc``."""
     if spec.kind == "fro":
-        return penalty_fro(params, batch)
+        return penalty_fro(params, batch, acc, spec.lam)
     if spec.kind == "n3":
-        return penalty_n3(params, batch)
+        return penalty_n3(params, batch, acc, spec.lam)
     if spec.kind == "dura":
-        return penalty_dura(params, batch)
+        return penalty_dura(params, batch, acc, spec.lam)
     if spec.kind == "er":
         pairs = select_pairs(batch, spec.pair_budget, pair_seed)
-        value, grads = penalty_er(params, batch, pairs, spec, categories, eps)
+        value = penalty_er(params, batch, pairs, spec, acc, spec.lam, categories, eps)
         if spec.second_order:
             paths = sample_path_pairs(store, batch, spec.path_budget, path_seed)
-            v2, g2 = penalty_er_second_order(params, paths, spec, categories, eps)
-            value += v2
-            acc = GradAccumulator()
-            acc.add_set(grads)
-            acc.add_set(g2)
-            grads = acc.finalize(params.grad_shapes())
-        return value, grads
+            value += penalty_er_second_order(
+                params, paths, spec, acc, spec.lam, categories, eps
+            )
+        return value
     raise ConfigError(f"unknown regularizer kind {spec.kind!r}")
 
 
@@ -206,18 +195,18 @@ def batch_objective(
     """Loss plus scaled penalty for one batch: (total, loss, reg, grads).
 
     The gradient set covers every parameter block and, for joint-mode
-    pair labels, the ``"eps"`` thresholds.  Used by the training loop and
-    by finite-difference checks.
+    pair labels, the ``"eps"`` thresholds.  The loss and the penalty add
+    their rows to one accumulator, merged once.  Used by the training
+    loop and by finite-difference checks.
     """
     loss, grads_ce = _batch_ce(params, batch)
     acc = GradAccumulator()
     acc.add_set(grads_ce)
     reg_value = 0.0
     if spec.kind != "none" and spec.lam > 0.0:
-        reg_value, grads_reg = _penalty(
-            params, batch, spec, categories, eps, store, pair_seed, path_seed
+        reg_value = _penalty(
+            params, batch, spec, categories, eps, store, pair_seed, path_seed, acc
         )
-        acc.add_set(grads_reg, scale=spec.lam)
     return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())
 
 
@@ -360,8 +349,11 @@ def load_checkpoint(path):
     Optimizer accumulators are not checkpointed; epsilon entries restore
     their initialized flags from NaN-ness.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
     header = 4 + 4 + 1 + 24
     if len(raw) < header or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError("bad checkpoint magic")

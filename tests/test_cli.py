@@ -203,6 +203,33 @@ class TestEvaluate:
         )
         assert code == 2
 
+    def test_missing_checkpoint_exits_2(self, synth_dir, tmp_path, capsys):
+        code = run_cli(
+            "evaluate", "--checkpoint", str(tmp_path / "missing.erkg"),
+            "--train", str(synth_dir / "train.txt"),
+            "--valid", str(synth_dir / "valid.txt"),
+            "--test", str(synth_dir / "test.txt"),
+        )
+        assert code == 2
+        assert "cannot read checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    def test_missing_data_file_exits_2(self, synth_dir, tmp_path, capsys, split):
+        from erkg.models import ModelKind, init_params
+        from erkg.regularizers import EpsilonState
+        from erkg.training import save_checkpoint
+
+        params = init_params(ModelKind.DISTMULT, 5, 2, 4, seed=0)
+        save_checkpoint(params, EpsilonState.create(2), tmp_path / "tiny.ckpt")
+        paths = {name: str(synth_dir / f"{name}.txt") for name in ("train", "valid", "test")}
+        paths[split] = str(tmp_path / "missing.txt")
+        code = run_cli(
+            "evaluate", "--checkpoint", str(tmp_path / "tiny.ckpt"),
+            "--train", paths["train"], "--valid", paths["valid"], "--test", paths["test"],
+        )
+        assert code == 2
+        assert "missing.txt" in capsys.readouterr().err
+
 
 class TestVerifyTheorems:
     def test_default_amgm_run_is_clean(self, tmp_path, capsys):
@@ -234,6 +261,14 @@ class TestVerifyTheorems:
 
     def test_unknown_variant_exits_2(self):
         assert run_cli("verify-theorems", "--variants", "thm9") == 2
+
+    @pytest.mark.parametrize("flag", ["--restarts", "--seeds"])
+    def test_zero_count_exits_2(self, tmp_path, capsys, flag):
+        code = run_cli("verify-theorems", flag, "0", "--out", str(tmp_path))
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and f"{flag.lstrip('-')} must be >= 1" in err
+        assert not (tmp_path / "theorem_reports.json").exists()
 
     def test_flagged_thm_ratio_exits_1(self, tmp_path):
         code = run_cli(

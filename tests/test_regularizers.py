@@ -3,7 +3,7 @@ import pytest
 
 from erkg.data import CategoryMap, TripleStore, Vocab
 from erkg.errors import ConfigError
-from erkg.grads import densify
+from erkg.grads import GradAccumulator
 from erkg.models import ModelKind, ModelParams, init_params, relational_transform
 from erkg.regularizers import (
     EpsilonState,
@@ -43,35 +43,35 @@ class TestFro:
     def test_zero_params(self):
         p = distmult_params([[0, 0], [0, 0]], [[0, 0]])
         batch = np.array([[0, 0, 1]])
-        value, _ = penalty_fro(p, batch)
+        value = penalty_fro(p, batch, GradAccumulator())
         assert value == 0.0
 
     def test_hand_value(self):
         p = distmult_params([[1, 0], [1, 1]], [[0, 1]])
         batch = np.array([[0, 0, 1]])
-        value, _ = penalty_fro(p, batch)
+        value = penalty_fro(p, batch, GradAccumulator())
         assert value == pytest.approx(4.0)
 
     def test_degree_two_homogeneity(self):
         p = init_params(ModelKind.RESCAL, 5, 2, 4, seed=0)
         batch = np.array([[0, 0, 1], [2, 1, 3]])
-        v1, _ = penalty_fro(p, batch)
+        v1 = penalty_fro(p, batch, GradAccumulator())
         p2 = p.copy()
         p2.entity *= 2.0
         p2.relation *= 2.0
-        v2, _ = penalty_fro(p2, batch)
+        v2 = penalty_fro(p2, batch, GradAccumulator())
         assert v2 == pytest.approx(4.0 * v1)
 
 
 class TestN3:
     def test_zero_params(self):
         p = distmult_params([[0, 0], [0, 0]], [[0, 0]])
-        value, _ = penalty_n3(p, np.array([[0, 0, 1]]))
+        value = penalty_n3(p, np.array([[0, 0, 1]]), GradAccumulator())
         assert value == 0.0
 
     def test_hand_value(self):
         p = distmult_params([[1, 0], [1, 1]], [[1, 0]])
-        value, _ = penalty_n3(p, np.array([[0, 0, 1]]))
+        value = penalty_n3(p, np.array([[0, 0, 1]]), GradAccumulator())
         assert value == pytest.approx(4.0)
 
     def test_complex_modulus_cubed(self):
@@ -79,42 +79,42 @@ class TestN3:
         p.entity[:] = 0.0
         p.relation[:] = 0.0
         p.entity[0] = [3.0, 4.0]  # one coordinate 3+4i
-        value, _ = penalty_n3(p, np.array([[0, 0, 1]]))
+        value = penalty_n3(p, np.array([[0, 0, 1]]), GradAccumulator())
         assert value == pytest.approx(125.0)
 
     def test_unsupported_kinds(self):
         for kind in (ModelKind.RESCAL, ModelKind.TRANSE, ModelKind.ROTATE):
             p = init_params(kind, 3, 2, 4, seed=1)
             with pytest.raises(ConfigError):
-                penalty_n3(p, np.array([[0, 0, 1]]))
+                penalty_n3(p, np.array([[0, 0, 1]]), GradAccumulator())
 
     def test_degree_three_homogeneity(self):
         p = init_params(ModelKind.COMPLEX, 4, 2, 4, seed=2)
         batch = np.array([[0, 0, 1], [2, 1, 3]])
-        v1, _ = penalty_n3(p, batch)
+        v1 = penalty_n3(p, batch, GradAccumulator())
         p2 = p.copy()
         p2.entity *= 3.0
         p2.relation *= 3.0
-        v2, _ = penalty_n3(p2, batch)
+        v2 = penalty_n3(p2, batch, GradAccumulator())
         assert v2 == pytest.approx(27.0 * v1)
 
 
 class TestDura:
     def test_zero_params(self):
         p = distmult_params([[0, 0], [0, 0]], [[0, 0]])
-        value, _ = penalty_dura(p, np.array([[0, 0, 1]]))
+        value = penalty_dura(p, np.array([[0, 0, 1]]), GradAccumulator())
         assert value == 0.0
 
     def test_hand_value(self):
         p = distmult_params([[1, 1], [2, 0]], [[1, 0]])
-        value, _ = penalty_dura(p, np.array([[0, 0, 1]]))
+        value = penalty_dura(p, np.array([[0, 0, 1]]), GradAccumulator())
         assert value == pytest.approx(11.0)
 
     def test_rescal_identity_reduces(self):
         p = init_params(ModelKind.RESCAL, 4, 2, 4, seed=3)
         p.relation[0] = np.eye(4)
         batch = np.array([[0, 0, 1]])
-        value, _ = penalty_dura(p, batch)
+        value = penalty_dura(p, batch, GradAccumulator())
         h2 = float(np.sum(p.entity[0] ** 2))
         t2 = float(np.sum(p.entity[1] ** 2))
         assert value == pytest.approx(2.0 * (h2 + t2))
@@ -123,7 +123,7 @@ class TestDura:
         for kind in (ModelKind.TRANSE, ModelKind.ROTATE):
             p = init_params(kind, 3, 2, 4, seed=4)
             with pytest.raises(ConfigError):
-                penalty_dura(p, np.array([[0, 0, 1]]))
+                penalty_dura(p, np.array([[0, 0, 1]]), GradAccumulator())
 
     @pytest.mark.parametrize(
         "kind",
@@ -142,7 +142,7 @@ class TestDura:
             th = relational_transform(p, hv, int(r))
             ta = np.array([relational_transform(p, e, int(r)) @ tv for e in basis])
             total += th @ th + tv @ tv + ta @ ta + hv @ hv
-        value, _ = penalty_dura(p, batch)
+        value = penalty_dura(p, batch, GradAccumulator())
         assert value == pytest.approx(total / len(batch), rel=1e-12)
 
 
@@ -231,7 +231,7 @@ class TestPenaltyEr:
         pairs = select_pairs(batch, 10, seed=0)
         assert pairs.n == 1
         cmap = CategoryMap({0: 0, 1: 0}, 1, 1.0)
-        value, _ = penalty_er(p, batch, pairs, self.spec(), categories=cmap)
+        value = penalty_er(p, batch, pairs, self.spec(), GradAccumulator(), categories=cmap)
         # norm part: mean of (1+1, 1+1) = 2; pair part: |[1,-1]|^2 = 2
         assert value == pytest.approx(4.0)
 
@@ -242,10 +242,10 @@ class TestPenaltyEr:
         pairs = select_pairs(batch, 10, seed=0)
         cmap = CategoryMap({0: 0, 1: 0, 2: 0, 3: 0}, 1, 1.0)
         spec = self.spec()
-        value, _ = penalty_er(p, batch, pairs, spec, categories=cmap)
-        norm_only, _ = penalty_er(
+        value = penalty_er(p, batch, pairs, spec, GradAccumulator(), categories=cmap)
+        norm_only = penalty_er(
             p, batch, PairSet(np.array([], int), np.array([], int), np.array([], int)),
-            spec, categories=cmap,
+            spec, GradAccumulator(), categories=cmap,
         )
         assert value == pytest.approx(norm_only)
 
@@ -256,17 +256,17 @@ class TestPenaltyEr:
         pairs = select_pairs(batch, 10, seed=0)
         cmap = CategoryMap({0: 0, 1: 1, 2: 0, 3: 0}, 2, 1.0)
         spec = self.spec(er_mode="dissimilarity")
-        value, _ = penalty_er(p, batch, pairs, spec, categories=cmap)
+        value = penalty_er(p, batch, pairs, spec, GradAccumulator(), categories=cmap)
         empty = PairSet(np.array([], int), np.array([], int), np.array([], int))
-        norm_only, _ = penalty_er(p, batch, empty, spec, categories=cmap)
+        norm_only = penalty_er(p, batch, empty, spec, GradAccumulator(), categories=cmap)
         assert value == pytest.approx(norm_only)
 
     def test_empty_pairs_keep_norm_terms(self):
         p = distmult_params([[1, 0], [0, 1]], [[1, 1]])
         batch = np.array([[0, 0, 1]])
         empty = PairSet(np.array([], int), np.array([], int), np.array([], int))
-        value, _ = penalty_er(p, batch, empty, self.spec(er_mode="joint"),
-                              eps=EpsilonState.create(1, 1.0))
+        value = penalty_er(p, batch, empty, self.spec(er_mode="joint"), GradAccumulator(),
+                           eps=EpsilonState.create(1, 1.0))
         assert value == pytest.approx(2.0)
 
     def test_nonnegative_and_zero_at_zero(self):
@@ -280,13 +280,13 @@ class TestPenaltyEr:
             pairs = select_pairs(batch, 10, seed=1)
             eps = EpsilonState.create(2, init=1.0)
             spec = self.spec(er_mode="joint")
-            value, _ = penalty_er(p, batch, pairs, spec, eps=eps)
+            value = penalty_er(p, batch, pairs, spec, GradAccumulator(), eps=eps)
             assert value >= 0.0
             p0 = p.copy()
             p0.entity[:] = 0.0
             if p0.entity_tail is not None:
                 p0.entity_tail[:] = 0.0
-            v0, _ = penalty_er(p0, batch, pairs, spec, eps=eps)
+            v0 = penalty_er(p0, batch, pairs, spec, GradAccumulator(), eps=eps)
             # norm terms vanish; pair transforms of zero vectors vanish for
             # linear kinds, translations contribute through relation vectors
             if kind != ModelKind.TRANSE:
@@ -369,7 +369,7 @@ class TestSecondOrder:
         )
         cmap = CategoryMap({0: 0, 3: 0}, 1, 0.5)
         spec = RegularizerSpec(kind="er", er_mode="proximity")
-        value, _ = penalty_er_second_order(p, paths, spec, categories=cmap)
+        value = penalty_er_second_order(p, paths, spec, GradAccumulator(), categories=cmap)
         assert value == pytest.approx(0.0, abs=1e-14)
 
     def test_rescal_identity_matrices_reduce_to_first_order(self):
@@ -384,7 +384,7 @@ class TestSecondOrder:
         )
         cmap = CategoryMap({0: 0, 1: 0}, 1, 1.0)
         spec = RegularizerSpec(kind="er", er_mode="proximity")
-        value, _ = penalty_er_second_order(p, paths, spec, categories=cmap)
+        value = penalty_er_second_order(p, paths, spec, GradAccumulator(), categories=cmap)
         assert value == pytest.approx(float(np.sum((p.entity[0] - p.entity[1]) ** 2)))
 
     def test_hand_composition(self):
@@ -397,5 +397,5 @@ class TestSecondOrder:
         )
         cmap = CategoryMap({0: 0, 1: 0}, 1, 1.0)
         spec = RegularizerSpec(kind="er", er_mode="proximity")
-        value, _ = penalty_er_second_order(p, paths, spec, categories=cmap)
+        value = penalty_er_second_order(p, paths, spec, GradAccumulator(), categories=cmap)
         assert value == pytest.approx(8.0)

@@ -155,15 +155,22 @@ class TestTrain:
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
         assert [r.loss for r in h1.records] == [r.loss for r in h2.records]
 
-    def test_debug_accumulator_checks(self):
+    def test_debug_accumulator_checks(self, monkeypatch):
         store = toy_store()
         cfg = TrainConfig(model="distmult", dim=4, batch_size=2, learning_rate=0.1,
                           epochs=2, seed=1)
-        training.DEBUG_CHECKS = True
-        try:
-            train(cfg, store)
-        finally:
-            training.DEBUG_CHECKS = False
+        step = training._adagrad_step_inplace
+        steps = []
+
+        def checked(param, acc, idx, grad, lr, eps):
+            before = acc.copy()
+            step(param, acc, idx, grad, lr, eps)
+            assert np.all(acc >= before), "adagrad accumulator decreased"
+            steps.append(1)
+
+        monkeypatch.setattr(training, "_adagrad_step_inplace", checked)
+        train(cfg, store)
+        assert steps
 
     def test_higher_lambda_smaller_converged_penalty(self):
         # moderate coefficients: past ~0.1 the toy model collapses to zero
