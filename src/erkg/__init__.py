@@ -3,7 +3,7 @@ regularization, filtered ranking evaluation, and a nuclear-norm lab."""
 
 from .data import (
     CategoryMap,
-    FilterIndex,
+    KeyedCSR,
     TripleStore,
     Vocab,
     add_reciprocals,
@@ -12,6 +12,7 @@ from .data import (
     load_categories,
     load_dataset,
     load_triples,
+    pair_key,
     save_categories,
     save_triples,
 )

@@ -5,6 +5,12 @@ line (LF endings, exactly two tabs).  Entity categories come from an
 optional sidecar TSV of ``entity<TAB>category`` lines.  Ids are dense
 integers assigned in first-appearance order, so serializing a store and
 reloading it reproduces the exact id sequences.
+
+Triples are indexed by one type, :class:`KeyedCSR`: values grouped by an
+int64 key with one vectorized ``lookup``.  The training edges keyed by
+head (``TripleStore.adjacency``) serve path sampling; the known-true
+tails keyed by ``pair_key(head, relation)`` (``build_filter_index``)
+serve filtered ranking.
 """
 
 from __future__ import annotations
@@ -85,28 +91,47 @@ def _empty_triples() -> np.ndarray:
     return np.empty((0, 3), dtype=np.int64)
 
 
-class Adjacency(NamedTuple):
-    """Training edges grouped by head (CSR).
+def pair_key(a, b) -> np.ndarray:
+    """One int64 key per id pair: ``a << 32 | b``.
 
-    The edges leaving entity ``h`` have relation ids
-    ``rel[offsets[h]:offsets[h + 1]]``, in training order.
+    For ids in ``[0, 2**31)`` the keys order like the pairs
+    (lexicographically) and need no vocabulary size.
+    """
+    return np.left_shift(np.asarray(a, dtype=np.int64), 32) | np.asarray(b, dtype=np.int64)
+
+
+class KeyedCSR(NamedTuple):
+    """Values grouped by an int64 key (CSR).
+
+    ``keys`` are sorted and unique; the values of ``keys[i]`` are
+    ``values[offsets[i]:offsets[i + 1]]``.
     """
 
+    keys: np.ndarray
     offsets: np.ndarray
-    rel: np.ndarray
+    values: np.ndarray
 
-    def edges_from(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every edge leaving each of ``nodes`` in turn: the index into
-        ``nodes`` it leaves from and its relation id.  Ids without
-        training edges (or outside the table) have none."""
-        known = (nodes >= 0) & (nodes < len(self.offsets) - 1)
-        start = np.zeros(len(nodes), dtype=np.int64)
-        deg = np.zeros(len(nodes), dtype=np.int64)
-        start[known] = self.offsets[nodes[known]]
-        deg[known] = self.offsets[nodes[known] + 1] - start[known]
-        src = np.repeat(np.arange(len(nodes)), deg)
-        edge = np.arange(len(src)) - np.repeat(np.cumsum(deg) - deg, deg) + start[src]
-        return src, self.rel[edge]
+    @classmethod
+    def group(cls, keys, values) -> "KeyedCSR":
+        """Group ``values`` by ``keys``, keeping their order within a key."""
+        keys = np.asarray(keys, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+        return cls(keys[starts], np.append(starts, len(keys)), np.asarray(values)[order])
+
+    def lookup(self, query) -> tuple[np.ndarray, np.ndarray]:
+        """Every value of each query key in turn: the index into ``query``
+        it belongs to and the value.  Absent keys have none."""
+        query = np.asarray(query, dtype=np.int64)
+        pos = np.searchsorted(self.keys, query)
+        hit = pos < len(self.keys)
+        hit[hit] = self.keys[pos[hit]] == query[hit]
+        start = self.offsets[pos]
+        deg = self.offsets[pos + hit] - start
+        src = np.repeat(np.arange(len(query)), deg)
+        item = np.arange(len(src)) - np.repeat(np.cumsum(deg) - deg, deg) + start[src]
+        return src, self.values[item]
 
 
 @dataclass
@@ -115,8 +140,9 @@ class TripleStore:
 
     Immutable after construction; safe to share read-only across threads.
     ``duplicates`` counts exact duplicate lines kept (not dropped) per
-    split.  ``adjacency`` (an :class:`Adjacency` of the training edges by
-    head) is a cache, built from ``train`` on first use and kept.
+    split.  ``adjacency`` (a :class:`KeyedCSR` of the training edges'
+    relation ids keyed by head, in training order) is a cache, built from
+    ``train`` on first use and kept.
     """
 
     train: np.ndarray
@@ -136,13 +162,8 @@ class TripleStore:
             yield name, getattr(self, name)
 
     @cached_property
-    def adjacency(self) -> Adjacency:
-        heads = self.train[:, 0]
-        n = max(self.vocab.n_entities, int(heads.max()) + 1 if len(heads) else 0)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(heads, minlength=n), out=offsets[1:])
-        order = np.argsort(heads, kind="stable")
-        return Adjacency(offsets, self.train[order, 1])
+    def adjacency(self) -> KeyedCSR:
+        return KeyedCSR.group(self.train[:, 0], self.train[:, 1])
 
     def all_triples(self) -> np.ndarray:
         return np.concatenate([self.train, self.valid, self.test], axis=0)
@@ -287,36 +308,16 @@ def add_reciprocals(store: TripleStore) -> TripleStore:
     )
 
 
-class FilterIndex:
-    """Map ``(head, relation) -> set of known-true tails`` over all splits."""
-
-    def __init__(self, tails: dict[tuple[int, int], np.ndarray]):
-        self._tails = tails
-        self._empty = np.empty(0, dtype=np.int64)
-
-    def true_tails(self, h: int, r: int) -> np.ndarray:
-        return self._tails.get((int(h), int(r)), self._empty)
-
-    def __len__(self) -> int:
-        return len(self._tails)
-
-
-def _first_of_runs(rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows of a sorted 2-D array that differ from the one before."""
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return first
-
-
-def build_filter_index(store: TripleStore) -> FilterIndex:
-    """Index the union of all three splits for filtered ranking."""
+def build_filter_index(store: TripleStore) -> KeyedCSR:
+    """Index the union of all three splits for filtered ranking: the
+    known-true tails of each ``pair_key(head, relation)``, sorted and
+    unique."""
     rows = np.concatenate([arr.reshape(-1, 3) for _, arr in store.splits()])
     rows = rows[np.lexsort(rows.T[::-1])].astype(np.int64, copy=False)
-    rows = rows[_first_of_runs(rows)]
-    starts = np.flatnonzero(_first_of_runs(rows[:, :2]))
-    keys = zip(rows[starts, 0].tolist(), rows[starts, 1].tolist())
-    tails = np.ascontiguousarray(rows[:, 2])
-    return FilterIndex(dict(zip(keys, np.split(tails, starts[1:]))))
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rows = rows[first]
+    return KeyedCSR.group(pair_key(rows[:, 0], rows[:, 1]), rows[:, 2])
 
 
 @dataclass
@@ -365,7 +366,11 @@ def load_categories(path, vocab: Vocab) -> CategoryMap:
     category_of: dict[int, int] = {}
     n_skipped = 0
     n_relabeled = 0
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read category file: {exc}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

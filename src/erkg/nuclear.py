@@ -278,6 +278,8 @@ class _OptResult:
 
 def _multi_restart(instance, raw_grads, restarts, salt, iters_per_stage=250):
     """Best feasible restart; ``raw_grads(P, R, Q)`` returns (value, gP, gR, gQ)."""
+    if restarts < 1:
+        raise ConfigError("restarts must be >= 1")
     X = instance.target
     prob = _Problem(X, instance.rank, raw_grads)
     size = (prob.I + prob.J + prob.K) * prob.D
@@ -323,32 +325,29 @@ def _check_variant_pairing(instance: FactorInstance, variant: str) -> VariantDef
     return var
 
 
-def nuclear_estimate(instance: FactorInstance, restarts: int) -> float:
-    """Variational nuclear t-norm of the instance target."""
-    if restarts < 1:
-        raise ConfigError("restarts must be >= 1")
+def _nuclear_opt(instance: FactorInstance, restarts: int) -> _OptResult:
     t = instance.norm_order
-    res = _multi_restart(
-        instance,
-        lambda P, R, Q: _nuclear_grads(P, R, Q, t),
-        restarts,
-        salt=0,
-    )
-    return res.value
+    return _multi_restart(instance, lambda P, R, Q: _nuclear_grads(P, R, Q, t), restarts, salt=0)
 
 
-def objective_min(instance: FactorInstance, variant: str, restarts: int) -> float:
-    """Minimized variant objective over exact factorizations."""
-    if restarts < 1:
-        raise ConfigError("restarts must be >= 1")
+def _variant_opt(instance: FactorInstance, variant: str, restarts: int) -> _OptResult:
     _check_variant_pairing(instance, variant)
-    res = _multi_restart(
+    return _multi_restart(
         instance,
         lambda P, R, Q: _variant_grads(P, R, Q, variant),
         restarts,
         salt=1 + list(VARIANTS).index(variant),
     )
-    return res.value
+
+
+def nuclear_estimate(instance: FactorInstance, restarts: int) -> float:
+    """Variational nuclear t-norm of the instance target."""
+    return _nuclear_opt(instance, restarts).value
+
+
+def objective_min(instance: FactorInstance, variant: str, restarts: int) -> float:
+    """Minimized variant objective over exact factorizations."""
+    return _variant_opt(instance, variant, restarts).value
 
 
 def _balancedness_residual(P, R, Q, t):
@@ -380,27 +379,13 @@ def check_instance(instance: FactorInstance, variant: str, restarts: int) -> Che
     factorization.  ``flagged`` marks a ratio outside the variant's band
     (for amgm4 also a residual above 0.05).
     """
-    if restarts < 1:
-        raise ConfigError("restarts must be >= 1")
-    _check_variant_pairing(instance, variant)
-    t = instance.norm_order
-    obj = _multi_restart(
-        instance,
-        lambda P, R, Q: _variant_grads(P, R, Q, variant),
-        restarts,
-        salt=1 + list(VARIANTS).index(variant),
-    )
-    nuc = _multi_restart(
-        instance,
-        lambda P, R, Q: _nuclear_grads(P, R, Q, t),
-        restarts,
-        salt=0,
-    )
+    obj = _variant_opt(instance, variant, restarts)
+    nuc = _nuclear_opt(instance, restarts)
     if abs(nuc.value) < 1e-12 and abs(obj.value) < 1e-12:
         ratio = 1.0
     else:
         ratio = obj.value / nuc.value if nuc.value != 0 else np.inf
-    residual = _balancedness_residual(obj.P, obj.R, obj.Q, t)
+    residual = _balancedness_residual(obj.P, obj.R, obj.Q, instance.norm_order)
     lo, hi = AMGM_BAND if variant == "amgm4" else THM_BAND
     flagged = not (lo <= ratio <= hi)
     if variant == "amgm4":

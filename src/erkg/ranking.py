@@ -1,7 +1,10 @@
 """Filtered ranking evaluation: MRR and Hits@k.
 
-Each query scores every entity as tail, removes other known-true tails
-(the filtered protocol), and ranks the target.  Ties resolve to the mean
+Each query scores every entity as tail, removes the other known-true
+tails of its ``pair_key(head, relation)`` in the filter index (the
+filtered protocol, see ``data.build_filter_index``), and ranks the
+target.  Queries are ranked a chunk at a time: one filter lookup, one
+masked write and two row counts per chunk.  Ties resolve to the mean
 rank by default; head queries are expected to arrive as tail queries on
 inverse relations of a reciprocal-augmented store.
 """
@@ -12,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FilterIndex
+from .data import KeyedCSR, pair_key
 from .errors import ConfigError
-from .models import ModelParams, forward_all_tails, score_all_tails
+from .models import ModelParams, forward_all_tails
 
-TIE_POLICIES = ("mean", "optimistic", "pessimistic")
+# A rank is 1 + (candidates scored above the target) + weight x (others tied).
+_TIE_WEIGHT = {"mean": 0.5, "optimistic": 0.0, "pessimistic": 1.0}
+TIE_POLICIES = tuple(_TIE_WEIGHT)
 
 
 @dataclass
@@ -34,63 +39,60 @@ class RankingReport:
         return out
 
 
-def _rank_from_scores(scores: np.ndarray, t: int, excluded: np.ndarray, tie: str) -> float:
-    """Rank of entity ``t`` among non-excluded candidates."""
-    st = scores[t]
-    if len(excluded):
-        scores = scores.copy()
-        scores[excluded] = -np.inf
-        scores[t] = st
-    above = int(np.sum(scores > st))
-    ties = int(np.sum(scores == st)) - 1
-    if tie == "optimistic":
-        return 1.0 + above
-    if tie == "pessimistic":
-        return 1.0 + above + ties
-    return 1.0 + above + 0.5 * ties
-
-
 def filtered_rank(
     params: ModelParams,
     triple,
-    filter_index: FilterIndex,
+    filter_index: KeyedCSR,
     tie: str = "mean",
 ) -> float:
     """Filtered rank of one triple's tail (1 is best; ties may be halves)."""
-    if tie not in TIE_POLICIES:
-        raise ConfigError(f"unknown tie policy {tie!r}")
-    h, r, t = (int(x) for x in triple)
-    excluded = filter_index.true_tails(h, r)
-    excluded = excluded[excluded != t]
-    return _rank_from_scores(score_all_tails(params, h, r), t, excluded, tie)
+    query = np.asarray(triple, dtype=np.int64).reshape(1, 3)
+    report = evaluate(params, query, filter_index, tie=tie, keep_ranks=True)
+    return float(report.per_query_ranks[0])
 
 
 def evaluate(
     params: ModelParams,
     test: np.ndarray,
-    filter_index: FilterIndex,
+    filter_index: KeyedCSR,
     ks: tuple[int, ...] = (1, 10),
     tie: str = "mean",
     keep_ranks: bool = False,
     chunk: int = 256,
 ) -> RankingReport:
-    """Aggregate filtered ranks over a query set into MRR and Hits@k."""
+    """Aggregate filtered ranks over a query set into MRR and Hits@k.
+
+    A query id outside the model's tables raises ``ConfigError``.
+    """
     if tie not in TIE_POLICIES:
         raise ConfigError(f"unknown tie policy {tie!r}")
     if len(test) == 0:
         raise ConfigError("empty evaluation set")
+    test = np.asarray(test, dtype=np.int64)
+    bound = np.array([params.n_entities, params.n_relations, params.n_entities])
+    bad = (test < 0) | (test >= bound)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ConfigError(
+            f"query {i}: {('head', 'relation', 'tail')[j]} id {test[i, j]} "
+            f"outside [0, {bound[j]})"
+        )
+    weight = _TIE_WEIGHT[tie]
     ranks = np.empty(len(test))
     for start in range(0, len(test), chunk):
         part = test[start : start + chunk]
+        rows, targets = np.arange(len(part)), part[:, 2]
         S, _ = forward_all_tails(params, part[:, 0], part[:, 1])
-        for i, (h, r, t) in enumerate(part):
-            excluded = filter_index.true_tails(int(h), int(r))
-            excluded = excluded[excluded != t]
-            ranks[start + i] = _rank_from_scores(S[i], int(t), excluded, tie)
-    report = RankingReport(
+        st = S[rows, targets]
+        src, tails = filter_index.lookup(pair_key(part[:, 0], part[:, 1]))
+        S[src, tails] = -np.inf
+        S[rows, targets] = st
+        above = np.count_nonzero(S > st[:, None], axis=1)
+        ties = np.count_nonzero(S == st[:, None], axis=1) - 1
+        ranks[start : start + len(part)] = 1.0 + above + weight * ties
+    return RankingReport(
         mrr=float(np.mean(1.0 / ranks)),
         hits={k: float(np.mean(ranks <= k)) for k in ks},
         n_queries=len(test),
         per_query_ranks=ranks if keep_ranks else None,
     )
-    return report

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CategoryMap, TripleStore
+from .data import CategoryMap, TripleStore, pair_key
 from .errors import ConfigError
 from .grads import GradAccumulator
 from .models import N3_KINDS, OPERATORS, ModelParams, cview
@@ -559,11 +559,10 @@ def sample_path_pairs(
     """
     if budget < 1:
         raise ConfigError("path budget must be >= 1")
-    src, r2 = store.adjacency.edges_from(batch[:, 2])
+    src, r2 = store.adjacency.lookup(batch[:, 2])
     heads = batch[src, 0].astype(np.int64)
     r1 = batch[src, 1].astype(np.int64)
-    span = int(r2.max()) + 1 if len(r2) else 1
-    ia, ib = _budget_pairs(r1 * span + r2, heads, budget, seed)
+    ia, ib = _budget_pairs(pair_key(r1, r2), heads, budget, seed)
     return PathPairSet(
         head_a=heads[ia],
         head_b=heads[ib],

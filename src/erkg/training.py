@@ -227,8 +227,9 @@ def train(
     n_rel = store.vocab.n_relations
     params = init_params(kind, n_ent, n_rel, config.dim, config.seed)
     eps_state = EpsilonState.create(n_rel, spec.epsilon_init)
+    blocks = {**params.blocks(), "eps": eps_state.epsilon}
     accs = {name: np.zeros_like(arr) for name, arr in params.blocks().items()}
-    eps_acc = eps_state.acc
+    accs["eps"] = eps_state.acc
 
     filter_index = None
     if config.eval_every > 0 and len(store.valid) > 0:
@@ -264,18 +265,11 @@ def train(
                 raise NumericError(
                     f"non-finite loss or gradient at epoch {epoch} batch {bi}"
                 )
-            blocks = params.blocks()
             for name, (idx, garr) in grads.items():
-                if name == "eps":
-                    _adagrad_step_inplace(
-                        eps_state.epsilon, eps_acc, idx, garr,
-                        config.learning_rate, config.adagrad_eps,
-                    )
-                else:
-                    _adagrad_step_inplace(
-                        blocks[name], accs[name], idx, garr,
-                        config.learning_rate, config.adagrad_eps,
-                    )
+                _adagrad_step_inplace(
+                    blocks[name], accs[name], idx, garr,
+                    config.learning_rate, config.adagrad_eps,
+                )
             project_constraints(params)
             loss_sum += loss * len(batch)
             reg_sum += reg_value * len(batch)

@@ -98,6 +98,14 @@ class TestTrain:
         cfg.write_text(json.dumps(doc))
         assert run_cli("train", "--config", str(cfg)) == 2
 
+    def test_category_path_is_directory_exits_2(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        doc = json.loads(cfg.read_text())
+        doc["data"]["categories"] = str(tmp_path)
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "category file" in capsys.readouterr().err
+
     def test_string_patience_exits_2(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
         doc = json.loads(cfg.read_text())

@@ -3,6 +3,7 @@ import pytest
 
 from erkg.data import (
     CategoryMap,
+    KeyedCSR,
     TripleStore,
     Vocab,
     add_reciprocals,
@@ -11,6 +12,7 @@ from erkg.data import (
     load_categories,
     load_dataset,
     load_triples,
+    pair_key,
     save_categories,
     save_triples,
 )
@@ -29,6 +31,11 @@ def filter_index_loop(store):
         for h, r, t in arr:
             buckets.setdefault((int(h), int(r)), set()).add(int(t))
     return {key: np.array(sorted(vals), dtype=np.int64) for key, vals in buckets.items()}
+
+
+def true_tails(index, h, r):
+    """The indexed tails of one (head, relation), through ``lookup``."""
+    return index.lookup(pair_key([h], [r]))[1]
 
 
 class TestLoadTriples:
@@ -137,14 +144,14 @@ class TestFilterIndex:
         store, vocab = load_triples(p)
         idx = build_filter_index(store)
         a, r = vocab.entity_index["a"], vocab.relation_index["r"]
-        got = set(idx.true_tails(a, r))
+        got = set(true_tails(idx, a, r))
         assert got == {vocab.entity_index["b"], vocab.entity_index["c"]}
 
     def test_absent_key_empty(self, tmp_path):
         p = write(tmp_path / "t.txt", "a\tr\tb\n")
         store, _ = load_triples(p)
         idx = build_filter_index(store)
-        assert len(idx.true_tails(99, 99)) == 0
+        assert len(true_tails(idx, 99, 99)) == 0
 
     def test_union_over_splits(self, tmp_path):
         write(tmp_path / "train.txt", "a\tr\tb\n")
@@ -154,7 +161,7 @@ class TestFilterIndex:
             tmp_path / "train.txt", tmp_path / "valid.txt", tmp_path / "test.txt"
         )
         idx = build_filter_index(store)
-        assert len(idx.true_tails(0, 0)) == 3
+        assert len(true_tails(idx, 0, 0)) == 3
 
     def test_reciprocal_head_queries(self, tmp_path):
         p = write(tmp_path / "t.txt", "a\tr\tb\nc\tr\tb\n")
@@ -163,7 +170,7 @@ class TestFilterIndex:
         idx = build_filter_index(aug)
         b = vocab.entity_index["b"]
         r_inv = vocab.relation_index["r"] + store.vocab.n_relations
-        heads = set(idx.true_tails(b, r_inv))
+        heads = set(true_tails(idx, b, r_inv))
         assert heads == {vocab.entity_index["a"], vocab.entity_index["c"]}
 
 
@@ -180,7 +187,9 @@ class TestFilterIndex:
         splits[empty_split] = np.empty((0, 3), dtype=np.int64)
         vocab = Vocab({f"e{i}": i for i in range(12)}, {f"r{i}": i for i in range(4)})
         store = add_reciprocals(TripleStore(vocab=vocab, **splits))
-        got = build_filter_index(store)._tails
+        idx = build_filter_index(store)
+        heads, rels = (idx.keys >> 32).tolist(), (idx.keys & (2**32 - 1)).tolist()
+        got = dict(zip(zip(heads, rels), np.split(idx.values, idx.offsets[1:-1])))
         ref = filter_index_loop(store)
         assert set(got) == set(ref)
         for key, tails in ref.items():
@@ -190,7 +199,38 @@ class TestFilterIndex:
     def test_no_triples(self):
         empty = np.empty((0, 3), dtype=np.int64)
         store = TripleStore(empty, empty, empty, Vocab())
-        assert len(build_filter_index(store)) == 0
+        assert len(build_filter_index(store).keys) == 0
+
+
+class TestKeyedCSR:
+    def test_lookup_matches_loop(self):
+        rng = np.random.default_rng(3)
+        keys = rng.integers(-5, 40, size=300)
+        values = np.arange(300)
+        index = KeyedCSR.group(keys, values)
+        assert np.all(np.diff(index.keys) > 0)
+        query = np.concatenate([rng.integers(-8, 45, size=100), [-1, 10**6]])
+        src, got = index.lookup(query)
+        ref_src = [i for i, q in enumerate(query) for k in keys if k == q]
+        ref = [v for q in query for k, v in zip(keys, values) if k == q]
+        assert np.array_equal(src, ref_src)
+        assert np.array_equal(got, ref)
+
+    def test_empty(self):
+        empty = np.empty(0, dtype=np.int64)
+        src, got = KeyedCSR.group(empty, empty).lookup(np.array([0, -1, 7]))
+        assert len(src) == 0 and len(got) == 0
+
+    def test_pair_key_orders_like_pairs(self):
+        rng = np.random.default_rng(4)
+        a = rng.integers(0, 2**31, size=200)
+        b = rng.integers(0, 2**31, size=200)
+        a[:50] = a[50:100]
+        b[:25] = b[50:75]
+        assert np.array_equal(np.argsort(pair_key(a, b), kind="stable"),
+                              np.lexsort((b, a)))
+        n_pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
+        assert n_pairs == 175 and len(np.unique(pair_key(a, b))) == n_pairs
 
 
 class TestCategories:
@@ -243,6 +283,12 @@ class TestCategories:
         cmap = load_categories(c, vocab)
         assert cmap.n_skipped == 1
         assert cmap.coverage == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("name", ["missing.txt", "."])
+    def test_unreadable_file_is_config_error(self, tmp_path, name):
+        _, vocab = load_triples(write(tmp_path / "t.txt", "a\tr\tb\n"))
+        with pytest.raises(ConfigError, match="category file"):
+            load_categories(tmp_path / name, vocab)
 
 
 class TestSynthetic:

@@ -132,11 +132,13 @@ def test_hub_path_group_cost_is_bounded():
 def test_adjacency_is_built_once_in_training_order(hub_store):
     adj = hub_store.adjacency
     assert hub_store.adjacency is adj
+    offsets = dict(zip(adj.keys.tolist(), zip(adj.offsets[:-1], adj.offsets[1:])))
     for h in (0, 5, 79):
         rows = hub_store.train[hub_store.train[:, 0] == h]
-        assert np.array_equal(adj.rel[adj.offsets[h]:adj.offsets[h + 1]], rows[:, 1])
-    src, rel = adj.edges_from(np.array([0, 79, 500, -1, 0]))
-    deg0 = adj.offsets[1] - adj.offsets[0]
-    deg79 = adj.offsets[80] - adj.offsets[79]
+        start, end = offsets[h]
+        assert np.array_equal(adj.values[start:end], rows[:, 1])
+    src, rel = adj.lookup(np.array([0, 79, 500, -1, 0]))
+    deg0 = offsets[0][1] - offsets[0][0]
+    deg79 = offsets[79][1] - offsets[79][0]
     assert np.array_equal(np.bincount(src, minlength=5), [deg0, deg79, 0, 0, deg0])
-    assert np.array_equal(rel[:deg0], adj.rel[:deg0])
+    assert np.array_equal(rel[:deg0], adj.values[:deg0])

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from erkg.data import FilterIndex, TripleStore, Vocab, add_reciprocals, build_filter_index
+from erkg.data import (
+    KeyedCSR, TripleStore, Vocab, add_reciprocals, build_filter_index, pair_key,
+)
 from erkg.errors import ConfigError
 from erkg.models import ModelKind, init_params, score
 from erkg.ranking import RankingReport, evaluate, filtered_rank
@@ -10,7 +12,7 @@ from erkg.ranking import RankingReport, evaluate, filtered_rank
 def brute_force_rank(params, h, r, t, filter_index, tie="mean"):
     """Independent ranker: scalar scores, explicit sort, same tie policy."""
     scores = np.array([score(params, h, r, e) for e in range(params.n_entities)])
-    excluded = set(int(x) for x in filter_index.true_tails(h, r)) - {t}
+    excluded = set(int(x) for x in filter_index.lookup(pair_key([h], [r]))[1]) - {t}
     candidates = [e for e in range(params.n_entities) if e not in excluded]
     st = scores[t]
     order = sorted(candidates, key=lambda e: -scores[e])
@@ -22,6 +24,12 @@ def brute_force_rank(params, h, r, t, filter_index, tie="mean"):
     if tie == "pessimistic":
         return 1.0 + above + tied
     return 1.0 + above + 0.5 * tied
+
+
+def no_filter():
+    """A filter index without known-true tails."""
+    empty = np.empty(0, dtype=np.int64)
+    return KeyedCSR.group(empty, empty)
 
 
 def brute_force_report(params, test, filter_index, tie="mean"):
@@ -112,7 +120,7 @@ class TestEvaluate:
         p.entity[0, 0] = 1.0
         p.entity[1:, 0] = [9.0, 1.0, 2.0]
         test = np.array([[0, 0, 1]], dtype=np.int64)
-        report = evaluate(p, test, FilterIndex({}))
+        report = evaluate(p, test, no_filter())
         assert report.mrr == 1.0
         assert report.hits[1] == 1.0
 
@@ -124,7 +132,7 @@ class TestEvaluate:
         p.entity[0, 0] = 1.0
         p.entity[1:, 0] = [9.0, 8.0, 7.0, 6.0, 5.0]
         test = np.array([[0, 0, 1], [0, 0, 4]], dtype=np.int64)
-        report = evaluate(p, test, FilterIndex({}))
+        report = evaluate(p, test, no_filter())
         assert report.mrr == pytest.approx(0.625)
         assert report.hits[1] == pytest.approx(0.5)
         assert report.hits[10] == pytest.approx(1.0)
@@ -132,7 +140,7 @@ class TestEvaluate:
     def test_empty_test_rejected(self):
         p = init_params(ModelKind.DISTMULT, 4, 1, 2, seed=4)
         with pytest.raises(ConfigError):
-            evaluate(p, np.empty((0, 3), dtype=np.int64), FilterIndex({}))
+            evaluate(p, np.empty((0, 3), dtype=np.int64), no_filter())
 
     def test_json_fields(self):
         report = RankingReport(mrr=0.5, hits={1: 0.2, 10: 0.9}, n_queries=7)
@@ -197,3 +205,49 @@ class TestRankInvariances:
             a = filtered_rank(params, (int(h), int(r), int(t)), filter_index)
             b = filtered_rank(scaled, (int(h), int(r), int(t)), filter_index)
             assert a == b
+
+
+class TestChunks:
+    @pytest.mark.parametrize("tie", ["mean", "optimistic", "pessimistic"])
+    def test_chunk_size_does_not_change_ranks(self, tie):
+        store = add_reciprocals(random_store(seed=11, n_ent=10, n_test=25))
+        params = init_params(ModelKind.COMPLEX, 10, 6, 4, seed=12)
+        params.entity[5] = params.entity[1]
+        filter_index = build_filter_index(store)
+        ranks = [
+            evaluate(params, store.test, filter_index, tie=tie, keep_ranks=True,
+                     chunk=chunk).per_query_ranks
+            for chunk in (1, 3, 7, 256)
+        ]
+        brute = brute_force_report(params, store.test, filter_index, tie=tie)["ranks"]
+        for got in ranks:
+            assert np.array_equal(got, brute)
+
+
+class TestQueryIds:
+    """Ids outside the model's tables are rejected, never wrapped."""
+
+    def setup_method(self):
+        self.params = init_params(ModelKind.DISTMULT, 5, 2, 4, seed=13)
+        train = np.array([[0, 0, 1], [2, 1, 3]], dtype=np.int64)
+        empty = np.empty((0, 3), dtype=np.int64)
+        vocab = Vocab({f"e{i}": i for i in range(5)}, {"r": 0, "s": 1})
+        self.filter = build_filter_index(TripleStore(train, empty, empty, vocab))
+
+    @pytest.mark.parametrize("column, value", [
+        (0, -1), (0, 5), (1, -2), (1, 2), (2, -1), (2, 5),
+    ])
+    def test_out_of_range_id_rejected(self, column, value):
+        query = [0, 1, 2]
+        query[column] = value
+        good = np.array([[1, 0, 2], [3, 1, 4]], dtype=np.int64)
+        test = np.concatenate([good, np.array([query], dtype=np.int64)])
+        name = ("head", "relation", "tail")[column]
+        with pytest.raises(ConfigError, match=name):
+            evaluate(self.params, test, self.filter)
+        with pytest.raises(ConfigError, match=name):
+            filtered_rank(self.params, query, self.filter)
+
+    def test_every_valid_id_accepted(self):
+        test = np.array([[0, 0, 0], [4, 1, 4]], dtype=np.int64)
+        assert evaluate(self.params, test, self.filter).n_queries == 2

@@ -210,6 +210,18 @@ class TestTrain:
         assert eps.initialized.any()
         assert np.all(np.isfinite(eps.epsilon[eps.initialized]))
 
+    def test_epsilon_state_keeps_its_adagrad_accumulator(self):
+        store, _ = generate_synthetic(30, 3, 3, 30, 0.1, seed=8)
+        store = add_reciprocals(store)
+        cfg = TrainConfig(
+            model="distmult", dim=8, batch_size=32, learning_rate=0.1, epochs=2,
+            seed=4,
+            regularizer=RegularizerSpec(kind="er", lam=0.1, er_mode="joint"),
+        )
+        _, eps, _ = train(cfg, store)
+        assert np.any(eps.acc > 0.0)
+        assert np.all(eps.acc[~eps.initialized] == 0.0)
+
     def test_eval_every_records_valid_metrics(self):
         store, _ = generate_synthetic(30, 3, 3, 30, 0.1, seed=9)
         store = add_reciprocals(store)
