@@ -1,10 +1,14 @@
 """Command-line entry point.
 
 Subcommands: ``train``, ``evaluate``, ``verify-theorems``, ``synth``,
-``gridsearch``, ``preset``.  Configs are strict JSON (unknown keys are
-rejected by name).  Exit codes: 0 success, 1 verification or tolerance
-failure, 2 usage/config error, 3 numeric abort.  Inputs are never
-mutated.
+``gridsearch``, ``preset``.  Configs are strict JSON: unknown keys are
+rejected by name, values are type-checked and never coerced, and numbers
+must be finite.  The keys of the ``train`` and ``regularizer`` sections
+are the fields of ``TrainConfig`` (less ``model`` and ``regularizer``)
+and ``RegularizerSpec``, with ``lam`` spelled ``"lambda"``; ``preset``
+writes them back from the same fields.  Exit codes: 0 success, 1
+verification or tolerance failure, 2 usage/config error, 3 numeric
+abort.  Inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import nuclear
@@ -35,7 +40,6 @@ from .errors import (
     ParseError,
     VocabError,
 )
-from .models import ModelKind
 from .presets import LAMBDA_GRID, LEARNING_RATE_GRID, get_preset
 from .ranking import TIE_POLICIES, evaluate
 from .regularizers import RegularizerSpec
@@ -51,33 +55,74 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
+def _check_keys(doc, allowed: set[str], where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where[:-1] or 'config'} must be a JSON object, got {doc!r}")
     for key in doc:
         if key not in allowed:
             raise ConfigError(f"unknown config key: {where}{key}")
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+_TYPE_NAMES = {
+    int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
+    type(None): "null",
+}
 
 
-def _typed(value, kind: type, name: str):
-    """``value`` checked to be of ``kind``, or a ``ConfigError`` naming it.
+def _typed(value, kind, name: str):
+    """``value`` checked to be of ``kind`` (a type or a union of types), or a
+    ``ConfigError`` naming it.
 
-    Nothing is coerced: ``int`` accepts only integers, ``float`` integers
-    or floats (returned as float), and neither accepts ``true``/``false``.
+    Nothing is coerced: ``int`` accepts only integers, ``float`` finite
+    integers or floats (returned as float), and neither accepts
+    ``true``/``false``.
     """
-    if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-    if not ok:
-        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+    members = typing.get_args(kind) or (kind,)
+    for t in members:
+        if isinstance(value, bool) and t is not bool:
+            continue
+        if t is float and isinstance(value, (int, float)):
+            # false for NaN, the infinities and integers beyond float range
+            if abs(value) <= sys.float_info.max:
+                return float(value)
+        elif isinstance(value, t):
+            return value
+    names = " or ".join(_TYPE_NAMES[t] for t in members)
+    raise ConfigError(f"{name} must be {names}, got {value!r}")
 
 
 def _get(doc: dict, key: str, default, kind: type, where: str):
     """``doc[key]`` (``default`` when absent), checked by :func:`_typed`."""
     return _typed(doc.get(key, default), kind, where + key)
+
+
+# Dataclass fields whose config key differs from the field name.
+_KEY_OF = {"lam": "lambda"}
+
+
+def _section(doc, cls, where: str, **given):
+    """``cls(**given, ...)`` with every other field read from ``doc``.
+
+    The keys are the dataclass fields (renamed by ``_KEY_OF``), each value is
+    checked against the field's annotation, and an absent key keeps the
+    field's default.  The result is validated.
+    """
+    hints = typing.get_type_hints(cls)
+    names = {_KEY_OF.get(f.name, f.name): f.name for f in fields(cls) if f.name not in given}
+    _check_keys(doc, set(names), where)
+    for key, value in doc.items():
+        given[names[key]] = _typed(value, hints[names[key]], where + key)
+    obj = cls(**given)
+    obj.validate()
+    return obj
+
+
+def _section_doc(obj, *skip: str) -> dict:
+    """``obj`` as the config section that :func:`_section` reads it back from."""
+    return {
+        _KEY_OF.get(f.name, f.name): getattr(obj, f.name)
+        for f in fields(obj) if f.name not in skip
+    }
 
 
 @dataclass
@@ -94,37 +139,6 @@ class RunConfig:
     grid: dict = field(default_factory=dict)
 
 
-def _parse_regularizer(doc: dict) -> RegularizerSpec:
-    _check_keys(
-        doc,
-        {
-            "kind", "lambda", "er_mode", "norm_order", "pair_budget",
-            "second_order", "path_budget", "tau", "epsilon_init",
-            "dissim_weight", "strict_labels",
-        },
-        "regularizer.",
-    )
-    w = "regularizer."
-    epsilon_init = doc.get("epsilon_init", "batch_median")
-    if not isinstance(epsilon_init, str):
-        epsilon_init = _typed(epsilon_init, float, w + "epsilon_init")
-    spec = RegularizerSpec(
-        kind=_get(doc, "kind", "none", str, w),
-        lam=_get(doc, "lambda", 0.0, float, w),
-        er_mode=_get(doc, "er_mode", "joint", str, w),
-        norm_order=_get(doc, "norm_order", 2, int, w),
-        pair_budget=_get(doc, "pair_budget", 32, int, w),
-        second_order=_get(doc, "second_order", False, bool, w),
-        path_budget=_get(doc, "path_budget", 32, int, w),
-        tau=_get(doc, "tau", 1.0, float, w),
-        epsilon_init=epsilon_init,
-        dissim_weight=_get(doc, "dissim_weight", 1.0, float, w),
-        strict_labels=_get(doc, "strict_labels", False, bool, w),
-    )
-    spec.validate()
-    return spec
-
-
 def load_run_config(path, allow_grid: bool = False) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -134,23 +148,18 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
-    top = {"model", "data", "train", "regularizer", "eval", "output"}
+    top = {"model", "data", "train", "regularizer", "eval", "output", "threads"}
     if allow_grid:
         top = top | {"grid"}
+    _check_keys(doc, top, "")
     if "threads" in doc:
         logger.warning(
             "config key 'threads' is deprecated and ignored; set OPENBLAS_NUM_THREADS instead"
         )
-        doc = {k: v for k, v in doc.items() if k != "threads"}
-    _check_keys(doc, top, "")
 
     model = doc.get("model")
     if model is None:
         raise ConfigError("config is missing 'model'")
-    try:
-        ModelKind(model)
-    except ValueError as exc:
-        raise ConfigError(f"unknown model kind {model!r}") from exc
 
     data = doc.get("data", {})
     _check_keys(data, {"train", "valid", "test", "categories", "reciprocals"}, "data.")
@@ -163,28 +172,8 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
     if categories is not None and not Path(_get(data, "categories", None, str, "data.")).exists():
         raise ConfigError(f"data.categories path does not exist: {categories}")
 
-    tdoc = doc.get("train", {})
-    _check_keys(
-        tdoc,
-        {"dim", "batch_size", "learning_rate", "epochs", "seed", "eval_every",
-         "adagrad_eps", "patience"},
-        "train.",
-    )
-    spec = _parse_regularizer(doc.get("regularizer", {}))
-    w = "train."
-    tconf = TrainConfig(
-        model=model,
-        dim=_get(tdoc, "dim", 64, int, w),
-        batch_size=_get(tdoc, "batch_size", 256, int, w),
-        learning_rate=_get(tdoc, "learning_rate", 0.1, float, w),
-        epochs=_get(tdoc, "epochs", 10, int, w),
-        seed=_get(tdoc, "seed", 0, int, w),
-        regularizer=spec,
-        eval_every=_get(tdoc, "eval_every", 0, int, w),
-        adagrad_eps=_get(tdoc, "adagrad_eps", 1e-10, float, w),
-        patience=tdoc.get("patience"),
-    )
-    tconf.validate()
+    spec = _section(doc.get("regularizer", {}), RegularizerSpec, "regularizer.")
+    tconf = _section(doc.get("train", {}), TrainConfig, "train.", model=model, regularizer=spec)
 
     edoc = doc.get("eval", {})
     _check_keys(edoc, {"tie_policy"}, "eval.")
@@ -197,12 +186,11 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
     out_dir = _get(odoc, "dir", "runs/out", str, "output.")
 
     grid = doc.get("grid", {}) if allow_grid else {}
-    if grid:
-        _check_keys(grid, {"learning_rate", "lambda"}, "grid.")
-        for key, values in grid.items():
-            if not isinstance(values, list):
-                raise ConfigError(f"grid.{key} must be a list, got {values!r}")
-            grid[key] = [_typed(v, float, f"grid.{key}[]") for v in values]
+    _check_keys(grid, {"learning_rate", "lambda"}, "grid.")
+    for key, values in grid.items():
+        if not isinstance(values, list):
+            raise ConfigError(f"grid.{key} must be a list, got {values!r}")
+        grid[key] = [_typed(v, float, f"grid.{key}[]") for v in values]
 
     return RunConfig(
         model=model,
@@ -350,13 +338,8 @@ def cmd_gridsearch(args) -> int:
     rows = []
     for lr in lrs:
         for lam in lams:
-            cell = RunConfig(**{**cfg.__dict__})
-            cell.train = TrainConfig(**{**cfg.train.__dict__})
-            cell.train.learning_rate = lr
-            cell.train.regularizer = RegularizerSpec(
-                **{**cfg.train.regularizer.__dict__}
-            )
-            cell.train.regularizer.lam = lam
+            spec = replace(cfg.train.regularizer, lam=lam)
+            cell = replace(cfg, train=replace(cfg.train, learning_rate=lr, regularizer=spec))
             row = {"learning_rate": lr, "lambda": lam}
             try:
                 _store, _params, _eps, _history, report = _run_training(cell)
@@ -375,7 +358,21 @@ def cmd_gridsearch(args) -> int:
 
 
 def cmd_preset(args) -> int:
-    print(json.dumps(get_preset(args.model, args.dataset, args.scale), indent=2))
+    tconf = get_preset(args.model, args.dataset, args.scale)
+    dataset = args.dataset.lower()
+    doc = {
+        "model": tconf.model,
+        "data": {
+            **{split: f"data/{dataset}/{split}.txt" for split in ("train", "valid", "test")},
+            "categories": None,
+            "reciprocals": True,
+        },
+        "train": _section_doc(tconf, "model", "regularizer"),
+        "regularizer": _section_doc(tconf.regularizer),
+        "eval": {"tie_policy": "mean"},
+        "output": {"dir": f"runs/{tconf.model}-{dataset}-{args.scale}"},
+    }
+    print(json.dumps(doc, indent=2))
     return 0
 
 

@@ -168,18 +168,6 @@ class TripleStore:
     def all_triples(self) -> np.ndarray:
         return np.concatenate([self.train, self.valid, self.test], axis=0)
 
-    def check_ids(self) -> None:
-        ne, nr = self.vocab.n_entities, self.vocab.n_relations
-        for name, arr in self.splits():
-            if arr.size == 0:
-                continue
-            if arr[:, 0].min() < 0 or arr[:, 0].max() >= ne:
-                raise ValueError(f"{name}: head id out of range")
-            if arr[:, 2].min() < 0 or arr[:, 2].max() >= ne:
-                raise ValueError(f"{name}: tail id out of range")
-            if arr[:, 1].min() < 0 or arr[:, 1].max() >= nr:
-                raise ValueError(f"{name}: relation id out of range")
-
 
 def _parse_triple_file(path, vocab: Vocab, strict: bool) -> tuple[np.ndarray, int]:
     triples = []

@@ -30,7 +30,7 @@ infeasible restart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -96,18 +96,7 @@ class CheckReport:
     nuclear_feasible: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "lhs_value": self.lhs_value,
-            "nuclear_value": self.nuclear_value,
-            "ratio": self.ratio,
-            "equality_residual": self.equality_residual,
-            "restarts": self.restarts,
-            "reconstruction_residual": self.reconstruction_residual,
-            "flagged": self.flagged,
-            "lhs_feasible": self.lhs_feasible,
-            "nuclear_feasible": self.nuclear_feasible,
-        }
+        return asdict(self)
 
 
 def make_instance(
@@ -272,7 +261,6 @@ class _OptResult:
     R: np.ndarray
     Q: np.ndarray
     residual: float
-    restarts: int
     n_feasible: int
 
 
@@ -297,15 +285,14 @@ def _multi_restart(instance, raw_grads, restarts, salt, iters_per_stage=250):
         n_feasible += 1
         P, R, Q = prob.unpack(theta)
         value = float(raw_grads(P, R, Q)[0])
-        if best is None or value < best.value:
-            best = _OptResult(value, P.copy(), R.copy(), Q.copy(), resid, restarts, 0)
+        if best is None or value < best[0]:
+            best = (value, P.copy(), R.copy(), Q.copy(), resid)
     if best is None:
         raise InfeasibleError(
             f"no restart reached relative residual {FEASIBILITY_TARGET:g} "
             f"(best {best_resid:.3g} over {restarts} restarts)"
         )
-    best.n_feasible = n_feasible
-    return best
+    return _OptResult(*best, n_feasible)
 
 
 def _check_variant_pairing(instance: FactorInstance, variant: str) -> VariantDef:

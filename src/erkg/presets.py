@@ -1,11 +1,15 @@
 """Hyperparameter profiles per model and benchmark.
 
 ``paper`` profiles record the grid-searched full-scale settings; ``desk``
-profiles cap the dimension so runs finish on a laptop.  Learning-rate and
-coefficient grids are the standard six-value search sets.
+profiles cap the dimension so runs finish on a laptop.  Every other
+setting keeps its ``TrainConfig`` or ``RegularizerSpec`` default.
+Learning-rate and coefficient grids are the standard six-value search
+sets.
 """
 
 from .errors import ConfigError
+from .regularizers import RegularizerSpec
+from .training import TrainConfig
 
 LEARNING_RATE_GRID = [0.5, 0.1, 0.05, 0.01, 0.005, 0.001]
 LAMBDA_GRID = [0.001, 0.005, 0.01, 0.05, 0.1, 0.5]
@@ -37,8 +41,8 @@ _PAPER = {
 DESK_DIM_CAP = 128
 
 
-def get_preset(model: str, dataset: str, scale: str = "desk") -> dict:
-    """Config skeleton for one (model, dataset) at paper or desk scale."""
+def get_preset(model: str, dataset: str, scale: str = "desk") -> TrainConfig:
+    """ER training config for one (model, dataset) at paper or desk scale."""
     model = model.lower()
     dataset = dataset.lower()
     if model not in _PAPER:
@@ -53,36 +57,7 @@ def get_preset(model: str, dataset: str, scale: str = "desk") -> dict:
         epochs = 50
     else:
         epochs = 200
-    return {
-        "model": model,
-        "data": {
-            "train": f"data/{dataset}/train.txt",
-            "valid": f"data/{dataset}/valid.txt",
-            "test": f"data/{dataset}/test.txt",
-            "categories": None,
-            "reciprocals": True,
-        },
-        "train": {
-            "dim": dim,
-            "batch_size": batch,
-            "learning_rate": lr,
-            "epochs": epochs,
-            "seed": 0,
-            "eval_every": 0,
-            "adagrad_eps": 1e-10,
-            "patience": None,
-        },
-        "regularizer": {
-            "kind": "er",
-            "lambda": 0.05,
-            "er_mode": "joint",
-            "norm_order": 2,
-            "pair_budget": 32,
-            "second_order": False,
-            "path_budget": 32,
-            "tau": 1.0,
-            "epsilon_init": "batch_median",
-        },
-        "eval": {"tie_policy": "mean"},
-        "output": {"dir": f"runs/{model}-{dataset}-{scale}"},
-    }
+    return TrainConfig(
+        model=model, dim=dim, batch_size=batch, learning_rate=lr, epochs=epochs,
+        regularizer=RegularizerSpec(kind="er", lam=0.05),
+    )

@@ -53,10 +53,12 @@ _EPS_DIST = 1e-30
 class RegularizerSpec:
     """Configuration of one penalty term.
 
-    ``lam`` is the coefficient applied by the trainer.  ``pair_budget``
-    caps sampled pairs per relation per batch; ``dissim_weight`` optionally
-    rescales the sum-term relative to the difference term (shared
-    coefficient by default).
+    The fields are the keys of a run config's ``regularizer`` section, with
+    their types and defaults; ``lam``, the coefficient applied by the
+    trainer, is spelled ``"lambda"`` there.  ``pair_budget`` caps sampled
+    pairs per relation per batch; ``dissim_weight`` optionally rescales the
+    sum-term relative to the difference term (shared coefficient by
+    default).
     """
 
     kind: str = "none"

@@ -42,6 +42,12 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig:
+    """Training settings.
+
+    Every field except ``model`` and ``regularizer`` is a key of a run
+    config's ``train`` section, with its type and default.
+    """
+
     model: str = "distmult"
     dim: int = 64
     batch_size: int = 256
@@ -54,7 +60,10 @@ class TrainConfig:
     patience: int | None = None
 
     def validate(self) -> None:
-        ModelKind(self.model)
+        try:
+            ModelKind(self.model)
+        except ValueError as exc:
+            raise ConfigError(f"unknown model kind {self.model!r}") from exc
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1 or self.dim < 1:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from erkg.cli import load_run_config, main
+from erkg.presets import _PAPER, get_preset
 
 
 def run_cli(*argv):
@@ -124,6 +125,12 @@ class TestTrain:
             ("train", "dim", "abc"),
             ("regularizer", "lambda", False),
             ("data", "reciprocals", 1),
+            ("regularizer", "lambda", float("nan")),
+            ("regularizer", "tau", float("nan")),
+            ("regularizer", "epsilon_init", float("nan")),
+            ("train", "learning_rate", float("nan")),
+            ("train", "learning_rate", float("inf")),
+            ("train", "adagrad_eps", -float("inf")),
         ],
     )
     def test_mistyped_value_exits_2(self, synth_dir, tmp_path, capsys, section, key, value):
@@ -133,6 +140,21 @@ class TestTrain:
         cfg.write_text(json.dumps(doc))
         assert run_cli("train", "--config", str(cfg)) == 2
         assert f"{section}.{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [("train", 5), ("eval", None), ("regularizer", ["kind"]), ("data", "x"), (None, [1])],
+    )
+    def test_section_not_an_object_exits_2(self, synth_dir, tmp_path, capsys, section, value):
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        doc = json.loads(cfg.read_text())
+        if section is None:
+            doc = value
+        else:
+            doc[section] = value
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert f"{section or 'config'} must be a JSON object" in capsys.readouterr().err
 
     def test_typed_values_load_uncoerced(self, synth_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
@@ -319,12 +341,13 @@ class TestGridsearch:
         assert best["mrr"] == max(r["mrr"] for r in rows if r["status"] == "ok")
 
     def test_non_numeric_grid_value_exits_2(self, synth_dir, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path / "cfg.json", synth_dir, tmp_path / "run",
-            grid={"learning_rate": [0.1, "fast"]},
-        )
-        assert run_cli("gridsearch", "--config", str(cfg)) == 2
-        assert "grid.learning_rate" in capsys.readouterr().err
+        for bad in ("fast", float("nan")):
+            cfg = write_config(
+                tmp_path / "cfg.json", synth_dir, tmp_path / "run",
+                grid={"learning_rate": [0.1, bad]},
+            )
+            assert run_cli("gridsearch", "--config", str(cfg)) == 2
+            assert "grid.learning_rate" in capsys.readouterr().err
 
     def test_default_grids_are_standard_sets(self):
         from erkg.presets import LAMBDA_GRID, LEARNING_RATE_GRID
@@ -364,3 +387,19 @@ class TestPreset:
     def test_no_threads_key(self, capsys):
         assert run_cli("preset", "cp", "wn18rr") == 0
         assert "threads" not in json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("scale", ["paper", "desk"])
+    @pytest.mark.parametrize(
+        "model, dataset", [(m, d) for m, sets in _PAPER.items() for d in sets]
+    )
+    def test_printed_preset_loads_to_its_config(
+        self, synth_dir, tmp_path, capsys, model, dataset, scale
+    ):
+        assert run_cli("preset", model, dataset, "--scale", scale) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert {"dissim_weight", "strict_labels"} <= set(doc["regularizer"])
+        for split in ("train", "valid", "test"):
+            doc["data"][split] = str(synth_dir / f"{split}.txt")
+        cfg = tmp_path / "preset.json"
+        cfg.write_text(json.dumps(doc))
+        assert load_run_config(cfg).train == get_preset(model, dataset, scale)

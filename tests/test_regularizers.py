@@ -269,6 +269,15 @@ class TestPenaltyEr:
                            eps=EpsilonState.create(1, 1.0))
         assert value == pytest.approx(2.0)
 
+    def test_unlabeled_head_strict_rejected(self):
+        p = distmult_params([[1, 0], [0, 1]], [[1, 1]])
+        batch = np.array([[0, 0, 1], [1, 0, 0]])
+        pairs = select_pairs(batch, 10, seed=0)
+        cmap = CategoryMap({0: 0}, 1, 0.5)
+        with pytest.raises(ConfigError, match="unlabeled"):
+            penalty_er(p, batch, pairs, self.spec(strict_labels=True), GradAccumulator(),
+                       categories=cmap)
+
     def test_nonnegative_and_zero_at_zero(self):
         rng = np.random.default_rng(15)
         for kind in ModelKind:

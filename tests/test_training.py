@@ -111,6 +111,10 @@ class TestTrainConfig:
     def test_good_patience_accepted(self, patience):
         TrainConfig(patience=patience).validate()
 
+    def test_unknown_model_rejected(self):
+        with pytest.raises(ConfigError, match="unknown model kind 'foo'"):
+            TrainConfig(model="foo").validate()
+
 
 class TestTrain:
     def test_one_epoch_decreases_loss(self):
