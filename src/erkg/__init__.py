@@ -39,7 +39,6 @@ from .regularizers import (
     PairSet,
     PathPairSet,
     RegularizerSpec,
-    pair_label,
     penalty_dura,
     penalty_er,
     penalty_er_second_order,

@@ -39,6 +39,7 @@ from .errors import (
     NumericError,
     ParseError,
     VocabError,
+    typed,
 )
 from .presets import LAMBDA_GRID, LEARNING_RATE_GRID, get_preset
 from .ranking import TIE_POLICIES, evaluate
@@ -63,37 +64,9 @@ def _check_keys(doc, allowed: set[str], where: str) -> None:
             raise ConfigError(f"unknown config key: {where}{key}")
 
 
-_TYPE_NAMES = {
-    int: "an integer", float: "a finite number", bool: "true or false", str: "a string",
-    type(None): "null",
-}
-
-
-def _typed(value, kind, name: str):
-    """``value`` checked to be of ``kind`` (a type or a union of types), or a
-    ``ConfigError`` naming it.
-
-    Nothing is coerced: ``int`` accepts only integers, ``float`` finite
-    integers or floats (returned as float), and neither accepts
-    ``true``/``false``.
-    """
-    members = typing.get_args(kind) or (kind,)
-    for t in members:
-        if isinstance(value, bool) and t is not bool:
-            continue
-        if t is float and isinstance(value, (int, float)):
-            # false for NaN, the infinities and integers beyond float range
-            if abs(value) <= sys.float_info.max:
-                return float(value)
-        elif isinstance(value, t):
-            return value
-    names = " or ".join(_TYPE_NAMES[t] for t in members)
-    raise ConfigError(f"{name} must be {names}, got {value!r}")
-
-
 def _get(doc: dict, key: str, default, kind: type, where: str):
-    """``doc[key]`` (``default`` when absent), checked by :func:`_typed`."""
-    return _typed(doc.get(key, default), kind, where + key)
+    """``doc[key]`` (``default`` when absent), checked by :func:`typed`."""
+    return typed(doc.get(key, default), kind, where + key)
 
 
 # Dataclass fields whose config key differs from the field name.
@@ -111,7 +84,7 @@ def _section(doc, cls, where: str, **given):
     names = {_KEY_OF.get(f.name, f.name): f.name for f in fields(cls) if f.name not in given}
     _check_keys(doc, set(names), where)
     for key, value in doc.items():
-        given[names[key]] = _typed(value, hints[names[key]], where + key)
+        given[names[key]] = typed(value, hints[names[key]], where + key)
     obj = cls(**given)
     obj.validate()
     return obj
@@ -190,7 +163,7 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
     for key, values in grid.items():
         if not isinstance(values, list):
             raise ConfigError(f"grid.{key} must be a list, got {values!r}")
-        grid[key] = [_typed(v, float, f"grid.{key}[]") for v in values]
+        grid[key] = [typed(v, float, f"grid.{key}[]") for v in values]
 
     return RunConfig(
         model=model,

@@ -22,7 +22,11 @@ params.relation[rels]``), with real storage in and out:
   (``complex``) use ``Q = T_r* h = h conj(r)``, as
   ``Re(conj(h) r t) = <h conj(r), t>``;
 * ``complex_coords`` marks storage read as complex coordinates, whose
-  3-norm cubes their moduli.
+  3-norm cubes their moduli;
+* ``translation`` marks ``T_r x = x + r`` (transe): the difference of
+  two transformed rows loses ``r`` and their sum gains ``2 r``.  Every
+  other operator is linear, ``T_r x -+ T_r y = T_r (x -+ y)``, so ER
+  evaluates each pair term once, on ``h_a -+ h_b``.
 
 Complex operators compute on ``cview`` of the storage.  The real
 gradient, viewed as ``G = df/d(re) + i * df/d(im)``, follows
@@ -256,6 +260,7 @@ class _Operator:
     distance = False
     scores_adjoint = False
     complex_coords = False
+    translation = False
 
 
 class _Diagonal(_Operator):
@@ -319,6 +324,7 @@ class _Translation(_Operator):
     """``x + r`` scored by distance (transe)."""
 
     distance = True
+    translation = True
 
     def apply(self, X, R):
         return X + R

@@ -22,7 +22,12 @@ Proximity mode keeps only same-category pairs (difference term),
 dissimilarity mode only cross-category pairs (sum term), joint mode keeps
 every pair with its soft label.  Pairs touching an unlabeled entity fall
 back to the joint labeling (warned once per call) unless strict labels
-are requested.
+are requested.  The second-order term applies ``T`` along two-hop paths.
+
+Both orders share one body, ``_pair_terms``.  Its mean runs over the kept
+pairs, but its work runs over their distinct ``(h_a, h_b, relations)``
+keys, each weighted by its count, and each term is evaluated once on
+``h_a -+ h_b``, as every operator is linear or a translation.
 
 Every penalty returns its value and adds ``scale`` times its gradient
 rows (``"eps"`` for the thresholds) to the caller's ``GradAccumulator``,
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CategoryMap, TripleStore, pair_key
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .grads import GradAccumulator
 from .models import N3_KINDS, OPERATORS, ModelParams, cview
 
@@ -74,6 +79,7 @@ class RegularizerSpec:
     strict_labels: bool = False
 
     def validate(self) -> None:
+        check_fields(self)
         if self.kind not in REG_KINDS:
             raise ConfigError(f"unknown regularizer kind {self.kind!r}")
         if self.lam < 0:
@@ -333,140 +339,59 @@ def select_pairs(batch: np.ndarray, budget: int, seed: int) -> PairSet:
     return PairSet(idx_a=ia, idx_b=ib, rel=batch[ia, 1].astype(np.int64))
 
 
-def pair_label(
-    params: ModelParams,
-    h_a: int,
-    h_b: int,
-    r: int,
-    mode: str,
-    categories: CategoryMap | None = None,
-    eps: EpsilonState | None = None,
-    tau: float = 1.0,
-    strict: bool = False,
-) -> float:
-    """Soft similarity label for one same-relation head pair.
-
-    Category modes return 1.0 for equal labels and 0.0 otherwise; with an
-    unlabeled entity they fall back to the joint labeling (warned) unless
-    ``strict``.  Joint mode returns
-    ``sigmoid((eps_r - ||x_a - x_b||) / tau)`` and requires an initialized
-    threshold.
-    """
-    if mode not in ER_MODES:
-        raise ConfigError(f"unknown er_mode {mode!r}")
-    if mode != "joint":
-        ca = categories.get(h_a) if categories is not None else None
-        cb = categories.get(h_b) if categories is not None else None
-        if ca is not None and cb is not None:
-            return 1.0 if ca == cb else 0.0
-        if strict:
-            raise ConfigError(
-                f"entities {h_a}/{h_b} lack category labels in {mode} mode"
-            )
-        logger.warning("unlabeled pair (%d, %d): falling back to joint label", h_a, h_b)
-    if eps is None or not eps.initialized[r]:
-        raise ConfigError(f"epsilon for relation {r} is not initialized")
-    dist = float(np.linalg.norm(params.head_table[h_a] - params.head_table[h_b]))
-    return float(_sigmoid((eps.epsilon[r] - dist) / tau))
-
-
-def _init_epsilon(eps: EpsilonState, rels: np.ndarray, dists: np.ndarray) -> None:
-    """Batch-median initialization for relations first seen in a pair set."""
-    for r in np.unique(rels):
-        if not eps.initialized[r]:
-            eps.epsilon[r] = float(np.median(dists[rels == r]))
-            eps.initialized[r] = True
-
-
-@dataclass
-class _LabeledPairs:
-    """Kept pairs with labels plus the bookkeeping for label gradients."""
-
-    ha: np.ndarray
-    hb: np.ndarray
-    rel: np.ndarray
-    label: np.ndarray
-    joint_mask: np.ndarray
-    dists: np.ndarray
-    diffs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.rel)
-
-
-def _label_pair_entities(
-    params: ModelParams,
-    ha: np.ndarray,
-    hb: np.ndarray,
-    rel: np.ndarray,
-    spec: RegularizerSpec,
-    categories: CategoryMap | None,
-    eps: EpsilonState | None,
-) -> tuple[_LabeledPairs, np.ndarray]:
-    mode = spec.er_mode
-    n = len(rel)
-    if mode == "joint":
-        keep = np.ones(n, dtype=bool)
-        hard = np.full(n, -1.0)
-        joint = np.ones(n, dtype=bool)
-    else:
-        if categories is not None:
-            la = categories.labels_for(ha)
-            lb = categories.labels_for(hb)
-        else:
-            la = np.full(n, -1, dtype=np.int64)
-            lb = la
-        both = (la >= 0) & (lb >= 0)
-        same = both & (la == lb)
-        joint = ~both
-        if joint.any():
-            if spec.strict_labels:
-                raise ConfigError("pair with unlabeled entity in category mode")
-            logger.warning(
-                "%d pairs lack category labels; using joint labels", int(joint.sum())
-            )
-        if mode == "proximity":
-            keep = same | joint
-        else:
-            keep = (both & ~same) | joint
-        hard = np.where(same, 1.0, 0.0)
-
-    ha, hb, rel = ha[keep], hb[keep], rel[keep]
-    hard, joint = hard[keep], joint[keep]
-    label = hard.copy()
-    dists = np.zeros(len(rel))
-    diffs = np.zeros((len(rel), params.dim))
-    if joint.any():
-        if eps is None:
-            raise ConfigError("joint labeling requires an EpsilonState")
-        d = params.head_table[ha[joint]] - params.head_table[hb[joint]]
-        dd = np.sqrt(np.sum(d * d, axis=1))
-        _init_epsilon(eps, rel[joint], dd)
-        label[joint] = _sigmoid((eps.epsilon[rel[joint]] - dd) / spec.tau)
-        dists[joint] = dd
-        diffs[joint] = d
-    return _LabeledPairs(ha, hb, rel, label, joint, dists, diffs), keep
-
-
-def _add_label_grads(
-    acc: GradAccumulator, params: ModelParams, lp: _LabeledPairs, dfda: np.ndarray, tau: float
+def _init_epsilon(
+    eps: EpsilonState, rels: np.ndarray, dists: np.ndarray, counts: np.ndarray
 ) -> None:
-    """Chain per-pair d(value)/d(label) through the soft labels.
+    """Batch-median initialization for relations first seen in a pair set.
 
-    Soft labels ``sigmoid((eps_r - ||x_a - x_b||) / tau)`` pass it on to
-    the thresholds (``"eps"``) and to the raw head embeddings.
+    ``counts[i]`` pairs lie at distance ``dists[i]``: the median runs over
+    the pairs, as if each distance were listed once per pair.
     """
-    jm = lp.joint_mask
-    if not jm.any():
-        return
-    a = lp.label[jm]
-    g = dfda[jm] * (a * (1.0 - a) / tau)
-    acc.add("eps", lp.rel[jm], g)
-    unit = lp.diffs[jm] / np.maximum(lp.dists[jm], _EPS_DIST)[:, None]
-    gx = -g[:, None] * unit
-    acc.add(params.head_key, lp.ha[jm], gx)
-    acc.add(params.head_key, lp.hb[jm], -gx)
+    for r in np.unique(rels[~eps.initialized[rels]]):
+        m = rels == r
+        eps.epsilon[r] = float(np.median(np.repeat(dists[m], counts[m])))
+        eps.initialized[r] = True
+
+
+def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Index of one occurrence of each distinct tuple of ``keys`` (equal
+    length integer arrays), and how often the tuple occurs.  A lexsort
+    over few keys costs less than ``np.unique(axis=0)``."""
+    order = np.lexsort(keys)
+    n = len(order)
+    start = np.zeros(n, dtype=bool)
+    start[:1] = True
+    for key in keys:
+        k = key[order]
+        start[1:] |= k[1:] != k[:-1]
+    first = np.flatnonzero(start)
+    return order[first], np.diff(np.append(first, n))
+
+
+def _category_labels(
+    ha: np.ndarray, hb: np.ndarray, counts: np.ndarray, spec: RegularizerSpec,
+    categories: CategoryMap | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs a mode keeps, their hard labels, and which of them take a
+    soft (joint) label instead; ``counts`` pairs share each row."""
+    n = len(ha)
+    if spec.er_mode == "joint":
+        return np.ones(n, dtype=bool), np.zeros(n), np.ones(n, dtype=bool)
+    if categories is not None:
+        la, lb = categories.labels_for(ha), categories.labels_for(hb)
+    else:
+        la = lb = np.full(n, -1, dtype=np.int64)
+    both = (la >= 0) & (lb >= 0)
+    same = both & (la == lb)
+    soft = ~both
+    if soft.any():
+        if spec.strict_labels:
+            raise ConfigError("pair with unlabeled entity in category mode")
+        logger.warning(
+            "%d pairs lack category labels; using joint labels", int(counts[soft].sum())
+        )
+    keep = (same if spec.er_mode == "proximity" else both & ~same) | soft
+    return keep, np.where(same, 1.0, 0.0), soft
 
 
 # ---------------------------------------------------------------------------
@@ -482,41 +407,70 @@ def _pair_terms(
 
     Pairs are labeled by their heads and the first relation of ``chain``;
     ``T`` applies the relation operator once per hop, along ``chain``.
-    ``wd == 0`` drops the sum term.  Adds ``scale`` times the gradients
+    The mean runs over the kept pairs, the work over their distinct
+    ``(h_a, h_b, *chain)`` keys: each key's terms and gradient rows are
+    weighted by how many kept pairs share it.  Each term is evaluated once,
+    on ``h_a - h_b`` or ``h_a + h_b`` (see ``translation`` in ``models``),
+    and a term whose coefficient is 0 for every key adds no value, gradient
+    or label gradient, so it is skipped: the sum term when ``wd == 0`` or
+    every label is 1 (proximity mode without soft labels), the difference
+    term when every label is 0.  Adds ``scale`` times the gradients
     (heads, every hop's relations, soft labels) to ``acc``.
     """
-    lp, keep = _label_pair_entities(params, ha, hb, chain[0], spec, categories, eps)
-    if lp.n == 0:
+    first, counts = _distinct([pair_key(ha, hb), *chain])
+    keep, label, soft = _category_labels(ha[first], hb[first], counts, spec, categories)
+    first, counts, label, soft = first[keep], counts[keep], label[keep], soft[keep]
+    ha, hb, chain = ha[first], hb[first], [rel[first] for rel in chain]
+    n_pairs = int(counts.sum())
+    if n_pairs == 0:
         return 0.0
     op = OPERATORS[params.kind]
-    w = scale / lp.n
-    chain = [rel[keep] for rel in chain]
-    Rs = [params.relation[rel] for rel in chain]
-    Xa = [params.head_table[lp.ha]]
-    Xb = [params.head_table[lp.hb]]
-    for R in Rs:
-        Xa.append(op.apply(Xa[-1], R))
-        Xb.append(op.apply(Xb[-1], R))
-    a = lp.label
-    vd, gd = _norm_value_grad(Xa[-1] - Xb[-1], spec.norm_order, op.complex_coords)
-    terms, dfda = a * vd, vd
-    ga = (a * w)[:, None] * gd
-    gb = -ga
-    if wd:
-        vs, gs = _norm_value_grad(Xa[-1] + Xb[-1], spec.norm_order, op.complex_coords)
-        terms = terms + (1.0 - a) * wd * vs
-        dfda = vd - wd * vs
-        gsum = ((1.0 - a) * (wd * w))[:, None] * gs
-        ga, gb = ga + gsum, gb + gsum
-    for X_a, X_b, R, rel in reversed(list(zip(Xa, Xb, Rs, chain))):
-        ga, GRa = op.vjp(X_a, R, ga)
-        gb, GRb = op.vjp(X_b, R, gb)
-        acc.add("rel", rel, GRa)
-        acc.add("rel", rel, GRb)
-    acc.add(params.head_key, lp.ha, ga)
-    acc.add(params.head_key, lp.hb, gb)
-    _add_label_grads(acc, params, lp, dfda * w, spec.tau)
-    return float(np.sum(terms) / lp.n)
+    Ha, Hb = params.head_table[ha], params.head_table[hb]
+    diff = Ha - Hb
+    soft_any = bool(soft.any())
+    if soft_any:
+        if eps is None:
+            raise ConfigError("joint labeling requires an EpsilonState")
+        rel, d = chain[0][soft], diff[soft]
+        dist = np.sqrt(np.sum(d * d, axis=1))
+        _init_epsilon(eps, rel, dist, counts[soft])
+        label[soft] = _sigmoid((eps.epsilon[rel] - dist) / spec.tau)
+    w = counts * (scale / n_pairs)
+    value = 0.0
+    dvalue_dlabel = np.zeros(len(label))
+    g_a, g_b = np.zeros_like(Ha), np.zeros_like(Hb)
+    for sign, coef, slope in ((-1.0, label, 1.0), (1.0, (1.0 - label) * wd, -wd)):
+        if not coef.any():
+            continue  # zero at every key; a(1 - a) = 0 stops its label gradient too
+        # T h_a + sign T h_b is T (h_a + sign h_b), with r scaled by c.
+        c = 1.0 + sign if op.translation else 1.0
+        Rs = [params.relation[rel] for rel in chain] if c else []
+        if c != 1.0:
+            Rs = [c * R for R in Rs]
+        X = [diff if sign < 0 else Ha + Hb]
+        for R in Rs:
+            X.append(op.apply(X[-1], R))
+        v, G = _norm_value_grad(X[-1], spec.norm_order, op.complex_coords)
+        value += float(np.sum(counts * coef * v))
+        dvalue_dlabel += slope * v
+        G = (w * coef)[:, None] * G
+        for X_in, R, rel in reversed(list(zip(X, Rs, chain))):
+            G, GR = op.vjp(X_in, R, G)
+            acc.add("rel", rel, GR if c == 1.0 else c * GR)
+        g_a += G
+        g_b += sign * G
+    if soft_any:
+        # Soft labels sigmoid((eps_r - ||h_a - h_b||) / tau) pass the
+        # gradient on to the thresholds and to h_a - h_b.
+        a = label[soft]
+        g = (dvalue_dlabel * w)[soft] * (a * (1.0 - a) / spec.tau)
+        acc.add("eps", chain[0][soft], g)
+        g_diff = (-g / np.maximum(dist, _EPS_DIST))[:, None] * diff[soft]
+        g_a[soft] += g_diff
+        g_b[soft] -= g_diff
+    acc.add(params.head_key, ha, g_a)
+    acc.add(params.head_key, hb, g_b)
+    return value / n_pairs
 
 
 def penalty_er(
@@ -586,7 +540,9 @@ def penalty_er_second_order(
     ``scale`` times its gradient to ``acc``.
 
     Labels follow the first-order policy applied to the path heads, with
-    the first relation's threshold in joint mode.  Added by the trainer to
+    the first relation's threshold in joint mode.  The mean runs over the
+    kept path pairs, the work over their distinct ``(h_a, h_b, r1, r2)``
+    keys, so its cost follows the distinct keys.  Added by the trainer to
     the first-order total.
     """
     return _pair_terms(

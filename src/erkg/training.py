@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CategoryMap, TripleStore, build_filter_index
-from .errors import CheckpointError, ConfigError, NumericError
+from .errors import CheckpointError, ConfigError, NumericError, check_fields
 from .grads import GradAccumulator, all_finite
 from .models import (
     ModelKind, ModelParams, backward_all_tails, block_shapes, forward_all_tails,
@@ -60,6 +60,7 @@ class TrainConfig:
     patience: int | None = None
 
     def validate(self) -> None:
+        check_fields(self)
         try:
             ModelKind(self.model)
         except ValueError as exc:
@@ -72,11 +73,7 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 0")
         if self.adagrad_eps <= 0:
             raise ConfigError("adagrad_eps must be positive")
-        if self.patience is not None and (
-            not isinstance(self.patience, (int, np.integer))
-            or isinstance(self.patience, bool)
-            or self.patience < 1
-        ):
+        if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be an integer >= 1, got {self.patience!r}")
         self.regularizer.validate()
 

@@ -2,18 +2,114 @@
 
 Every penalty here builds a private ``GradAccumulator``, merges it and
 returns ``(value, GradSet)``; the first- and second-order ER pair terms
-are written out separately.  ``erkg.regularizers`` instead adds
-``scale`` times the same rows to the caller's accumulator and shares one
-pair-term body, and must agree with these up to rounding.  The sampling
-and labeling helpers are shared.
+are written out separately, pair by pair, with both heads transformed.
+``erkg.regularizers`` instead adds ``scale`` times the gradient to the
+caller's accumulator, shares one pair-term body, and works on distinct
+pair keys and head differences; the two must agree up to rounding.  The
+pair labels and their batch-median thresholds are computed here over the
+listed pairs, as before that rewrite.
 """
+
+import logging
+from dataclasses import dataclass
 
 import numpy as np
 
 from erkg.errors import ConfigError
 from erkg.grads import GradAccumulator
 from erkg.models import N3_KINDS, OPERATORS
-from erkg.regularizers import _add_label_grads, _label_pair_entities, _norm_value_grad
+from erkg.regularizers import _EPS_DIST, _norm_value_grad, _sigmoid
+
+logger = logging.getLogger(__name__)
+
+
+def _init_epsilon(eps, rels, dists):
+    """Batch-median initialization for relations first seen in a pair set."""
+    for r in np.unique(rels):
+        if not eps.initialized[r]:
+            eps.epsilon[r] = float(np.median(dists[rels == r]))
+            eps.initialized[r] = True
+
+
+@dataclass
+class _LabeledPairs:
+    """Kept pairs with labels plus the bookkeeping for label gradients."""
+
+    ha: np.ndarray
+    hb: np.ndarray
+    rel: np.ndarray
+    label: np.ndarray
+    joint_mask: np.ndarray
+    dists: np.ndarray
+    diffs: np.ndarray
+
+    @property
+    def n(self):
+        return len(self.rel)
+
+
+def _label_pair_entities(params, ha, hb, rel, spec, categories, eps):
+    mode = spec.er_mode
+    n = len(rel)
+    if mode == "joint":
+        keep = np.ones(n, dtype=bool)
+        hard = np.full(n, -1.0)
+        joint = np.ones(n, dtype=bool)
+    else:
+        if categories is not None:
+            la = categories.labels_for(ha)
+            lb = categories.labels_for(hb)
+        else:
+            la = np.full(n, -1, dtype=np.int64)
+            lb = la
+        both = (la >= 0) & (lb >= 0)
+        same = both & (la == lb)
+        joint = ~both
+        if joint.any():
+            if spec.strict_labels:
+                raise ConfigError("pair with unlabeled entity in category mode")
+            logger.warning(
+                "%d pairs lack category labels; using joint labels", int(joint.sum())
+            )
+        if mode == "proximity":
+            keep = same | joint
+        else:
+            keep = (both & ~same) | joint
+        hard = np.where(same, 1.0, 0.0)
+
+    ha, hb, rel = ha[keep], hb[keep], rel[keep]
+    hard, joint = hard[keep], joint[keep]
+    label = hard.copy()
+    dists = np.zeros(len(rel))
+    diffs = np.zeros((len(rel), params.dim))
+    if joint.any():
+        if eps is None:
+            raise ConfigError("joint labeling requires an EpsilonState")
+        d = params.head_table[ha[joint]] - params.head_table[hb[joint]]
+        dd = np.sqrt(np.sum(d * d, axis=1))
+        _init_epsilon(eps, rel[joint], dd)
+        label[joint] = _sigmoid((eps.epsilon[rel[joint]] - dd) / spec.tau)
+        dists[joint] = dd
+        diffs[joint] = d
+    return _LabeledPairs(ha, hb, rel, label, joint, dists, diffs), keep
+
+
+def _add_label_grads(acc, params, lp, dfda, tau):
+    """Chain per-pair d(value)/d(label) through the soft labels.
+
+    Soft labels ``sigmoid((eps_r - ||x_a - x_b||) / tau)`` pass it on to
+    the thresholds (``"eps"``) and to the raw head embeddings.
+    """
+    jm = lp.joint_mask
+    if not jm.any():
+        return
+    a = lp.label[jm]
+    g = dfda[jm] * (a * (1.0 - a) / tau)
+    acc.add("eps", lp.rel[jm], g)
+    unit = lp.diffs[jm] / np.maximum(lp.dists[jm], _EPS_DIST)[:, None]
+    gx = -g[:, None] * unit
+    acc.add(params.head_key, lp.ha[jm], gx)
+    acc.add(params.head_key, lp.hb[jm], -gx)
 
 
 def _norm_terms(params, batch, order, acc, cols):

@@ -2,9 +2,9 @@
 whose batch reaches every hop.
 
 At this problem seed the batch keeps dissimilarity pairs and samples
-path pairs whose two relations differ, so a gradient sent to the wrong
-hop's relation, or a dropped sum term, changes the directional
-derivative.
+path pairs whose two relations differ, some of them sharing one key, so
+a gradient sent to the wrong hop's relation, a dropped sum term, or a
+key weighted by the wrong count changes the directional derivative.
 """
 
 import numpy as np
@@ -27,6 +27,15 @@ def test_problem_reaches_every_hop():
     assert np.any(labels_a != labels_b)
     paths = sample_path_pairs(store, batch, spec.path_budget, 29)
     assert np.any(paths.rel1 != paths.rel2)
+
+
+def test_problem_repeats_path_keys():
+    """Some kept path pairs share their (h_a, h_b, r1, r2) key, so the
+    checks below see terms and gradient rows weighted by key counts."""
+    _, _, batch, spec, _, store = build_problem("complex", "er", "joint", 2, True, SEED)
+    paths = sample_path_pairs(store, batch, spec.path_budget, 29)
+    keys = np.stack([paths.head_a, paths.head_b, paths.rel1, paths.rel2], axis=1)
+    assert len(np.unique(keys, axis=0)) < paths.n
 
 
 @pytest.mark.parametrize("kind,reg,mode,order,second", PAIR_COMBOS, ids=lambda v: str(v))

@@ -9,7 +9,6 @@ from erkg.regularizers import (
     EpsilonState,
     PairSet,
     RegularizerSpec,
-    pair_label,
     penalty_dura,
     penalty_er,
     penalty_er_second_order,
@@ -18,6 +17,7 @@ from erkg.regularizers import (
     sample_path_pairs,
     select_pairs,
 )
+from oracles import pair_label
 
 
 def distmult_params(entity_rows, relation_rows):

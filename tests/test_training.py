@@ -111,6 +111,27 @@ class TestTrainConfig:
     def test_good_patience_accepted(self, patience):
         TrainConfig(patience=patience).validate()
 
+    @pytest.mark.parametrize("field", ["learning_rate", "lam", "tau"])
+    def test_nan_rejected(self, field):
+        nan = float("nan")
+        if field == "learning_rate":
+            cfg = TrainConfig(learning_rate=nan)
+        else:
+            cfg = TrainConfig(regularizer=RegularizerSpec(kind="er", **{field: nan}))
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
+            cfg.validate()
+
+    def test_non_integer_dim_rejected(self):
+        with pytest.raises(ConfigError, match="dim must be an integer, got 8.5"):
+            TrainConfig(dim=8.5).validate()
+
+    def test_bool_batch_size_rejected(self):
+        with pytest.raises(ConfigError, match="batch_size must be an integer, got True"):
+            TrainConfig(batch_size=True).validate()
+
+    def test_numpy_scalars_accepted(self):
+        TrainConfig(seed=np.int64(3), learning_rate=np.float32(0.5)).validate()
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError, match="unknown model kind 'foo'"):
             TrainConfig(model="foo").validate()
