@@ -21,19 +21,14 @@ from .models import (
     ModelParams,
     init_params,
     project_constraints,
-    relational_transform,
-    score,
-    score_all_tails,
 )
 from .nuclear import (
     CheckReport,
     FactorInstance,
     check_instance,
     make_instance,
-    nuclear_estimate,
-    objective_min,
 )
-from .ranking import RankingReport, evaluate, filtered_rank
+from .ranking import RankingReport, evaluate
 from .regularizers import (
     EpsilonState,
     PairSet,
@@ -50,9 +45,7 @@ from .regularizers import (
 from .training import (
     TrainConfig,
     TrainHistory,
-    adagrad_update,
     batch_objective,
-    cross_entropy_loss,
     load_checkpoint,
     save_checkpoint,
     train,

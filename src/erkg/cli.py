@@ -49,11 +49,24 @@ from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 logger = logging.getLogger(__name__)
 
 
+def _out_dir(path) -> Path:
+    """``path`` as an existing directory, created if need be."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+    return path
+
+
 def _write_json(path, obj) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True))
-        fh.write("\n")
+    _out_dir(Path(path).parent)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(obj, indent=2, sort_keys=True))
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _check_keys(doc, allowed: set[str], where: str) -> None:
@@ -100,7 +113,6 @@ def _section_doc(obj, *skip: str) -> dict:
 
 @dataclass
 class RunConfig:
-    model: str
     train_path: str
     valid_path: str
     test_path: str
@@ -166,7 +178,6 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
         grid[key] = [typed(v, float, f"grid.{key}[]") for v in values]
 
     return RunConfig(
-        model=model,
         train_path=data["train"],
         valid_path=data["valid"],
         test_path=data["test"],
@@ -208,8 +219,7 @@ def cmd_train(args) -> int:
         cfg.train.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg.out_dir)
     _store, params, eps, history, report = _run_training(cfg)
     save_checkpoint(params, eps, out / "checkpoint.erkg")
     _write_json(out / "history.json", history.to_json_list())
@@ -306,8 +316,7 @@ def cmd_gridsearch(args) -> int:
     cfg = load_run_config(args.config, allow_grid=True)
     lrs = cfg.grid.get("learning_rate", LEARNING_RATE_GRID)
     lams = cfg.grid.get("lambda", LAMBDA_GRID)
-    out = Path(args.out if args.out is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out if args.out is not None else cfg.out_dir)
     rows = []
     for lr in lrs:
         for lam in lams:

@@ -250,15 +250,18 @@ def save_triples(store: TripleStore, out_dir) -> None:
     not serialized.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, arr in store.splits():
-        with open(out_dir / f"{name}.txt", "w", encoding="utf-8") as fh:
-            for h, r, t in arr:
-                fh.write(
-                    f"{store.vocab.entity_name(h)}\t"
-                    f"{store.vocab.relation_name(r)}\t"
-                    f"{store.vocab.entity_name(t)}\n"
-                )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, arr in store.splits():
+            with open(out_dir / f"{name}.txt", "w", encoding="utf-8") as fh:
+                for h, r, t in arr:
+                    fh.write(
+                        f"{store.vocab.entity_name(h)}\t"
+                        f"{store.vocab.relation_name(r)}\t"
+                        f"{store.vocab.entity_name(t)}\n"
+                    )
+    except OSError as exc:
+        raise ConfigError(f"cannot write triple files: {exc}") from exc
 
 
 INVERSE_SUFFIX = "__inv"
@@ -393,9 +396,12 @@ def load_categories(path, vocab: Vocab) -> CategoryMap:
 
 def save_categories(cmap: CategoryMap, vocab: Vocab, path) -> None:
     """Write ``entity<TAB>c<id>`` lines for every labeled entity."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for eid in sorted(cmap.category_of):
-            fh.write(f"{vocab.entity_name(eid)}\tc{cmap.category_of[eid]}\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            for eid in sorted(cmap.category_of):
+                fh.write(f"{vocab.entity_name(eid)}\tc{cmap.category_of[eid]}\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write category file: {exc}") from exc
 
 
 def generate_synthetic(

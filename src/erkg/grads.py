@@ -3,13 +3,13 @@
 A gradient set maps block name -> (row_indices | None, array).  ``None``
 indices mark a dense full-block gradient; otherwise ``array`` holds one
 gradient row per index, indices may repeat, and contributions scatter-add.
-The accumulator merges several such sets (e.g. loss and penalty terms)
-into one canonical set per block, keeping row-sparsity whenever no dense
-contribution was seen.
-
-A training batch is merged once: the loss and every penalty add their
-rows, already scaled by their coefficients, to the one accumulator of
-``training.batch_objective``, which calls ``finalize`` once.
+The accumulator collects such parts per block and merges them into one
+canonical set, keeping row-sparsity whenever no dense contribution was
+seen.  A training batch is merged once, and ``finalize`` is the only
+merge: the loss (``models.backward_all_tails``: the tail table dense,
+head and relation rows) and every penalty add their parts, already
+scaled by their coefficients, to the one accumulator of
+``training.batch_objective``.
 
 Rows sharing an index are summed by ``merge_rows``: it takes the sorted
 unique indices of all sparse parts and the inverse once, then adds each
@@ -66,10 +66,6 @@ class GradAccumulator:
     def add(self, name: str, idx: np.ndarray | None, arr: np.ndarray) -> None:
         self._parts.setdefault(name, []).append((idx, arr))
 
-    def add_set(self, grads: GradSet, scale: float = 1.0) -> None:
-        for name, (idx, arr) in grads.items():
-            self.add(name, idx, arr if scale == 1.0 else scale * arr)
-
     def finalize(self, shapes: dict[str, tuple[int, ...]]) -> GradSet:
         """Collapse contributions; densify a block only if one part is dense."""
         out: GradSet = {}
@@ -84,21 +80,6 @@ class GradAccumulator:
                     dense += arr
             out[name] = merge_rows(sparse, dense) if sparse else (None, dense)
         return out
-
-
-def densify(grads: GradSet, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Expand a gradient set to full dense arrays (testing convenience)."""
-    out = {}
-    for name, shape in shapes.items():
-        dense = np.zeros(shape)
-        if name in grads:
-            idx, arr = grads[name]
-            if idx is None:
-                dense += arr
-            else:
-                merge_rows([(idx, arr)], dense)
-        out[name] = dense
-    return out
 
 
 def all_finite(grads: GradSet) -> bool:

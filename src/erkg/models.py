@@ -36,9 +36,14 @@ gradient, viewed as ``G = df/d(re) + i * df/d(im)``, follows
     f = Re(sum w*t)  ->  G_w = conj(t),         G_t = conj(w)
 
 so ``x * r`` has ``vjp = (conj(r) G, conj(x) G)`` and ``x * conj(r)``
-has ``vjp = (r G, x conj(G))``.  The scalar ``score`` and
-``relational_transform`` do not use the table: tests compare the
-batched paths against them.
+has ``vjp = (r G, x conj(G))``.
+
+Scoring has one path, batched: ``forward_all_tails`` scores every entity
+as tail of each query, and ``backward_all_tails`` adds the gradient
+parts of its tables to the batch's ``GradAccumulator``, as every penalty
+does, so a batch is merged once.  The scalar oracles the tests compare
+it against, ``score`` and ``relational_transform``, live in
+``tests/oracles.py`` and do not use the operator table.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .grads import merge_rows
 
 logger = logging.getLogger(__name__)
 
@@ -64,8 +68,6 @@ class ModelKind(str, Enum):
     ROTATE = "rotate"
 
 
-DIAGONAL_KINDS = frozenset({ModelKind.CP, ModelKind.DISTMULT})
-COMPLEX_KINDS = frozenset({ModelKind.COMPLEX, ModelKind.ROTATE})
 N3_KINDS = frozenset({ModelKind.CP, ModelKind.DISTMULT, ModelKind.COMPLEX})
 
 
@@ -152,7 +154,7 @@ def init_params(
     complex numbers.  Complex kinds require an even ``dim``.
     """
     kind = ModelKind(kind)
-    if kind in COMPLEX_KINDS and dim % 2 != 0:
+    if OPERATORS[kind].complex_coords and dim % 2 != 0:
         raise ConfigError(f"{kind.value} requires an even dim, got {dim}")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
@@ -180,51 +182,6 @@ def init_params(
         relation=relation,
         entity_tail=entity_tail,
     )
-
-
-def _check_ids(params: ModelParams, h: int, r: int, t: int) -> None:
-    if not (0 <= h < params.n_entities and 0 <= t < params.n_entities):
-        raise IndexError(f"entity id out of range: h={h}, t={t}")
-    if not 0 <= r < params.n_relations:
-        raise IndexError(f"relation id out of range: r={r}")
-
-
-def score(params: ModelParams, h: int, r: int, t: int) -> float:
-    """Scalar score of one triple."""
-    _check_ids(params, h, r, t)
-    kind = params.kind
-    hv = params.head_table[h]
-    tv = params.tail_table[t]
-    if kind in DIAGONAL_KINDS:
-        return float(np.dot(hv * params.relation[r], tv))
-    if kind == ModelKind.COMPLEX:
-        hc, rc, tc = cview(hv), cview(params.relation[r]), cview(tv)
-        return float(np.sum(np.conj(hc) * rc * tc).real)
-    if kind == ModelKind.RESCAL:
-        return float(hv @ params.relation[r] @ tv)
-    if kind == ModelKind.TRANSE:
-        return float(-np.linalg.norm(hv + params.relation[r] - tv))
-    if kind == ModelKind.ROTATE:
-        hc, rc, tc = cview(hv), cview(params.relation[r]), cview(tv)
-        return float(-np.linalg.norm(hc * rc - tc))
-    raise ConfigError(f"unknown kind {kind}")
-
-
-def relational_transform(params: ModelParams, x: np.ndarray, r: int) -> np.ndarray:
-    """Apply relation ``r`` to an embedding vector (real storage in/out)."""
-    if x.shape != (params.dim,):
-        raise ValueError(f"expected shape ({params.dim},), got {x.shape}")
-    kind = params.kind
-    if kind in DIAGONAL_KINDS:
-        return x * params.relation[r]
-    if kind in COMPLEX_KINDS:
-        out = cview(np.ascontiguousarray(x)) * cview(params.relation[r])
-        return out.view(np.float64)
-    if kind == ModelKind.RESCAL:
-        return x @ params.relation[r]
-    if kind == ModelKind.TRANSE:
-        return x + params.relation[r]
-    raise ConfigError(f"unknown kind {kind}")
 
 
 def project_constraints(params: ModelParams) -> ModelParams:
@@ -349,10 +306,9 @@ OPERATORS = {
 # forward_all_tails computes the B x |E| score matrix for a batch of
 # (head, relation) queries together with a context reused by
 # backward_all_tails, which turns an arbitrary upstream gradient G
-# (B x |E|) into per-block gradients.  Gradients come back as
-# {block: (row_indices | None, array)}: None marks a dense full-table
-# gradient, otherwise ``array`` holds one gradient row per index (indices
-# may repeat and must be scatter-added).
+# (B x |E|) into per-block gradient parts and adds them to a
+# ``grads.GradAccumulator``: the tail table dense, the head rows and the
+# relation rows (indices may repeat; ``finalize`` sums them).
 
 _EPS_DIST = 1e-30
 
@@ -373,10 +329,11 @@ def forward_all_tails(params: ModelParams, heads: np.ndarray, rels: np.ndarray):
     return S, {"heads": heads, "rels": rels, "H": H, "R": R, "Q": Q, "D": D}
 
 
-def backward_all_tails(params: ModelParams, ctx, G: np.ndarray):
-    """Backpropagate an upstream B x |E| gradient through forward_all_tails."""
+def backward_all_tails(params: ModelParams, ctx, G: np.ndarray, acc) -> None:
+    """Backpropagate an upstream B x |E| gradient through forward_all_tails
+    and add the gradient parts to ``acc``."""
     op = OPERATORS[params.kind]
-    heads, H, R, Q, D = ctx["heads"], ctx["H"], ctx["R"], ctx["Q"], ctx["D"]
+    H, R, Q, D = ctx["H"], ctx["R"], ctx["Q"], ctx["D"]
     T = params.tail_table
     if D is None:
         GT = G.T @ Q
@@ -386,35 +343,6 @@ def backward_all_tails(params: ModelParams, ctx, G: np.ndarray):
         GQ = C @ T - C.sum(axis=1)[:, None] * Q
         GT = C.T @ Q - C.sum(axis=0)[:, None] * T
     GH, GR = op.adjoint_vjp(H, R, GQ) if op.scores_adjoint else op.vjp(H, R, GQ)
-    if params.head_key == params.tail_key:
-        merge_rows([(heads, GH)], GT)
-        grads = {params.tail_key: (None, GT)}
-    else:
-        grads = {params.tail_key: (None, GT), params.head_key: (heads, GH)}
-    grads["rel"] = (ctx["rels"], GR)
-    return grads
-
-
-def score_all_tails(params: ModelParams, h: int, r: int) -> np.ndarray:
-    """All-entity tail scores for one (head, relation) query.
-
-    Agrees with the scalar ``score`` path to within 1e-10 relative
-    (summation-order differences; distance kinds use the Gram expansion
-    of the squared distance).
-    """
-    _check_ids(params, h, r, 0)
-    S, _ = forward_all_tails(
-        params, np.array([h], dtype=np.int64), np.array([r], dtype=np.int64)
-    )
-    return S[0]
-
-
-def score_gradients(params: ModelParams, h: int, r: int, t: int):
-    """Per-block gradients of the scalar score (used by gradient checks)."""
-    _check_ids(params, h, r, t)
-    _, ctx = forward_all_tails(
-        params, np.array([h], dtype=np.int64), np.array([r], dtype=np.int64)
-    )
-    G = np.zeros((1, params.n_entities))
-    G[0, t] = 1.0
-    return backward_all_tails(params, ctx, G)
+    acc.add(params.tail_key, None, GT)
+    acc.add(params.head_key, ctx["heads"], GH)
+    acc.add("rel", ctx["rels"], GR)

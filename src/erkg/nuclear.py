@@ -327,16 +327,6 @@ def _variant_opt(instance: FactorInstance, variant: str, restarts: int) -> _OptR
     )
 
 
-def nuclear_estimate(instance: FactorInstance, restarts: int) -> float:
-    """Variational nuclear t-norm of the instance target."""
-    return _nuclear_opt(instance, restarts).value
-
-
-def objective_min(instance: FactorInstance, variant: str, restarts: int) -> float:
-    """Minimized variant objective over exact factorizations."""
-    return _variant_opt(instance, variant, restarts).value
-
-
 def _balancedness_residual(P, R, Q, t):
     """max_d | ||p_d||_C ||r_d||_C / (sqrt(J) ||q_d||_C) - 1 | at a factorization.
 

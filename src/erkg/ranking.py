@@ -39,18 +39,6 @@ class RankingReport:
         return out
 
 
-def filtered_rank(
-    params: ModelParams,
-    triple,
-    filter_index: KeyedCSR,
-    tie: str = "mean",
-) -> float:
-    """Filtered rank of one triple's tail (1 is best; ties may be halves)."""
-    query = np.asarray(triple, dtype=np.int64).reshape(1, 3)
-    report = evaluate(params, query, filter_index, tie=tie, keep_ranks=True)
-    return float(report.per_query_ranks[0])
-
-
 def evaluate(
     params: ModelParams,
     test: np.ndarray,

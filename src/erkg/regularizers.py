@@ -108,22 +108,21 @@ class EpsilonState:
 
     epsilon: np.ndarray
     acc: np.ndarray
-    initialized: np.ndarray
+
+    @property
+    def initialized(self) -> np.ndarray:
+        """Per-relation mask of thresholds that hold a value (not NaN)."""
+        return ~np.isnan(self.epsilon)
 
     @classmethod
     def create(cls, n_relations: int, init: float | str = "batch_median"):
-        if isinstance(init, str):
-            if init != "batch_median":
-                raise ConfigError(f"unknown epsilon_init {init!r}")
-            eps = np.full(n_relations, np.nan)
-            mask = np.zeros(n_relations, dtype=bool)
-        else:
-            eps = np.full(n_relations, float(init))
-            mask = np.ones(n_relations, dtype=bool)
-        return cls(epsilon=eps, acc=np.zeros(n_relations), initialized=mask)
+        if isinstance(init, str) and init != "batch_median":
+            raise ConfigError(f"unknown epsilon_init {init!r}")
+        eps = np.full(n_relations, np.nan if isinstance(init, str) else float(init))
+        return cls(epsilon=eps, acc=np.zeros(n_relations))
 
     def copy(self) -> "EpsilonState":
-        return EpsilonState(self.epsilon.copy(), self.acc.copy(), self.initialized.copy())
+        return EpsilonState(self.epsilon.copy(), self.acc.copy())
 
 
 @dataclass
@@ -350,7 +349,6 @@ def _init_epsilon(
     for r in np.unique(rels[~eps.initialized[rels]]):
         m = rels == r
         eps.epsilon[r] = float(np.median(np.repeat(dists[m], counts[m])))
-        eps.initialized[r] = True
 
 
 def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ from .models import (
     ModelKind, ModelParams, backward_all_tails, block_shapes, forward_all_tails,
     init_params, project_constraints,
 )
-from .ranking import RankingReport, evaluate
+from .ranking import evaluate
 from .regularizers import (
     EpsilonState,
     RegularizerSpec,
@@ -108,40 +108,6 @@ class TrainHistory:
         ]
 
 
-def cross_entropy_loss(scores: np.ndarray, target: int):
-    """Stable cross entropy of one score vector against a target entity.
-
-    Uses a max-shifted log-sum-exp with the maximum's unit term split out,
-    so fully saturated losses underflow gracefully instead of rounding to
-    zero.  Returns ``(loss, softmax(scores) - one_hot(target))``.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if not 0 <= target < len(scores):
-        raise IndexError(f"target {target} out of range")
-    m_idx = int(np.argmax(scores))
-    ex = np.exp(scores - scores[m_idx])
-    rest = ex.copy()
-    rest[m_idx] = 0.0
-    rest_sum = rest.sum()
-    if target == m_idx:
-        loss = float(np.log1p(rest_sum))
-    else:
-        loss = float(scores[m_idx] - scores[target] + np.log1p(rest_sum))
-    grad = ex / (1.0 + rest_sum)
-    grad[target] -= 1.0
-    return loss, grad
-
-
-def adagrad_update(param, grad, acc, lr, eps):
-    """One Adagrad step: returns updated copies of (param, accumulator)."""
-    if param.shape != grad.shape or param.shape != acc.shape:
-        raise ValueError("shape mismatch in adagrad_update")
-    if not np.all(np.isfinite(grad)):
-        raise NumericError("non-finite gradient in adagrad_update")
-    acc2 = acc + grad * grad
-    return param - lr * grad / (np.sqrt(acc2) + eps), acc2
-
-
 def _adagrad_step_inplace(param, acc, idx, grad, lr, eps):
     # idx must hold unique rows (GradAccumulator.finalize guarantees it)
     if idx is None:
@@ -154,7 +120,8 @@ def _adagrad_step_inplace(param, acc, idx, grad, lr, eps):
 
 
 def _batch_ce(params: ModelParams, batch: np.ndarray):
-    """Mean cross entropy over a batch with per-block gradients."""
+    """Mean cross entropy over a batch, and a ``GradAccumulator`` holding
+    its gradient parts: ``(loss, acc)``."""
     heads, rels, tails = batch[:, 0], batch[:, 1], batch[:, 2]
     S, ctx = forward_all_tails(params, heads, rels)
     m = S.max(axis=1, keepdims=True)
@@ -165,7 +132,9 @@ def _batch_ce(params: ModelParams, batch: np.ndarray):
     G = ex / z[:, None]
     G[b_idx, tails] -= 1.0
     G /= len(batch)
-    return loss, backward_all_tails(params, ctx, G)
+    acc = GradAccumulator()
+    backward_all_tails(params, ctx, G, acc)
+    return loss, acc
 
 
 def _penalty(params, batch, spec, categories, eps, store, pair_seed, path_seed, acc):
@@ -205,9 +174,7 @@ def batch_objective(
     their rows to one accumulator, merged once.  Used by the training
     loop and by finite-difference checks.
     """
-    loss, grads_ce = _batch_ce(params, batch)
-    acc = GradAccumulator()
-    acc.add_set(grads_ce)
+    loss, acc = _batch_ce(params, batch)
     reg_value = 0.0
     if spec.kind != "none" and spec.lam > 0.0:
         reg_value = _penalty(
@@ -331,23 +298,26 @@ _BYTE_KINDS = {v: k for k, v in _KIND_BYTES.items()}
 
 
 def save_checkpoint(params: ModelParams, eps: EpsilonState, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<B", _KIND_BYTES[params.kind]))
-        fh.write(
-            struct.pack("<QQQ", params.n_entities, params.n_relations, params.dim)
-        )
-        for arr in params.blocks().values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(eps.epsilon, dtype="<f8").tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<B", _KIND_BYTES[params.kind]))
+            fh.write(
+                struct.pack("<QQQ", params.n_entities, params.n_relations, params.dim)
+            )
+            for arr in params.blocks().values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(eps.epsilon, dtype="<f8").tobytes())
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint: {exc}") from exc
 
 
 def load_checkpoint(path):
     """Read a checkpoint back into ``(ModelParams, EpsilonState)``.
 
-    Optimizer accumulators are not checkpointed; epsilon entries restore
-    their initialized flags from NaN-ness.
+    Optimizer accumulators are not checkpointed; a NaN epsilon entry
+    reads back as uninitialized.
     """
     try:
         with open(path, "rb") as fh:
@@ -393,9 +363,4 @@ def load_checkpoint(path):
         relation=blocks["rel"],
         entity_tail=blocks.get("ent_t"),
     )
-    eps = EpsilonState(
-        epsilon=epsilon,
-        acc=np.zeros(int(n_rel)),
-        initialized=np.isfinite(epsilon),
-    )
-    return params, eps
+    return params, EpsilonState(epsilon=epsilon, acc=np.zeros(int(n_rel)))

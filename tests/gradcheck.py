@@ -9,10 +9,10 @@ derivative against central differences along random directions.
 import numpy as np
 
 from erkg.data import CategoryMap, TripleStore, Vocab
-from erkg.grads import densify
 from erkg.models import ModelKind, init_params
 from erkg.regularizers import EpsilonState, RegularizerSpec
 from erkg.training import batch_objective
+from grads_oracle import densify
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -70,8 +70,7 @@ def run_probes(kind, reg_kind, er_mode="joint", norm_order=2,
     _, _, _, grads = batch_objective(
         params, batch, spec, categories, eps, store, pair_seed=17, path_seed=29
     )
-    shapes = {n: a.shape for n, a in params.blocks().items()}
-    shapes["eps"] = (N_REL,)
+    shapes = params.grad_shapes()
     dense = densify(grads, shapes)
     rng = np.random.default_rng(1000 + seed)
     worst = 0.0

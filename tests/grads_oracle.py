@@ -1,4 +1,4 @@
-"""Reference gradient merges built on ``np.add.at``.
+"""Reference gradient merges built on ``np.add.at``, and ``densify``.
 
 ``np.add.at`` adds every row in turn into the running total, so these
 merges fix the order of the additions; ``erkg.grads`` sums each part's
@@ -6,6 +6,19 @@ rows first and must agree with them up to that regrouping.
 """
 
 import numpy as np
+
+from erkg.grads import merge_rows
+
+
+def densify(grads: dict, shapes: dict) -> dict:
+    """Expand a gradient set to full dense arrays with ``merge_rows``."""
+    out = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for name, (idx, arr) in grads.items():
+        if idx is None:
+            out[name] += arr
+        else:
+            merge_rows([(idx, arr)], out[name])
+    return out
 
 
 def finalize_add_at(parts_by_block: dict, shapes: dict) -> dict:
@@ -32,22 +45,9 @@ def finalize_add_at(parts_by_block: dict, shapes: dict) -> dict:
     return out
 
 
-def merge_rows_add_at(parts, out):
-    """Scatter-add ``(idx, arr)`` parts into the rows of ``out``; a part
-    with ``None`` indices adds to every row."""
-    for idx, arr in parts:
-        if idx is None:
-            out += arr
-        else:
-            np.add.at(out, idx, arr)
-    return None, out
-
-
 def densify_add_at(grads: dict, shapes: dict) -> dict:
-    """Expand a gradient set to full dense arrays."""
-    out = {}
-    for name, shape in shapes.items():
-        out[name] = np.zeros(shape)
-        if name in grads:
-            merge_rows_add_at([grads[name]], out[name])
+    """Expand a gradient set to full dense arrays, row by row."""
+    out = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for name, (idx, arr) in grads.items():
+        np.add.at(out[name], slice(None) if idx is None else idx, arr)
     return out

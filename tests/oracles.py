@@ -1,13 +1,92 @@
-"""Scalar reference helpers that only the tests use."""
+"""Scalar reference helpers that only the tests use: the batched paths of
+``erkg`` are checked against them."""
 
 import logging
 
 import numpy as np
 
-from erkg.errors import ConfigError
+from erkg.errors import ConfigError, NumericError
+from erkg.models import ModelKind, ModelParams, cview
 from erkg.regularizers import ER_MODES, _sigmoid
 
 logger = logging.getLogger(__name__)
+
+DIAGONAL_KINDS = frozenset({ModelKind.CP, ModelKind.DISTMULT})
+
+
+def score(params: ModelParams, h: int, r: int, t: int) -> float:
+    """Scalar score of one triple."""
+    if not (0 <= h < params.n_entities and 0 <= t < params.n_entities):
+        raise IndexError(f"entity id out of range: h={h}, t={t}")
+    if not 0 <= r < params.n_relations:
+        raise IndexError(f"relation id out of range: r={r}")
+    kind = params.kind
+    hv = params.head_table[h]
+    tv = params.tail_table[t]
+    if kind in DIAGONAL_KINDS:
+        return float(np.dot(hv * params.relation[r], tv))
+    if kind == ModelKind.COMPLEX:
+        hc, rc, tc = cview(hv), cview(params.relation[r]), cview(tv)
+        return float(np.sum(np.conj(hc) * rc * tc).real)
+    if kind == ModelKind.RESCAL:
+        return float(hv @ params.relation[r] @ tv)
+    if kind == ModelKind.TRANSE:
+        return float(-np.linalg.norm(hv + params.relation[r] - tv))
+    if kind == ModelKind.ROTATE:
+        hc, rc, tc = cview(hv), cview(params.relation[r]), cview(tv)
+        return float(-np.linalg.norm(hc * rc - tc))
+    raise ConfigError(f"unknown kind {kind}")
+
+
+def relational_transform(params: ModelParams, x: np.ndarray, r: int) -> np.ndarray:
+    """Apply relation ``r`` to an embedding vector (real storage in/out)."""
+    if x.shape != (params.dim,):
+        raise ValueError(f"expected shape ({params.dim},), got {x.shape}")
+    kind = params.kind
+    if kind in DIAGONAL_KINDS:
+        return x * params.relation[r]
+    if kind in (ModelKind.COMPLEX, ModelKind.ROTATE):
+        out = cview(np.ascontiguousarray(x)) * cview(params.relation[r])
+        return out.view(np.float64)
+    if kind == ModelKind.RESCAL:
+        return x @ params.relation[r]
+    if kind == ModelKind.TRANSE:
+        return x + params.relation[r]
+    raise ConfigError(f"unknown kind {kind}")
+
+
+def cross_entropy_loss(scores: np.ndarray, target: int):
+    """Stable cross entropy of one score vector against a target entity.
+
+    Uses a max-shifted log-sum-exp with the maximum's unit term split out,
+    so fully saturated losses underflow gracefully instead of rounding to
+    zero.  Returns ``(loss, softmax(scores) - one_hot(target))``.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    if not 0 <= target < len(scores):
+        raise IndexError(f"target {target} out of range")
+    m_idx = int(np.argmax(scores))
+    ex = np.exp(scores - scores[m_idx])
+    rest = ex.copy()
+    rest[m_idx] = 0.0
+    rest_sum = rest.sum()
+    if target == m_idx:
+        loss = float(np.log1p(rest_sum))
+    else:
+        loss = float(scores[m_idx] - scores[target] + np.log1p(rest_sum))
+    grad = ex / (1.0 + rest_sum)
+    grad[target] -= 1.0
+    return loss, grad
+
+
+def adagrad_update(param, grad, acc, lr, eps):
+    """One Adagrad step: returns updated copies of (param, accumulator)."""
+    if param.shape != grad.shape or param.shape != acc.shape:
+        raise ValueError("shape mismatch in adagrad_update")
+    if not np.all(np.isfinite(grad)):
+        raise NumericError("non-finite gradient in adagrad_update")
+    acc2 = acc + grad * grad
+    return param - lr * grad / (np.sqrt(acc2) + eps), acc2
 
 
 def pair_label(params, h_a, h_b, r, mode, categories=None, eps=None, tau=1.0, strict=False):

@@ -28,7 +28,6 @@ def _init_epsilon(eps, rels, dists):
     for r in np.unique(rels):
         if not eps.initialized[r]:
             eps.epsilon[r] = float(np.median(dists[rels == r]))
-            eps.initialized[r] = True
 
 
 @dataclass

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from erkg.cli import load_run_config, main
@@ -403,3 +402,28 @@ class TestPreset:
         cfg = tmp_path / "preset.json"
         cfg.write_text(json.dumps(doc))
         assert load_run_config(cfg).train == get_preset(model, dataset, scale)
+
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "verify-theorems", "synth", "gridsearch"])
+def test_output_path_under_a_file_exits_2(synth_dir, tmp_path, capsys, command):
+    """An output path that cannot be created is a usage error, not a
+    verification failure."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = str(write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run"))
+    data = [str(synth_dir / f"{split}.txt") for split in ("train", "valid", "test")]
+    if command == "evaluate":
+        assert run_cli("train", "--config", cfg) == 0
+    argv = {
+        "train": ["--config", cfg],
+        "evaluate": ["--checkpoint", str(tmp_path / "run" / "checkpoint.erkg"),
+                     "--train", data[0], "--valid", data[1], "--test", data[2]],
+        "verify-theorems": ["--dims", "2,1,2,1", "--seeds", "1", "--restarts", "1"],
+        "synth": [],
+        "gridsearch": ["--config", cfg],
+    }[command]
+    out = blocker / "x.json" if command == "evaluate" else blocker
+    assert run_cli(command, *argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "output directory" in err or "cannot write" in err

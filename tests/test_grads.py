@@ -1,10 +1,9 @@
 """The gradient merge against the ``np.add.at`` reference merges.
 
-``GradAccumulator.finalize`` and the shared-table scatter of
-``backward_all_tails`` sum rows sharing an index with one sparse product
-per part; they must agree with ``np.add.at`` up to the regrouped
-summation, return strictly increasing row indices, and need memory for
-their output only.
+``GradAccumulator.finalize`` is the one merge of a batch: it sums rows
+sharing an index with one sparse product per part, and must agree with
+``np.add.at`` up to the regrouped summation, return strictly increasing
+row indices, and need memory for its output only.
 """
 
 import tracemalloc
@@ -12,11 +11,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from erkg import models
-from erkg.grads import GradAccumulator, densify
-from erkg.models import ModelKind, backward_all_tails, forward_all_tails, init_params
+from erkg.grads import GradAccumulator
+from erkg.training import _batch_ce, batch_objective
 
-from grads_oracle import densify_add_at, finalize_add_at, merge_rows_add_at
+from gradcheck import build_problem
+from grads_oracle import densify, densify_add_at, finalize_add_at
 
 RTOL = 1e-13
 
@@ -85,23 +84,20 @@ def test_finalize_matches_add_at(case, seed):
 
 
 def test_add_set_scale_matches_add_at():
+    """Loss and penalty parts, scaled by the caller, merge like ``np.add.at``
+    in every block."""
     shapes = {"ent": (50, 6), "rel": (7, 3, 3), "eps": (7,)}
-    loss = {
-        "ent": random_parts(3, 50, (6,), (50,), (0,))[0],
-        "rel": random_parts(4, 7, (3, 3), (400,))[0],
+    parts = {
+        "ent": random_parts(3, 50, (6,), (50, 900), (0,)),
+        "rel": random_parts(4, 7, (3, 3), (400, 250)),
+        "eps": random_parts(7, 7, (), (250,)),
     }
-    penalty = {
-        "ent": random_parts(5, 50, (6,), (900,))[0],
-        "rel": random_parts(6, 7, (3, 3), (250,))[0],
-        "eps": random_parts(7, 7, (), (250,))[0],
-    }
+    parts = {name: [(idx, 0.05 * arr) for idx, arr in block] for name, block in parts.items()}
     acc = GradAccumulator()
-    acc.add_set(loss)
-    acc.add_set(penalty, scale=0.05)
-    ref = {name: [loss[name]] if name in loss else [] for name in shapes}
-    for name, (idx, arr) in penalty.items():
-        ref[name].append((idx, 0.05 * arr))
-    assert_same_sets(acc.finalize(shapes), finalize_add_at(ref, shapes))
+    for name, block in parts.items():
+        for idx, arr in block:
+            acc.add(name, idx, arr)
+    assert_same_sets(acc.finalize(shapes), finalize_add_at(parts, shapes))
 
 
 def test_densify_matches_add_at():
@@ -133,23 +129,32 @@ def test_merge_memory_is_bounded_by_its_output():
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-@pytest.mark.parametrize("kind", [ModelKind.CP, ModelKind.COMPLEX, ModelKind.RESCAL])
+@pytest.mark.parametrize("kind", ["cp", "complex", "rescal"])
 def test_backward_all_tails_matches_add_at(kind, monkeypatch):
-    p = init_params(kind, 25, 4, 6, seed=3)
-    rng = np.random.default_rng(4)
-    heads = rng.integers(0, 25, size=200)
-    rels = rng.integers(0, 4, size=200)
-    _, ctx = forward_all_tails(p, heads, rels)
-    G = rng.normal(size=(200, 25))
-    shapes = p.grad_shapes()
-    got = backward_all_tails(p, ctx, G)
-    monkeypatch.setattr(models, "merge_rows", merge_rows_add_at)
-    ref = backward_all_tails(p, ctx, G)
-    assert list(got) == list(ref)
-    got_dense, ref_dense = densify(got, shapes), densify_add_at(ref, shapes)
-    for name, (idx, _) in ref.items():
-        assert (got[name][0] is None) == (idx is None)
-        assert_close(got_dense[name], ref_dense[name])
+    """The loss adds its parts, unmerged, to the batch's accumulator (the
+    tail table dense, head and relation rows), then the penalty adds its
+    own; ``finalize``, the only merge, equals the ``np.add.at`` merge of
+    them all, and a table shared by heads and tails comes back dense."""
+    params, eps, batch, spec, categories, store = build_problem(kind, "er", second_order=True)
+    finalize, seen = GradAccumulator.finalize, []
+
+    def recording(acc, shapes):
+        seen.append({name: list(parts) for name, parts in acc._parts.items()})
+        return finalize(acc, shapes)
+
+    monkeypatch.setattr(GradAccumulator, "finalize", recording)
+    grads = batch_objective(params, batch, spec, categories, eps, store, 17, 29)[3]
+    (parts,) = seen
+    loss = _batch_ce(params, batch)[1]._parts
+    added = [(name, idx is None) for name, block in loss.items() for idx, _ in block]
+    assert added == [(params.tail_key, True), (params.head_key, False), ("rel", False)]
+    for name, block in loss.items():
+        for (idx, arr), (got_idx, got_arr) in zip(block, parts[name]):
+            assert got_idx is idx is None or np.array_equal(got_idx, idx), name
+            assert np.array_equal(got_arr, arr), name
+    assert len(parts[params.head_key]) > 2 and "eps" in parts
+    assert_same_sets(grads, finalize_add_at(parts, params.grad_shapes()))
+    assert (grads[params.head_key][0] is None) == (params.head_key == params.tail_key)
 
 
 def test_bench_hook_contract():
@@ -161,8 +166,9 @@ def test_bench_hook_contract():
     idx = np.array([4, 0, 4])
     acc = GradAccumulator()
     acc.add("ent", idx, rows)
-    acc.add_set({"ent": (None, dense), "rel": (np.array([1]), np.ones((1, 2)))})
-    acc.add_set({"ent": (idx, rows)}, scale=2.0)
+    acc.add("ent", None, dense)
+    acc.add("rel", np.array([1]), np.ones((1, 2)))
+    acc.add("ent", idx, 2.0 * rows)
     assert list(acc._parts) == ["ent", "rel"]
     ent = acc._parts["ent"]
     assert [type(part) for part in ent] == [tuple] * 3
@@ -170,3 +176,25 @@ def test_bench_hook_contract():
     assert ent[1][0] is None and ent[1][1] is dense
     assert ent[2][0] is idx and np.array_equal(ent[2][1], 2.0 * rows)
     assert len(acc._parts["rel"]) == 1
+
+
+def test_bench_layers_find_every_hook():
+    """Every name the traced benchmark wraps exists, and one traced epoch
+    and evaluation feed the merge, Adagrad and score-backward counts."""
+    from bench import layers
+    from bench.tracer import Tracer
+    from erkg import ranking, training
+    from erkg.data import build_filter_index
+
+    store = build_problem("complex", "none")[-1]
+    tr = Tracer()
+    layers.install(tr)
+    try:
+        assert tr.absent == []
+        params = training.train(training.TrainConfig(model="complex", dim=4, epochs=1), store)[0]
+        ranking.evaluate(params, store.train, build_filter_index(store))
+    finally:
+        tr.uninstall()
+    for name in ("grads.finalize.rows_in", "training.adagrad.rows",
+                 "models.backward_all_tails.flop", "ranking.queries"):
+        assert tr.counts[name] > 0, name

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from erkg.errors import ConfigError
-from erkg.nuclear import (
-    VARIANTS,
-    check_instance,
-    make_instance,
-    nuclear_estimate,
-    objective_min,
-)
+from erkg.nuclear import VARIANTS, _nuclear_opt, _variant_opt, check_instance, make_instance
 
 # frozen outputs of the 50-restart optimization oracle on the seed-0
 # (3, 2, 3, D=2, t=2, bilinear) instance
@@ -55,24 +49,24 @@ class TestNuclearEstimate:
         R = rng.uniform(-1, 1, (2, 1))
         Q = rng.uniform(-1, 1, (3, 1))
         exact = float(np.linalg.norm(P) * np.linalg.norm(R) * np.linalg.norm(Q))
-        est = nuclear_estimate(inst, restarts=10)
+        est = _nuclear_opt(inst, 10).value
         assert est == pytest.approx(exact, rel=0.01)
 
     def test_zero_tensor(self):
         inst = make_instance(3, 2, 3, 2, 2, "bilinear", seed=0)
         inst.target = np.zeros_like(inst.target)
-        assert nuclear_estimate(inst, restarts=3) == pytest.approx(0.0, abs=1e-10)
+        assert _nuclear_opt(inst, 3).value == pytest.approx(0.0, abs=1e-10)
 
     def test_pinned_regression_value(self):
         inst = make_instance(3, 2, 3, 2, 2, "bilinear", seed=0)
-        est = nuclear_estimate(inst, restarts=50)
+        est = _nuclear_opt(inst, 50).value
         assert est == pytest.approx(PINNED_NUCLEAR_SEED0, rel=1e-3)
 
     def test_scaling_covariance(self):
         inst = make_instance(3, 2, 3, 2, 2, "bilinear", seed=3)
-        n1 = nuclear_estimate(inst, restarts=10)
+        n1 = _nuclear_opt(inst, 10).value
         inst.target = 3.0 * inst.target
-        n3 = nuclear_estimate(inst, restarts=10)
+        n3 = _nuclear_opt(inst, 10).value
         assert n3 == pytest.approx(3.0 * n1, rel=0.02)
 
 
@@ -81,33 +75,31 @@ class TestObjectiveMin:
         for variant, var in VARIANTS.items():
             inst = make_instance(3, 2, 3, 2, var.norm_order, var.mechanism, seed=0)
             inst.target = np.zeros_like(inst.target)
-            assert objective_min(inst, variant, restarts=2) == pytest.approx(
-                0.0, abs=1e-10
-            )
+            assert _variant_opt(inst, variant, 2).value == pytest.approx(0.0, abs=1e-10)
 
     def test_amgm_rank_one_equals_nuclear(self):
         inst = make_instance(3, 2, 3, 1, 2, "bilinear", seed=11)
-        nuc = nuclear_estimate(inst, restarts=10)
-        amg = objective_min(inst, "amgm4", restarts=10)
+        nuc = _nuclear_opt(inst, 10).value
+        amg = _variant_opt(inst, "amgm4", 10).value
         assert amg == pytest.approx(nuc, rel=0.01)
 
     def test_pinned_thm1_regression_value(self):
         inst = make_instance(3, 2, 3, 2, 2, "bilinear", seed=0)
-        value = objective_min(inst, "thm1", restarts=50)
+        value = _variant_opt(inst, "thm1", 50).value
         assert value == pytest.approx(PINNED_THM1_SEED0, rel=1e-3)
 
     def test_mechanism_pairing_enforced(self):
         inst = make_instance(3, 2, 3, 2, 2, "bilinear", seed=0)
         with pytest.raises(ConfigError):
-            objective_min(inst, "thm2", restarts=2)
+            _variant_opt(inst, "thm2", 2)
         inst_d = make_instance(3, 2, 3, 2, 2, "distance", seed=0)
         with pytest.raises(ConfigError):
-            objective_min(inst_d, "thm1", restarts=2)
+            _variant_opt(inst_d, "thm1", 2)
 
     def test_norm_order_pairing_enforced(self):
         inst = make_instance(3, 2, 3, 2, 3, "bilinear", seed=0)
         with pytest.raises(ConfigError):
-            objective_min(inst, "thm1", restarts=2)
+            _variant_opt(inst, "thm1", 2)
 
 
 class TestCheckInstance:
@@ -147,16 +139,11 @@ class TestCheckInstance:
 
     def test_upper_bound_sanity(self):
         # any feasible factorization scores at least the nuclear minimum
-        from erkg.nuclear import _multi_restart, _nuclear_grads, _variant_grads
+        from erkg.nuclear import _nuclear_grads
 
         inst = make_instance(3, 2, 3, 2, 2, "bilinear", seed=4)
-        nuc = nuclear_estimate(inst, restarts=12)
-        res = _multi_restart(
-            inst,
-            lambda P, R, Q: _variant_grads(P, R, Q, "thm1"),
-            restarts=4,
-            salt=1,
-        )
+        nuc = _nuclear_opt(inst, 12).value
+        res = _variant_opt(inst, "thm1", 4)
         plugged = _nuclear_grads(res.P, res.R, res.Q, 2)[0]
         assert plugged >= nuc - 1e-6
 

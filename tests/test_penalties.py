@@ -14,13 +14,14 @@ import pytest
 import penalty_oracle
 from erkg import regularizers
 from erkg.data import CategoryMap
-from erkg.grads import GradAccumulator, densify
+from erkg.grads import GradAccumulator
 from erkg.models import OPERATORS, ModelKind, init_params
 from erkg.regularizers import (
     EpsilonState, PathPairSet, RegularizerSpec, sample_path_pairs, select_pairs,
 )
 from erkg.training import batch_objective
 from gradcheck import build_problem, supported_combos
+from grads_oracle import densify
 
 RTOL = 1e-13
 # Its batch has kept pairs in every ER mode, and path pairs whose two

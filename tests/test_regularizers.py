@@ -4,7 +4,7 @@ import pytest
 from erkg.data import CategoryMap, TripleStore, Vocab
 from erkg.errors import ConfigError
 from erkg.grads import GradAccumulator
-from erkg.models import ModelKind, ModelParams, init_params, relational_transform
+from erkg.models import ModelKind, ModelParams, init_params
 from erkg.regularizers import (
     EpsilonState,
     PairSet,
@@ -17,7 +17,7 @@ from erkg.regularizers import (
     sample_path_pairs,
     select_pairs,
 )
-from oracles import pair_label
+from oracles import pair_label, relational_transform
 
 
 def distmult_params(entity_rows, relation_rows):
@@ -31,12 +31,6 @@ def distmult_params(entity_rows, relation_rows):
         entity=entity,
         relation=relation,
     )
-
-
-def shapes_of(params):
-    s = {n: a.shape for n, a in params.blocks().items()}
-    s["eps"] = (params.n_relations,)
-    return s
 
 
 class TestFro:
@@ -203,6 +197,11 @@ class TestPairLabel:
         eps = EpsilonState.create(2, init="batch_median")
         with pytest.raises(ConfigError):
             pair_label(p, 0, 1, 0, "joint", eps=eps)
+
+    def test_setting_epsilon_marks_it_initialized(self):
+        eps = EpsilonState.create(3, init="batch_median")
+        eps.epsilon[1] = 0.4
+        assert eps.initialized.tolist() == [False, True, False]
 
     def test_unlabeled_strict_rejected(self):
         p = init_params(ModelKind.DISTMULT, 4, 2, 4, seed=11)

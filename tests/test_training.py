@@ -2,18 +2,12 @@ import numpy as np
 import pytest
 
 import erkg.training as training
-from erkg.data import CategoryMap, TripleStore, Vocab, add_reciprocals, generate_synthetic
+from erkg.data import TripleStore, Vocab, add_reciprocals, generate_synthetic
 from erkg.errors import CheckpointError, ConfigError, NumericError
-from erkg.models import ModelKind, init_params, score_all_tails
+from erkg.models import ModelKind, forward_all_tails, init_params
 from erkg.regularizers import EpsilonState, RegularizerSpec
-from erkg.training import (
-    TrainConfig,
-    adagrad_update,
-    cross_entropy_loss,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from erkg.training import TrainConfig, load_checkpoint, save_checkpoint, train
+from oracles import adagrad_update, cross_entropy_loss
 
 
 class TestCrossEntropy:
@@ -83,6 +77,21 @@ class TestAdagrad:
         with pytest.raises(ValueError):
             adagrad_update(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, 1e-10)
 
+    @pytest.mark.parametrize("idx", [np.array([1, 4, 8]), None], ids=["rows", "dense"])
+    def test_inplace_step_matches_oracle(self, idx):
+        """Touched rows take the oracle's step; every other row keeps its bits."""
+        rng = np.random.default_rng(2)
+        param, acc = rng.normal(size=(9, 4)), rng.uniform(size=(9, 4))
+        rows = np.arange(9) if idx is None else idx
+        grad = rng.normal(size=(len(rows), 4))
+        p_ref, a_ref = adagrad_update(param[rows], grad, acc[rows], 0.1, 1e-10)
+        p, a = param.copy(), acc.copy()
+        training._adagrad_step_inplace(p, a, idx, grad, 0.1, 1e-10)
+        assert np.array_equal(p[rows], p_ref) and np.array_equal(a[rows], a_ref)
+        rest = np.setdiff1d(np.arange(9), rows)
+        assert p[rest].tobytes() == param[rest].tobytes()
+        assert a[rest].tobytes() == acc[rest].tobytes()
+
 
 def toy_store(n_ent=4, triples=((0, 0, 1), (2, 0, 3))):
     vocab = Vocab(
@@ -94,11 +103,8 @@ def toy_store(n_ent=4, triples=((0, 0, 1), (2, 0, 3))):
 
 
 def dataset_loss(params, arr):
-    total = 0.0
-    for h, r, t in arr:
-        loss, _ = cross_entropy_loss(score_all_tails(params, int(h), int(r)), int(t))
-        total += loss
-    return total / len(arr)
+    S, _ = forward_all_tails(params, arr[:, 0], arr[:, 1])
+    return sum(cross_entropy_loss(s, int(t))[0] for s, t in zip(S, arr[:, 2])) / len(arr)
 
 
 class TestTrainConfig:
@@ -265,7 +271,6 @@ class TestCheckpoint:
             params = init_params(kind, 7, 4, 6, seed=11)
             eps = EpsilonState.create(4, init="batch_median")
             eps.epsilon[2] = 1.25
-            eps.initialized[2] = True
             path = tmp_path / f"{kind.value}.ckpt"
             save_checkpoint(params, eps, path)
             params2, eps2 = load_checkpoint(path)
@@ -276,6 +281,11 @@ class TestCheckpoint:
                 assert a.tobytes() == b.tobytes()
             assert eps.epsilon.tobytes() == eps2.epsilon.tobytes()
             assert np.array_equal(eps2.initialized, eps.initialized)
+
+    def test_unwritable_path_raises_checkpoint_error(self, tmp_path):
+        params = init_params(ModelKind.DISTMULT, 5, 2, 4, seed=12)
+        with pytest.raises(CheckpointError, match="cannot write checkpoint"):
+            save_checkpoint(params, EpsilonState.create(2), tmp_path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
