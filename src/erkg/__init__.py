@@ -11,7 +11,6 @@ from .data import (
     generate_synthetic,
     load_categories,
     load_dataset,
-    load_triples,
     pair_key,
     save_categories,
     save_triples,

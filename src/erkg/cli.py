@@ -8,7 +8,10 @@ are the fields of ``TrainConfig`` (less ``model`` and ``regularizer``)
 and ``RegularizerSpec``, with ``lam`` spelled ``"lambda"``; ``preset``
 writes them back from the same fields.  Exit codes: 0 success, 1
 verification or tolerance failure, 2 usage/config error, 3 numeric
-abort.  Inputs are never mutated.
+abort.  Inputs are never mutated.  An input that cannot be read or
+decoded (a config, data, category or checkpoint file) exits 2, and so
+does an output path that cannot be created; both are found before any
+training, ranking or checking starts.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import logging
 import sys
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import nuclear
@@ -38,7 +41,6 @@ from .errors import (
     InfeasibleError,
     NumericError,
     ParseError,
-    VocabError,
     typed,
 )
 from .presets import LAMBDA_GRID, LEARNING_RATE_GRID, get_preset
@@ -132,6 +134,8 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
     top = {"model", "data", "train", "regularizer", "eval", "output", "threads"}
     if allow_grid:
@@ -200,8 +204,7 @@ def _load_store(cfg: RunConfig):
     return store, categories
 
 
-def _run_training(cfg: RunConfig):
-    store, categories = _load_store(cfg)
+def _run_training(cfg: RunConfig, store, categories):
     if cfg.train.regularizer.kind == "er" and cfg.train.regularizer.er_mode != "joint":
         if categories is None:
             raise ConfigError(
@@ -210,7 +213,7 @@ def _run_training(cfg: RunConfig):
     params, eps, history = train(cfg.train, store, categories)
     filter_index = build_filter_index(store)
     report = evaluate(params, store.valid, filter_index, tie=cfg.tie_policy)
-    return store, params, eps, history, report
+    return params, eps, history, report
 
 
 def cmd_train(args) -> int:
@@ -220,7 +223,7 @@ def cmd_train(args) -> int:
     if args.out is not None:
         cfg.out_dir = args.out
     out = _out_dir(cfg.out_dir)
-    _store, params, eps, history, report = _run_training(cfg)
+    params, eps, history, report = _run_training(cfg, *_load_store(cfg))
     save_checkpoint(params, eps, out / "checkpoint.erkg")
     _write_json(out / "history.json", history.to_json_list())
     _write_json(out / "valid_report.json", report.to_json_dict())
@@ -229,6 +232,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.out:
+        _out_dir(Path(args.out).parent)
     params, _eps = load_checkpoint(args.checkpoint)
     store = load_dataset(args.train, args.valid, args.test)
     if not args.no_reciprocals:
@@ -268,6 +273,7 @@ def cmd_verify_theorems(args) -> int:
 
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
+    out = _out_dir(args.out) if args.out else None
     reports = []
     any_bad = False
     for s in range(args.seeds):
@@ -279,7 +285,7 @@ def cmd_verify_theorems(args) -> int:
                    "mechanism": args.mechanism}
             try:
                 rep = nuclear.check_instance(inst, v, args.restarts)
-                row.update(rep.to_json_dict())
+                row.update(asdict(rep))
                 row["feasible"] = True
                 if rep.flagged:
                     any_bad = True
@@ -288,8 +294,8 @@ def cmd_verify_theorems(args) -> int:
                 any_bad = True
             reports.append(row)
             print(json.dumps(row, sort_keys=True))
-    if args.out:
-        _write_json(Path(args.out) / "theorem_reports.json", reports)
+    if out is not None:
+        _write_json(out / "theorem_reports.json", reports)
     return 1 if any_bad else 0
 
 
@@ -317,6 +323,7 @@ def cmd_gridsearch(args) -> int:
     lrs = cfg.grid.get("learning_rate", LEARNING_RATE_GRID)
     lams = cfg.grid.get("lambda", LAMBDA_GRID)
     out = _out_dir(args.out if args.out is not None else cfg.out_dir)
+    data = _load_store(cfg)
     rows = []
     for lr in lrs:
         for lam in lams:
@@ -324,7 +331,7 @@ def cmd_gridsearch(args) -> int:
             cell = replace(cfg, train=replace(cfg.train, learning_rate=lr, regularizer=spec))
             row = {"learning_rate": lr, "lambda": lam}
             try:
-                _store, _params, _eps, _history, report = _run_training(cell)
+                _params, _eps, _history, report = _run_training(cell, *data)
                 row.update(report.to_json_dict())
                 row["status"] = "ok"
             except ErkgError as exc:
@@ -421,7 +428,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, VocabError, CheckpointError) as exc:
+    except (ConfigError, ParseError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -1,10 +1,20 @@
 """Loading, indexing, augmentation, and synthesis of knowledge graphs.
 
-Triples live in UTF-8 TSV files, one ``head<TAB>relation<TAB>tail`` per
-line (LF endings, exactly two tabs).  Entity categories come from an
-optional sidecar TSV of ``entity<TAB>category`` lines.  Ids are dense
-integers assigned in first-appearance order, so serializing a store and
-reloading it reproduces the exact id sequences.
+Triples live in UTF-8 TSV files of ``head<TAB>relation<TAB>tail`` rows,
+one per split; entity categories in an optional sidecar TSV of
+``entity<TAB>category`` rows.  Both are read by one contract:
+
+- One row per line, with exactly n - 1 tabs for n fields.  A line ends
+  at LF (a CRLF or lone CR also ends one, as in any text-mode read), and
+  nothing but the line end is stripped: spaces belong to the names.
+- Blank lines are skipped.  A wrong field count, or a line that is not
+  UTF-8, is a ``ParseError`` naming ``path:line``.
+- Duplicate triples are kept, and counted per split.
+- Ids are dense, in first-appearance order over train, valid, then test
+  (head, relation, tail within a row), so a saved and reloaded store
+  keeps its ids.
+- In a category file, entities outside the vocabulary are skipped and an
+  entity's last label wins; both are counted and logged.
 
 Triples are indexed by one type, :class:`KeyedCSR`: values grouped by an
 int64 key with one vectorized ``lookup``.  The training edges keyed by
@@ -23,21 +33,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, VocabError
+from .errors import ConfigError, ParseError
 
 logger = logging.getLogger(__name__)
 
 SPLIT_NAMES = ("train", "valid", "test")
 
 
+@dataclass
 class Vocab:
-    """Bijective name <-> dense id maps for entities and relations."""
+    """Name -> dense id maps for entities and relations.
 
-    def __init__(self, entity_index=None, relation_index=None):
-        self.entity_index: dict[str, int] = dict(entity_index or {})
-        self.relation_index: dict[str, int] = dict(relation_index or {})
-        self._entity_names: list[str] | None = None
-        self._relation_names: list[str] | None = None
+    Each map holds its names in id order, so ``list(entity_index)[i]``
+    names entity ``i``; maps in any other order are rejected.
+    """
+
+    entity_index: dict[str, int] = field(default_factory=dict)
+    relation_index: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for what, index in (("entity", self.entity_index), ("relation", self.relation_index)):
+            if list(index.values()) != list(range(len(index))):
+                raise ConfigError(f"{what} ids must be 0, 1, 2, ... in the order of the names")
 
     @property
     def n_entities(self) -> int:
@@ -46,49 +63,6 @@ class Vocab:
     @property
     def n_relations(self) -> int:
         return len(self.relation_index)
-
-    def entity_id(self, name: str, create: bool = False) -> int:
-        idx = self.entity_index.get(name)
-        if idx is None:
-            if not create:
-                raise VocabError(f"unknown entity {name!r}")
-            idx = len(self.entity_index)
-            self.entity_index[name] = idx
-            self._entity_names = None
-        return idx
-
-    def relation_id(self, name: str, create: bool = False) -> int:
-        idx = self.relation_index.get(name)
-        if idx is None:
-            if not create:
-                raise VocabError(f"unknown relation {name!r}")
-            idx = len(self.relation_index)
-            self.relation_index[name] = idx
-            self._relation_names = None
-        return idx
-
-    def entity_name(self, idx: int) -> str:
-        if self._entity_names is None:
-            names = [""] * len(self.entity_index)
-            for name, i in self.entity_index.items():
-                names[i] = name
-            self._entity_names = names
-        return self._entity_names[idx]
-
-    def relation_name(self, idx: int) -> str:
-        if self._relation_names is None:
-            names = [""] * len(self.relation_index)
-            for name, i in self.relation_index.items():
-                names[i] = name
-            self._relation_names = names
-        return self._relation_names[idx]
-
-    def copy(self) -> "Vocab":
-        return Vocab(self.entity_index, self.relation_index)
-
-
-def _empty_triples() -> np.ndarray:
-    return np.empty((0, 3), dtype=np.int64)
 
 
 def pair_key(a, b) -> np.ndarray:
@@ -169,78 +143,65 @@ class TripleStore:
         return np.concatenate([self.train, self.valid, self.test], axis=0)
 
 
-def _parse_triple_file(path, vocab: Vocab, strict: bool) -> tuple[np.ndarray, int]:
-    triples = []
-    seen: set[tuple[int, int, int]] = set()
-    n_dup = 0
+def _rows(path, n_fields: int, what: str):
+    """The fields of each nonblank line of the ``what`` file ``path``,
+    read by the contract in the module docstring."""
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read triple file: {exc}") from exc
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            h, r, t = fields
-            try:
-                trip = (
-                    vocab.entity_id(h, create=not strict),
-                    vocab.relation_id(r, create=not strict),
-                    vocab.entity_id(t, create=not strict),
-                )
-            except VocabError as exc:
-                raise VocabError(f"{path}:{lineno}: {exc}") from exc
-            if trip in seen:
-                n_dup += 1
-            else:
-                seen.add(trip)
-            triples.append(trip)
-    if n_dup:
-        logger.warning("%s: kept %d duplicate triples", path, n_dup)
-    arr = np.array(triples, dtype=np.int64) if triples else _empty_triples()
-    return arr, n_dup
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != n_fields:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
+                        f"got {len(fields)}"
+                    )
+                yield fields
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{_undecodable_line(path)}: not UTF-8: {exc.reason}") from None
 
 
-def load_triples(path, existing_vocab: Vocab | None = None, strict: bool = False):
-    """Load one triple TSV into the train split of a fresh store.
+def _undecodable_line(path) -> int:
+    """The number of the first line of ``path`` that is not UTF-8, counted
+    as a text-mode read counts lines (``bytes.splitlines`` also ends them
+    at LF, CRLF and CR)."""
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    return 0
 
-    Returns ``(store, vocab)``.  With ``existing_vocab`` the ids extend
-    (or, in strict mode, must already exist in) the given vocabulary.
-    """
-    vocab = existing_vocab if existing_vocab is not None else Vocab()
-    if strict and existing_vocab is None:
-        raise ConfigError("strict loading requires an existing vocabulary")
-    arr, n_dup = _parse_triple_file(path, vocab, strict)
-    store = TripleStore(
-        train=arr,
-        valid=_empty_triples(),
-        test=_empty_triples(),
-        vocab=vocab,
-        duplicates={"train": n_dup},
-    )
-    return store, vocab
+
+def _sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` sorted, and a mask of each distinct row's first copy."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows, first
 
 
 def load_dataset(train_path, valid_path, test_path) -> TripleStore:
-    """Load the three standard splits with one shared, growing vocabulary."""
-    vocab = Vocab()
-    arrays = {}
-    dups = {}
+    """Load the three splits over one vocabulary."""
+    entities: dict[str, int] = {}
+    relations: dict[str, int] = {}
+    ent, rel = entities.setdefault, relations.setdefault
+    splits, dups = {}, {}
     for name, path in zip(SPLIT_NAMES, (train_path, valid_path, test_path)):
-        arrays[name], dups[name] = _parse_triple_file(path, vocab, strict=False)
-    return TripleStore(
-        train=arrays["train"],
-        valid=arrays["valid"],
-        test=arrays["test"],
-        vocab=vocab,
-        duplicates=dups,
-    )
+        ids: list[int] = []
+        for h, r, t in _rows(path, 3, "triple"):
+            ids.extend((ent(h, len(entities)), rel(r, len(relations)), ent(t, len(entities))))
+        arr = splits[name] = np.array(ids, dtype=np.int64).reshape(-1, 3)
+        dups[name] = int(len(arr) - _sorted_rows(arr)[1].sum())
+        if dups[name]:
+            logger.warning("%s: kept %d duplicate triples", path, dups[name])
+    return TripleStore(**splits, vocab=Vocab(entities, relations), duplicates=dups)
 
 
 def save_triples(store: TripleStore, out_dir) -> None:
@@ -250,16 +211,12 @@ def save_triples(store: TripleStore, out_dir) -> None:
     not serialized.
     """
     out_dir = Path(out_dir)
+    ents, rels = list(store.vocab.entity_index), list(store.vocab.relation_index)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, arr in store.splits():
             with open(out_dir / f"{name}.txt", "w", encoding="utf-8") as fh:
-                for h, r, t in arr:
-                    fh.write(
-                        f"{store.vocab.entity_name(h)}\t"
-                        f"{store.vocab.relation_name(r)}\t"
-                        f"{store.vocab.entity_name(t)}\n"
-                    )
+                fh.writelines(f"{ents[h]}\t{rels[r]}\t{ents[t]}\n" for h, r, t in arr.tolist())
     except OSError as exc:
         raise ConfigError(f"cannot write triple files: {exc}") from exc
 
@@ -271,14 +228,21 @@ def add_reciprocals(store: TripleStore) -> TripleStore:
     """Add the inverse triple ``(t, r + |R|, h)`` for every ``(h, r, t)``.
 
     Doubles the relation vocabulary (inverse names get ``__inv``) and every
-    split.  Applying it twice is an error.
+    split.  Applying it twice, or to a vocabulary that already holds an
+    inverse name, is an error.
     """
     if store.reciprocal:
         raise ConfigError("store is already reciprocal-augmented")
     n_rel = store.vocab.n_relations
-    vocab = store.vocab.copy()
-    for i in range(n_rel):
-        vocab.relation_id(store.vocab.relation_name(i) + INVERSE_SUFFIX, create=True)
+    relations = dict(store.vocab.relation_index)
+    for name in store.vocab.relation_index:
+        inverse = name + INVERSE_SUFFIX
+        if inverse in store.vocab.relation_index:
+            raise ConfigError(
+                f"cannot add reciprocals: the inverse of relation {name!r}, "
+                f"{inverse!r}, is already a relation"
+            )
+        relations[inverse] = len(relations)
     out = {}
     for name, arr in store.splits():
         if arr.size == 0:
@@ -289,14 +253,8 @@ def add_reciprocals(store: TripleStore) -> TripleStore:
         inv[:, 1] = arr[:, 1] + n_rel
         inv[:, 2] = arr[:, 0]
         out[name] = np.concatenate([arr, inv], axis=0)
-    return TripleStore(
-        train=out["train"],
-        valid=out["valid"],
-        test=out["test"],
-        vocab=vocab,
-        reciprocal=True,
-        duplicates=dict(store.duplicates),
-    )
+    return TripleStore(**out, vocab=Vocab(store.vocab.entity_index, relations),
+                       reciprocal=True, duplicates=dict(store.duplicates))
 
 
 def build_filter_index(store: TripleStore) -> KeyedCSR:
@@ -304,9 +262,7 @@ def build_filter_index(store: TripleStore) -> KeyedCSR:
     known-true tails of each ``pair_key(head, relation)``, sorted and
     unique."""
     rows = np.concatenate([arr.reshape(-1, 3) for _, arr in store.splits()])
-    rows = rows[np.lexsort(rows.T[::-1])].astype(np.int64, copy=False)
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rows, first = _sorted_rows(rows.astype(np.int64, copy=False))
     rows = rows[first]
     return KeyedCSR.group(pair_key(rows[:, 0], rows[:, 1]), rows[:, 2])
 
@@ -348,38 +304,21 @@ class CategoryMap:
 
 
 def load_categories(path, vocab: Vocab) -> CategoryMap:
-    """Load an ``entity<TAB>category`` sidecar file.
-
-    Unknown entities are skipped with a warning; an entity labeled twice
-    keeps the last label (also warned).
-    """
+    """Load an ``entity<TAB>category`` sidecar file over ``vocab``'s
+    entities."""
     category_ids: dict[str, int] = {}
     category_of: dict[int, int] = {}
     n_skipped = 0
     n_relabeled = 0
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read category file: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
-                )
-            ent, cat = fields
-            eid = vocab.entity_index.get(ent)
-            if eid is None:
-                n_skipped += 1
-                continue
-            cid = category_ids.setdefault(cat, len(category_ids))
-            if eid in category_of and category_of[eid] != cid:
-                n_relabeled += 1
-            category_of[eid] = cid
+    for ent, cat in _rows(path, 2, "category"):
+        eid = vocab.entity_index.get(ent)
+        if eid is None:
+            n_skipped += 1
+            continue
+        cid = category_ids.setdefault(cat, len(category_ids))
+        if eid in category_of and category_of[eid] != cid:
+            n_relabeled += 1
+        category_of[eid] = cid
     if n_skipped:
         logger.warning("%s: skipped %d labels for unknown entities", path, n_skipped)
     if n_relabeled:
@@ -396,10 +335,11 @@ def load_categories(path, vocab: Vocab) -> CategoryMap:
 
 def save_categories(cmap: CategoryMap, vocab: Vocab, path) -> None:
     """Write ``entity<TAB>c<id>`` lines for every labeled entity."""
+    names = list(vocab.entity_index)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             for eid in sorted(cmap.category_of):
-                fh.write(f"{vocab.entity_name(eid)}\tc{cmap.category_of[eid]}\n")
+                fh.write(f"{names[eid]}\tc{cmap.category_of[eid]}\n")
     except OSError as exc:
         raise ConfigError(f"cannot write category file: {exc}") from exc
 
@@ -470,17 +410,12 @@ def generate_synthetic(
     n_train = int(len(arr) * 0.8)
     n_valid = int(len(arr) * 0.1)
 
-    vocab = Vocab()
-    for i in range(n_entities):
-        vocab.entity_id(f"e{i}", create=True)
-    for r in range(n_relations):
-        vocab.relation_id(f"r{r}", create=True)
-
     store = TripleStore(
         train=arr[:n_train],
         valid=arr[n_train : n_train + n_valid],
         test=arr[n_train + n_valid :],
-        vocab=vocab,
+        vocab=Vocab({f"e{i}": i for i in range(n_entities)},
+                    {f"r{r}": r for r in range(n_relations)}),
     )
     cmap = CategoryMap(
         category_of={int(e): int(c) for e, c in enumerate(cats)},

@@ -17,10 +17,6 @@ class ParseError(ErkgError):
     """A text input file violates its declared format."""
 
 
-class VocabError(ErkgError):
-    """An entity or relation name is missing from a fixed vocabulary."""
-
-
 class ConfigError(ErkgError):
     """Invalid configuration, flags, or an unsupported combination."""
 

@@ -30,7 +30,7 @@ infeasible restart.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -94,9 +94,6 @@ class CheckReport:
     flagged: bool
     lhs_feasible: int
     nuclear_feasible: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def make_instance(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from erkg import cli, nuclear
 from erkg.cli import load_run_config, main
 from erkg.presets import _PAPER, get_preset
 
@@ -105,6 +106,30 @@ class TestTrain:
         cfg.write_text(json.dumps(doc))
         assert run_cli("train", "--config", str(cfg)) == 2
         assert "category file" in capsys.readouterr().err
+
+    def test_config_is_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli("train", "--config", str(tmp_path)) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        cfg.write_bytes(cfg.read_bytes().replace(b'"distmult"', b'"distmult\xff"'))
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_non_utf8_data_file_exits_2(self, synth_dir, tmp_path, capsys, command):
+        good = (synth_dir / "train.txt").read_bytes()
+        train = tmp_path / "train.txt"
+        train.write_bytes(good + b"e1\tr\xff0\te2\n")
+        grid = {"grid": {"learning_rate": [0.1], "lambda": [0.05]}} if command == "gridsearch" else {}
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run", **grid)
+        doc = json.loads(cfg.read_text())
+        doc["data"]["train"] = str(train)
+        cfg.write_text(json.dumps(doc))
+        bad_line = good.count(b"\n") + 1
+        assert run_cli(command, "--config", str(cfg)) == 2
+        assert f"{train}:{bad_line}: not UTF-8" in capsys.readouterr().err
 
     def test_string_patience_exits_2(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
@@ -406,15 +431,21 @@ class TestPreset:
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "verify-theorems", "synth", "gridsearch"])
-def test_output_path_under_a_file_exits_2(synth_dir, tmp_path, capsys, command):
+def test_output_path_under_a_file_exits_2(synth_dir, tmp_path, capsys, monkeypatch, command):
     """An output path that cannot be created is a usage error, not a
-    verification failure."""
+    verification failure, and it is found before any ranking or checking."""
     blocker = tmp_path / "file"
     blocker.write_text("")
     cfg = str(write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run"))
     data = [str(synth_dir / f"{split}.txt") for split in ("train", "valid", "test")]
     if command == "evaluate":
         assert run_cli("train", "--config", cfg) == 0
+
+    def work_before_the_output_check(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(cli, "evaluate", work_before_the_output_check)
+    monkeypatch.setattr(nuclear, "check_instance", work_before_the_output_check)
     argv = {
         "train": ["--config", cfg],
         "evaluate": ["--checkpoint", str(tmp_path / "run" / "checkpoint.erkg"),

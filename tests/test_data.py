@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import data_oracle
 from erkg.data import (
     CategoryMap,
     KeyedCSR,
@@ -11,7 +12,6 @@ from erkg.data import (
     generate_synthetic,
     load_categories,
     load_dataset,
-    load_triples,
     pair_key,
     save_categories,
     save_triples,
@@ -22,6 +22,12 @@ from erkg.errors import ConfigError, ParseError
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def load_train(path):
+    """``path`` loaded as the train split, with empty valid and test splits."""
+    empty = write(path.parent / "empty.txt", "")
+    return load_dataset(path, empty, empty)
 
 
 def filter_index_loop(store):
@@ -41,7 +47,8 @@ def true_tails(index, h, r):
 class TestLoadTriples:
     def test_hand_counted_file(self, tmp_path):
         p = write(tmp_path / "t.txt", "a\tr\tb\na\tr\tb\nc\tr\tb\na\ts\tc\n")
-        store, vocab = load_triples(p)
+        store = load_train(p)
+        vocab = store.vocab
         assert len(store.train) == 4
         assert store.duplicates["train"] == 1
         assert vocab.n_entities == 3
@@ -49,30 +56,30 @@ class TestLoadTriples:
 
     def test_empty_file(self, tmp_path):
         p = write(tmp_path / "t.txt", "")
-        store, vocab = load_triples(p)
+        store = load_train(p)
+        vocab = store.vocab
         assert len(store.train) == 0
         assert vocab.n_entities == 0
         assert store.duplicates["train"] == 0
 
     def test_first_appearance_ids(self, tmp_path):
         p = write(tmp_path / "t.txt", "x\tr\ty\nz\ts\tx\n")
-        _, vocab = load_triples(p)
+        vocab = load_train(p).vocab
         assert vocab.entity_index == {"x": 0, "y": 1, "z": 2}
         assert vocab.relation_index == {"r": 0, "s": 1}
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = write(tmp_path / "t.txt", "a\tr\tb\nbad line\n")
         with pytest.raises(ParseError, match=":2:"):
-            load_triples(p)
+            load_train(p)
 
     def test_strict_unknown_entity(self, tmp_path):
         p1 = write(tmp_path / "t1.txt", "a\tr\tb\n")
-        _, vocab = load_triples(p1)
+        entities, relations = {}, {}
+        data_oracle.parse_triple_file(p1, entities, relations)
         p2 = write(tmp_path / "t2.txt", "a\tr\tzzz\n")
-        from erkg.errors import VocabError
-
-        with pytest.raises(VocabError, match="zzz"):
-            load_triples(p2, existing_vocab=vocab, strict=True)
+        with pytest.raises(data_oracle.VocabError, match="zzz"):
+            data_oracle.parse_triple_file(p2, entities, relations, strict=True)
 
     def test_round_trip_ids(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -95,11 +102,87 @@ class TestLoadTriples:
             assert np.array_equal(arr, store2.split(name))
 
 
+class TestRowReader:
+    """``load_dataset`` and ``load_categories`` against the line-by-line
+    readers of ``data_oracle``, on files with blank lines, CRLF and CR line
+    ends, a last line without LF, duplicates and names that are not ASCII
+    or hold spaces."""
+
+    SPLITS = {
+        "train": "a\tr\tb\n\nb\tr\tc\na\tr\tb\r\nc d\tr s\tÉmile\n\n",
+        "valid": "\r\nÉmile\tr\ta\nx\tr\tb\nx\tr\tb",
+        "test": "\n\nc d\tr\tb\r\nc d\tr\tb\r\nc d\tr\tb\ry\tr\tz\r",
+    }
+    # unknown entities (zzz, nope), one relabel (a), a repeated label (a)
+    CATEGORIES = "a\tk1\nzzz\tk1\n\nÉmile\tk 2\r\na\tk 2\nc d\tk1\na\tk 2\nnope\tk3"
+
+    def _write(self, tmp_path, **extra):
+        return [write(tmp_path / f"{name}.txt", text + extra.get(name, ""))
+                for name, text in self.SPLITS.items()]
+
+    def test_matches_oracle(self, tmp_path):
+        paths = self._write(tmp_path)
+        store = load_dataset(*paths)
+        splits, entities, relations, dups = data_oracle.load_dataset(*paths)
+        for (name, arr), ref in zip(store.splits(), splits):
+            assert arr.dtype == ref.dtype and np.array_equal(arr, ref), name
+        assert list(store.vocab.entity_index.items()) == list(entities.items())
+        assert list(store.vocab.relation_index.items()) == list(relations.items())
+        assert [store.duplicates[name] for name in ("train", "valid", "test")] == dups
+        assert dups == [1, 1, 2]
+        assert {"c d", "Émile", "z"} <= set(entities) and "r s" in relations
+
+        cats = write(tmp_path / "cats.txt", self.CATEGORIES)
+        cmap = load_categories(cats, store.vocab)
+        category_of, n_categories, n_skipped, n_relabeled = data_oracle.category_rows(
+            cats, store.vocab.entity_index)
+        assert list(cmap.category_of.items()) == list(category_of.items())
+        assert (cmap.n_categories, cmap.n_skipped, cmap.n_relabeled) == (
+            n_categories, n_skipped, n_relabeled) == (2, 2, 1)
+        assert cmap.coverage == len(category_of) / len(entities)
+
+    @pytest.mark.parametrize("split", ["train", "valid", "test"])
+    def test_field_count_error_matches_oracle(self, tmp_path, split):
+        paths = self._write(tmp_path, **{split: "\nonly\tone\n"})
+        with pytest.raises(ParseError) as ref:
+            data_oracle.load_dataset(*paths)
+        with pytest.raises(ParseError) as got:
+            load_dataset(*paths)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith(f"{tmp_path / split}.txt:")
+        assert str(got.value).endswith("expected 3 tab-separated fields, got 2")
+
+    def test_category_field_count_error_matches_oracle(self, tmp_path):
+        store = load_train(write(tmp_path / "t.txt", "a\tr\tb\n"))
+        cats = write(tmp_path / "cats.txt", "a\tx\r\n\nb\n")
+        with pytest.raises(ParseError) as ref:
+            data_oracle.category_rows(cats, store.vocab.entity_index)
+        with pytest.raises(ParseError) as got:
+            load_categories(cats, store.vocab)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value) == f"{cats}:3: expected 2 tab-separated fields, got 1"
+
+    @pytest.mark.parametrize("line", [1, 3, 4, 3004])
+    def test_non_utf8_triple_file_names_its_line(self, tmp_path, line):
+        lines = ["a\tr\tb\r\n", "b\tr\tÉmile\r", "c\tr\ta\n"] + ["d\tr\ta\n"] * 3001
+        lines[line - 1] = lines[line - 1].replace("\tr\t", "\tr@\t")
+        path = tmp_path / "t.txt"
+        path.write_bytes("".join(lines).encode().replace(b"@", b"\xff"))
+        with pytest.raises(ParseError, match=f"^{path}:{line}: not UTF-8"):
+            load_train(path)
+
+    def test_non_utf8_category_file_names_its_line(self, tmp_path):
+        vocab = load_train(write(tmp_path / "t.txt", "a\tr\tb\n")).vocab
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"a\tx\n\nb\t\xc3\n")
+        with pytest.raises(ParseError, match=f"^{path}:3: not UTF-8"):
+            load_categories(path, vocab)
+
+
 class TestReciprocals:
     def _toy(self, tmp_path):
         p = write(tmp_path / "t.txt", "a\tr\tb\nb\ts\tc\na\ts\tc\n")
-        store, _ = load_triples(p)
-        return store
+        return load_train(p)
 
     def test_doubling(self, tmp_path):
         store = self._toy(tmp_path)
@@ -121,6 +204,19 @@ class TestReciprocals:
         back = np.stack([inv[:, 2], inv[:, 1] - n_rel, inv[:, 0]], axis=1)
         assert np.array_equal(back, store.train)
 
+    @pytest.mark.parametrize("entities, relations", [
+        ({"b": 1, "a": 0}, {"r": 0}),
+        ({"a": 0}, {"r": 1}),
+    ])
+    def test_vocab_out_of_id_order_rejected(self, entities, relations):
+        with pytest.raises(ConfigError, match="ids must be"):
+            Vocab(entities, relations)
+
+    def test_inverse_name_collision_rejected(self, tmp_path):
+        store = load_train(write(tmp_path / "t.txt", "a\tr\tb\nb\tr__inv\ta\n"))
+        with pytest.raises(ConfigError, match="'r'.*'r__inv'"):
+            add_reciprocals(store)
+
     def test_undirected_incidences_preserved(self, tmp_path):
         store = self._toy(tmp_path)
         n_rel = store.vocab.n_relations
@@ -141,7 +237,8 @@ class TestReciprocals:
 class TestFilterIndex:
     def test_enumeration(self, tmp_path):
         p = write(tmp_path / "t.txt", "a\tr\tb\na\tr\tc\n")
-        store, vocab = load_triples(p)
+        store = load_train(p)
+        vocab = store.vocab
         idx = build_filter_index(store)
         a, r = vocab.entity_index["a"], vocab.relation_index["r"]
         got = set(true_tails(idx, a, r))
@@ -149,7 +246,7 @@ class TestFilterIndex:
 
     def test_absent_key_empty(self, tmp_path):
         p = write(tmp_path / "t.txt", "a\tr\tb\n")
-        store, _ = load_triples(p)
+        store = load_train(p)
         idx = build_filter_index(store)
         assert len(true_tails(idx, 99, 99)) == 0
 
@@ -165,7 +262,8 @@ class TestFilterIndex:
 
     def test_reciprocal_head_queries(self, tmp_path):
         p = write(tmp_path / "t.txt", "a\tr\tb\nc\tr\tb\n")
-        store, vocab = load_triples(p)
+        store = load_train(p)
+        vocab = store.vocab
         aug = add_reciprocals(store)
         idx = build_filter_index(aug)
         b = vocab.entity_index["b"]
@@ -252,7 +350,7 @@ class TestCategories:
 
     def test_coverage(self, tmp_path):
         t = write(tmp_path / "t.txt", "a\tr\tb\nc\tr\td\ne\tr\ta\n")
-        store, vocab = load_triples(t)
+        vocab = load_train(t).vocab
         assert vocab.n_entities == 5
         c = write(tmp_path / "c.txt", "a\tx\nb\tx\nc\ty\n")
         cmap = load_categories(c, vocab)
@@ -262,7 +360,7 @@ class TestCategories:
 
     def test_empty_file(self, tmp_path):
         t = write(tmp_path / "t.txt", "a\tr\tb\n")
-        _, vocab = load_triples(t)
+        vocab = load_train(t).vocab
         c = write(tmp_path / "c.txt", "")
         cmap = load_categories(c, vocab)
         assert cmap.coverage == 0.0
@@ -270,7 +368,7 @@ class TestCategories:
 
     def test_duplicate_label_last_wins(self, tmp_path):
         t = write(tmp_path / "t.txt", "a\tr\tb\n")
-        _, vocab = load_triples(t)
+        vocab = load_train(t).vocab
         c = write(tmp_path / "c.txt", "a\tx\nb\ty\na\ty\n")
         cmap = load_categories(c, vocab)
         assert cmap.n_relabeled == 1
@@ -278,7 +376,7 @@ class TestCategories:
 
     def test_unknown_entities_skipped(self, tmp_path):
         t = write(tmp_path / "t.txt", "a\tr\tb\n")
-        _, vocab = load_triples(t)
+        vocab = load_train(t).vocab
         c = write(tmp_path / "c.txt", "zzz\tx\na\tx\n")
         cmap = load_categories(c, vocab)
         assert cmap.n_skipped == 1
@@ -286,7 +384,7 @@ class TestCategories:
 
     @pytest.mark.parametrize("name", ["missing.txt", "."])
     def test_unreadable_file_is_config_error(self, tmp_path, name):
-        _, vocab = load_triples(write(tmp_path / "t.txt", "a\tr\tb\n"))
+        vocab = load_train(write(tmp_path / "t.txt", "a\tr\tb\n")).vocab
         with pytest.raises(ConfigError, match="category file"):
             load_categories(tmp_path / name, vocab)
 

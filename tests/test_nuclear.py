@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -135,7 +137,7 @@ class TestCheckInstance:
         rep = check_instance(inst, "amgm4", restarts=3)
         assert 1 <= rep.lhs_feasible <= rep.restarts
         assert 1 <= rep.nuclear_feasible <= rep.restarts
-        assert rep.to_json_dict()["lhs_feasible"] == rep.lhs_feasible
+        assert asdict(rep)["lhs_feasible"] == rep.lhs_feasible
 
     def test_upper_bound_sanity(self):
         # any feasible factorization scores at least the nuclear minimum
