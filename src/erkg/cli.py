@@ -12,6 +12,11 @@ abort.  Inputs are never mutated.  An input that cannot be read or
 decoded (a config, data, category or checkpoint file) exits 2, and so
 does an output path that cannot be created; both are found before any
 training, ranking or checking starts.
+
+Run ``verify-theorems`` with ``OPENBLAS_NUM_THREADS=1``: its many tiny
+objective calls gain nothing from BLAS threads.  On a 2-core host,
+``--seeds 1 --restarts 10`` took 6.2 s wall and 13.3 s CPU at default
+threading, and 5.9 s wall and 6.6 s CPU with one thread.
 """
 
 from __future__ import annotations
@@ -205,11 +210,6 @@ def _load_store(cfg: RunConfig):
 
 
 def _run_training(cfg: RunConfig, store, categories):
-    if cfg.train.regularizer.kind == "er" and cfg.train.regularizer.er_mode != "joint":
-        if categories is None:
-            raise ConfigError(
-                f"er_mode {cfg.train.regularizer.er_mode!r} needs a category file"
-            )
     params, eps, history = train(cfg.train, store, categories)
     filter_index = build_filter_index(store)
     report = evaluate(params, store.valid, filter_index, tie=cfg.tie_policy)
@@ -257,14 +257,7 @@ def cmd_verify_theorems(args) -> int:
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     if not variants:
         raise ConfigError("no variants requested")
-    for v in variants:
-        if v not in nuclear.VARIANTS:
-            raise ConfigError(f"unknown variant {v!r}")
-        if nuclear.VARIANTS[v].mechanism != args.mechanism:
-            raise ConfigError(
-                f"variant {v} requires mechanism {nuclear.VARIANTS[v].mechanism!r}, "
-                f"requested {args.mechanism!r}"
-            )
+    norm_order = {v: nuclear.check_pairing(v, args.mechanism).norm_order for v in variants}
     try:
         dims = tuple(int(x) for x in args.dims.split(","))
         I, J, K, D = dims
@@ -279,8 +272,7 @@ def cmd_verify_theorems(args) -> int:
     for s in range(args.seeds):
         seed = args.seed + s
         for v in variants:
-            t = nuclear.VARIANTS[v].norm_order
-            inst = nuclear.make_instance(I, J, K, D, t, args.mechanism, seed)
+            inst = nuclear.make_instance(I, J, K, D, norm_order[v], args.mechanism, seed)
             row = {"seed": seed, "I": I, "J": J, "K": K, "D": D,
                    "mechanism": args.mechanism}
             try:

@@ -271,8 +271,8 @@ def build_filter_index(store: TripleStore) -> KeyedCSR:
 class CategoryMap:
     """Partial entity -> category labeling with dense category ids.
 
-    Lookups for unlabeled entities return ``None``; there is no default
-    category.  ``labels_for`` reads a dense label table built from
+    Unlabeled entities are absent from ``category_of``; there is no
+    default category.  ``labels_for`` reads a dense label table built from
     ``category_of`` on its first call and kept, so ``category_of`` must
     not change after the first lookup.
     """
@@ -282,9 +282,6 @@ class CategoryMap:
     coverage: float
     n_skipped: int = 0
     n_relabeled: int = 0
-
-    def get(self, entity_id: int) -> int | None:
-        return self.category_of.get(int(entity_id))
 
     @cached_property
     def _label_table(self) -> np.ndarray:

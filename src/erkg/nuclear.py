@@ -20,12 +20,14 @@ the nuclear 2-norm, attained at factorizations balanced as
 their ratio to the nuclear estimate reported (flagged outside a
 tolerance band), not asserted.
 
-Minimization uses an increasing-penalty schedule (mu x10 per stage on the
-squared relative reconstruction error until it drops below 1e-8); each
-stage is minimized by L-BFGS-B (a line-search descent; plain gradient
-descent cannot traverse the scaling-degenerate CP valleys to 1e-8 in
-practical time), best over seeded restarts.  No value is reported from an
-infeasible restart.
+Minimization is a penalty method: each seeded restart minimizes the
+raw objective plus mu times the squared relative reconstruction error,
+with mu from 100, x10 per stage, for at most 14 stages of at most 250
+L-BFGS-B iterations, and stops at the first stage whose relative
+residual is below 1e-8.  (L-BFGS-B is a line-search descent; plain
+gradient descent cannot traverse the scaling-degenerate CP valleys to
+1e-8 in practical time.)  The best feasible restart is reported; no
+value is reported from an infeasible restart.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ from scipy.optimize import minimize
 from .errors import ConfigError, InfeasibleError
 
 FEASIBILITY_TARGET = 1e-8
+MU0 = 100.0
+MU_GROWTH = 10.0
+MAX_STAGES = 14
+STAGE_ITERS = 250
 MECHANISMS = ("bilinear", "distance")
 
 AMGM_BAND = (0.95, 1.05)
@@ -77,10 +83,6 @@ class FactorInstance:
     mechanism: str
     seed: int
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.target.shape
-
 
 @dataclass
 class CheckReport:
@@ -110,14 +112,18 @@ def make_instance(
     P = rng.uniform(-1.0, 1.0, size=(I, D))
     R = rng.uniform(-1.0, 1.0, size=(J, D))
     Q = rng.uniform(-1.0, 1.0, size=(K, D))
-    target = np.einsum("id,jd,kd->ijk", P, R, Q)
     return FactorInstance(
-        target=target, rank=D, norm_order=t, mechanism=mechanism, seed=seed
+        target=_cp(P, R, Q), rank=D, norm_order=t, mechanism=mechanism, seed=seed
     )
 
 
 # ---------------------------------------------------------------------------
 # Objective values and gradients on (P, R, Q).
+
+
+def _cp(P, R, Q) -> np.ndarray:
+    """The CP tensor sum_d p_d (x) r_d (x) q_d."""
+    return np.einsum("id,jd,kd->ijk", P, R, Q)
 
 
 def _tnorm(v: np.ndarray, t: int, axis=0) -> np.ndarray:
@@ -189,68 +195,6 @@ def _variant_grads(P, R, Q, name):
 # Penalty-method minimization.
 
 
-def _descend(f_and_g, theta, max_iter):
-    res = minimize(
-        f_and_g,
-        theta,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": 1e-18, "gtol": 1e-14},
-    )
-    return res.x, float(res.fun)
-
-
-class _Problem:
-    """Raw objective plus scaled penalty on flattened (P, R, Q)."""
-
-    def __init__(self, X, D, raw_grads):
-        self.X = X
-        self.I, self.J, self.K = X.shape
-        self.D = D
-        self.denom = max(float(np.linalg.norm(X)), 0.0) or 1.0
-        self.raw_grads = raw_grads
-
-    def unpack(self, theta):
-        I, J, K, D = self.I, self.J, self.K, self.D
-        P = theta[: I * D].reshape(I, D)
-        R = theta[I * D : (I + J) * D].reshape(J, D)
-        Q = theta[(I + J) * D :].reshape(K, D)
-        return P, R, Q
-
-    def residual(self, theta):
-        P, R, Q = self.unpack(theta)
-        E = np.einsum("id,jd,kd->ijk", P, R, Q) - self.X
-        return float(np.linalg.norm(E)) / self.denom
-
-    def funcs(self, mu):
-        scale = mu / (self.denom * self.denom)
-
-        def f_and_g(theta):
-            P, R, Q = self.unpack(theta)
-            val, gP, gR, gQ = self.raw_grads(P, R, Q)
-            E = np.einsum("id,jd,kd->ijk", P, R, Q) - self.X
-            val += scale * float(np.sum(E * E))
-            gP = gP + 2.0 * scale * np.einsum("ijk,jd,kd->id", E, R, Q)
-            gR = gR + 2.0 * scale * np.einsum("ijk,id,kd->jd", E, P, Q)
-            gQ = gQ + 2.0 * scale * np.einsum("ijk,id,jd->kd", E, P, R)
-            return val, np.concatenate([gP.ravel(), gR.ravel(), gQ.ravel()])
-
-        return f_and_g
-
-    def minimize_restart(self, theta0, mu0=100.0, growth=10.0, max_stages=14,
-                         iters_per_stage=400):
-        theta = theta0
-        mu = mu0
-        resid = self.residual(theta)
-        for stage in range(max_stages):
-            theta, _ = _descend(self.funcs(mu), theta, iters_per_stage)
-            resid = self.residual(theta)
-            if resid < FEASIBILITY_TARGET:
-                return theta, resid, True
-            mu *= growth
-        return theta, resid, False
-
-
 @dataclass
 class _OptResult:
     value: float
@@ -261,26 +205,57 @@ class _OptResult:
     n_feasible: int
 
 
-def _multi_restart(instance, raw_grads, restarts, salt, iters_per_stage=250):
+def _multi_restart(instance, raw_grads, restarts, salt):
     """Best feasible restart; ``raw_grads(P, R, Q)`` returns (value, gP, gR, gQ)."""
     if restarts < 1:
         raise ConfigError("restarts must be >= 1")
     X = instance.target
-    prob = _Problem(X, instance.rank, raw_grads)
-    size = (prob.I + prob.J + prob.K) * prob.D
-    scale = max((prob.denom / np.sqrt(X.size) / instance.rank) ** (1.0 / 3.0), 0.1)
+    (I, J, K), D = X.shape, instance.rank
+    denom = float(np.linalg.norm(X)) or 1.0
+
+    def unpack(theta):
+        P = theta[: I * D].reshape(I, D)
+        R = theta[I * D : (I + J) * D].reshape(J, D)
+        Q = theta[(I + J) * D :].reshape(K, D)
+        return P, R, Q
+
+    def objective(theta):
+        # raw value plus mu ||CP(P, R, Q) - X||^2 / ||X||^2 at the current stage's mu
+        scale = mu / (denom * denom)
+        P, R, Q = unpack(theta)
+        val, gP, gR, gQ = raw_grads(P, R, Q)
+        E = _cp(P, R, Q) - X
+        val += scale * float(np.sum(E * E))
+        gP = gP + 2.0 * scale * np.einsum("ijk,jd,kd->id", E, R, Q)
+        gR = gR + 2.0 * scale * np.einsum("ijk,id,kd->jd", E, P, Q)
+        gQ = gQ + 2.0 * scale * np.einsum("ijk,id,jd->kd", E, P, R)
+        return val, np.concatenate([gP.ravel(), gR.ravel(), gQ.ravel()])
+
+    init_scale = max((denom / np.sqrt(X.size) / D) ** (1.0 / 3.0), 0.1)
     best = None
     n_feasible = 0
     best_resid = np.inf
     for k in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([instance.seed, salt, k]))
-        theta0 = rng.normal(0.0, scale, size=size)
-        theta, resid, ok = prob.minimize_restart(theta0, iters_per_stage=iters_per_stage)
+        theta = rng.normal(0.0, init_scale, size=(I + J + K) * D)
+        mu = MU0
+        for _stage in range(MAX_STAGES):
+            theta = minimize(
+                objective,
+                theta,
+                jac=True,
+                method="L-BFGS-B",
+                options={"maxiter": STAGE_ITERS, "ftol": 1e-18, "gtol": 1e-14},
+            ).x
+            P, R, Q = unpack(theta)
+            resid = float(np.linalg.norm(_cp(P, R, Q) - X)) / denom
+            if resid < FEASIBILITY_TARGET:
+                break
+            mu *= MU_GROWTH
         best_resid = min(best_resid, resid)
-        if not ok:
+        if not resid < FEASIBILITY_TARGET:
             continue
         n_feasible += 1
-        P, R, Q = prob.unpack(theta)
         value = float(raw_grads(P, R, Q)[0])
         if best is None or value < best[0]:
             best = (value, P.copy(), R.copy(), Q.copy(), resid)
@@ -292,19 +267,23 @@ def _multi_restart(instance, raw_grads, restarts, salt, iters_per_stage=250):
     return _OptResult(*best, n_feasible)
 
 
-def _check_variant_pairing(instance: FactorInstance, variant: str) -> VariantDef:
+def check_pairing(variant: str, mechanism: str, norm_order: int | None = None) -> VariantDef:
+    """``VARIANTS[variant]``, checked to apply to an instance with these tags.
+
+    ``norm_order=None`` skips the norm-order check, for a caller that makes
+    the instance with the variant's own norm order.
+    """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     var = VARIANTS[variant]
-    if var.mechanism != instance.mechanism:
+    if var.mechanism != mechanism:
         raise ConfigError(
-            f"variant {variant} requires a {var.mechanism}-mechanism instance, "
-            f"got {instance.mechanism}"
+            f"variant {variant} requires mechanism {var.mechanism!r}, got {mechanism!r}"
         )
-    if var.norm_order != instance.norm_order:
+    if norm_order is not None and var.norm_order != norm_order:
         raise ConfigError(
             f"variant {variant} uses norm order {var.norm_order}, "
-            f"instance has {instance.norm_order}"
+            f"instance has {norm_order}"
         )
     return var
 
@@ -315,7 +294,7 @@ def _nuclear_opt(instance: FactorInstance, restarts: int) -> _OptResult:
 
 
 def _variant_opt(instance: FactorInstance, variant: str, restarts: int) -> _OptResult:
-    _check_variant_pairing(instance, variant)
+    check_pairing(variant, instance.mechanism, instance.norm_order)
     return _multi_restart(
         instance,
         lambda P, R, Q: _variant_grads(P, R, Q, variant),
@@ -331,11 +310,7 @@ def _balancedness_residual(P, R, Q, t):
     3-norm for t=3 (the pairing the cube-case chain balances).
     """
     J = len(R)
-    if t == 2:
-        cn = lambda M: np.sqrt(np.sum(M * M, axis=0))
-    else:
-        cn = lambda M: np.sqrt(np.sum(np.abs(M) ** 3, axis=0))
-    np_, nr, nq = cn(P), cn(R), cn(Q)
+    np_, nr, nq = (np.sqrt(np.sum(np.abs(M) ** t, axis=0)) for M in (P, R, Q))
     live = (np_ > 1e-12) | (nr > 1e-12) | (nq > 1e-12)
     if not live.any():
         return 0.0

@@ -192,10 +192,14 @@ def train(
 
     Returns ``(params, eps_state, history)``.  The store should normally
     be reciprocal-augmented so head prediction trains as tail prediction.
+    The ER category modes (``er_mode`` other than ``joint``) need
+    ``categories``; without them ``ConfigError`` is raised before any work.
     """
     config.validate()
     kind = ModelKind(config.model)
     spec = config.regularizer
+    if spec.kind == "er" and spec.er_mode != "joint" and categories is None:
+        raise ConfigError(f"er_mode {spec.er_mode!r} needs a category file")
     n_ent = store.vocab.n_entities
     n_rel = store.vocab.n_relations
     params = init_params(kind, n_ent, n_rel, config.dim, config.seed)
@@ -222,7 +226,6 @@ def train(
         perm = rng.permutation(n)
         loss_sum = 0.0
         reg_sum = 0.0
-        n_batches = 0
         for bi, start in enumerate(range(0, n, config.batch_size)):
             batch = train_arr[perm[start : start + config.batch_size]]
             pair_seed = int(
@@ -246,7 +249,6 @@ def train(
             project_constraints(params)
             loss_sum += loss * len(batch)
             reg_sum += reg_value * len(batch)
-            n_batches += 1
 
         record = EpochRecord(
             epoch=epoch,
@@ -279,22 +281,15 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: magic "ERKG", version u32 LE, kind byte, three u64 dims,
-# parameter blocks as little-endian float64 in declared order, then the
-# epsilon array (one float64 per relation; NaN marks uninitialized).
+# Checkpoints: magic "ERKG", version u32 LE, kind byte (the kind's index in
+# ModelKind's declaration order), three u64 dims, parameter blocks as
+# little-endian float64 in declared order, then the epsilon array (one
+# float64 per relation; NaN marks uninitialized).
 
 CHECKPOINT_MAGIC = b"ERKG"
 CHECKPOINT_VERSION = 1
 
-_KIND_BYTES = {
-    ModelKind.CP: 0,
-    ModelKind.DISTMULT: 1,
-    ModelKind.COMPLEX: 2,
-    ModelKind.RESCAL: 3,
-    ModelKind.TRANSE: 4,
-    ModelKind.ROTATE: 5,
-}
-_BYTE_KINDS = {v: k for k, v in _KIND_BYTES.items()}
+_KINDS = list(ModelKind)
 
 
 def save_checkpoint(params: ModelParams, eps: EpsilonState, path) -> None:
@@ -302,7 +297,7 @@ def save_checkpoint(params: ModelParams, eps: EpsilonState, path) -> None:
         with open(path, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<B", _KIND_BYTES[params.kind]))
+            fh.write(struct.pack("<B", _KINDS.index(params.kind)))
             fh.write(
                 struct.pack("<QQQ", params.n_entities, params.n_relations, params.dim)
             )
@@ -331,9 +326,9 @@ def load_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (kind_byte,) = struct.unpack_from("<B", raw, 8)
-    if kind_byte not in _BYTE_KINDS:
+    if kind_byte >= len(_KINDS):
         raise CheckpointError(f"unknown model kind byte {kind_byte}")
-    kind = _BYTE_KINDS[kind_byte]
+    kind = _KINDS[kind_byte]
     n_ent, n_rel, dim = struct.unpack_from("<QQQ", raw, 9)
     shapes = block_shapes(kind, n_ent, n_rel, dim)
     expected = header + 8 * (

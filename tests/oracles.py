@@ -101,8 +101,8 @@ def pair_label(params, h_a, h_b, r, mode, categories=None, eps=None, tau=1.0, st
     if mode not in ER_MODES:
         raise ConfigError(f"unknown er_mode {mode!r}")
     if mode != "joint":
-        ca = categories.get(h_a) if categories is not None else None
-        cb = categories.get(h_b) if categories is not None else None
+        ca = categories.category_of.get(int(h_a)) if categories is not None else None
+        cb = categories.category_of.get(int(h_b)) if categories is not None else None
         if ca is not None and cb is not None:
             return 1.0 if ca == cb else 0.0
         if strict:

@@ -107,6 +107,14 @@ class TestTrain:
         assert run_cli("train", "--config", str(cfg)) == 2
         assert "category file" in capsys.readouterr().err
 
+    def test_category_mode_without_categories_exits_2(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        doc = json.loads(cfg.read_text())
+        doc["data"]["categories"] = None
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "er_mode 'proximity' needs a category file" in capsys.readouterr().err
+
     def test_config_is_directory_exits_2(self, tmp_path, capsys):
         assert run_cli("train", "--config", str(tmp_path)) == 2
         assert "cannot read config file" in capsys.readouterr().err
@@ -335,6 +343,17 @@ class TestVerifyTheorems:
         # the literal statement's ratio sits far outside the band here, so
         # the command reports it and signals with exit code 1
         assert rows[0]["flagged"]
+        assert code == 1
+
+    def test_infeasible_row_exits_1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(nuclear, "FEASIBILITY_TARGET", 0.0)
+        code = run_cli(
+            "verify-theorems", "--dims", "2,1,2,1", "--seeds", "1", "--restarts", "1",
+            "--out", str(tmp_path),
+        )
+        (row,) = json.loads((tmp_path / "theorem_reports.json").read_text())
+        assert row["variant"] == "amgm4" and row["feasible"] is False
+        assert "over 1 restarts" in row["error"]
         assert code == 1
 
     def test_repeat_run_identical_reports(self, tmp_path):

@@ -355,8 +355,9 @@ class TestCategories:
         c = write(tmp_path / "c.txt", "a\tx\nb\tx\nc\ty\n")
         cmap = load_categories(c, vocab)
         assert cmap.coverage == pytest.approx(0.6)
-        assert cmap.get(vocab.entity_index["a"]) == cmap.get(vocab.entity_index["b"])
-        assert cmap.get(vocab.entity_index["e"]) is None
+        cat = cmap.category_of
+        assert cat.get(vocab.entity_index["a"]) == cat.get(vocab.entity_index["b"])
+        assert cat.get(vocab.entity_index["e"]) is None
 
     def test_empty_file(self, tmp_path):
         t = write(tmp_path / "t.txt", "a\tr\tb\n")
@@ -364,7 +365,7 @@ class TestCategories:
         c = write(tmp_path / "c.txt", "")
         cmap = load_categories(c, vocab)
         assert cmap.coverage == 0.0
-        assert cmap.get(0) is None
+        assert cmap.category_of.get(0) is None
 
     def test_duplicate_label_last_wins(self, tmp_path):
         t = write(tmp_path / "t.txt", "a\tr\tb\n")
@@ -372,7 +373,8 @@ class TestCategories:
         c = write(tmp_path / "c.txt", "a\tx\nb\ty\na\ty\n")
         cmap = load_categories(c, vocab)
         assert cmap.n_relabeled == 1
-        assert cmap.get(vocab.entity_index["a"]) == cmap.get(vocab.entity_index["b"])
+        cat = cmap.category_of
+        assert cat.get(vocab.entity_index["a"]) == cat.get(vocab.entity_index["b"])
 
     def test_unknown_entities_skipped(self, tmp_path):
         t = write(tmp_path / "t.txt", "a\tr\tb\n")
@@ -417,8 +419,8 @@ class TestSynthetic:
         # the data-level equivariance statement
         for r in range(5):
             triples = [t for t in store.all_triples() if t[1] == r]
-            head_cats = {cmap.get(t[0]) for t in triples}
-            tail_cats = {cmap.get(t[2]) for t in triples}
+            head_cats = {cmap.category_of.get(int(t[0])) for t in triples}
+            tail_cats = {cmap.category_of.get(int(t[2])) for t in triples}
             assert len(head_cats) == 1
             assert len(tail_cats) == 1
 
@@ -429,8 +431,8 @@ class TestSynthetic:
             rows = arr[arr[:, 1] == r]
             for i in range(len(rows)):
                 for j in range(i + 1, len(rows)):
-                    if cmap.get(rows[i, 0]) == cmap.get(rows[j, 0]):
-                        assert cmap.get(rows[i, 2]) == cmap.get(rows[j, 2])
+                    if cmap.category_of.get(rows[i, 0]) == cmap.category_of.get(rows[j, 0]):
+                        assert cmap.category_of.get(rows[i, 2]) == cmap.category_of.get(rows[j, 2])
 
     def test_infeasible_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -449,6 +451,6 @@ class TestSynthetic:
         # same partition into categories even if ids are relabeled
         for e1 in range(30):
             for e2 in range(e1 + 1, 30):
-                assert (cmap.get(e1) == cmap.get(e2)) == (
-                    cmap2.get(e1) == cmap2.get(e2)
+                assert (cmap.category_of.get(e1) == cmap.category_of.get(e2)) == (
+                    cmap2.category_of.get(e1) == cmap2.category_of.get(e2)
                 )

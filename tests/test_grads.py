@@ -179,11 +179,13 @@ def test_bench_hook_contract():
 
 
 def test_bench_layers_find_every_hook():
-    """Every name the traced benchmark wraps exists, and one traced epoch
-    and evaluation feed the merge, Adagrad and score-backward counts."""
+    """Every name the traced benchmark wraps exists, one traced epoch and
+    evaluation feed the merge, Adagrad and score-backward counts, and one
+    traced nuclear check passes through the wrapped minimizer and
+    objectives."""
     from bench import layers
     from bench.tracer import Tracer
-    from erkg import ranking, training
+    from erkg import nuclear, ranking, training
     from erkg.data import build_filter_index
 
     store = build_problem("complex", "none")[-1]
@@ -193,8 +195,13 @@ def test_bench_layers_find_every_hook():
         assert tr.absent == []
         params = training.train(training.TrainConfig(model="complex", dim=4, epochs=1), store)[0]
         ranking.evaluate(params, store.train, build_filter_index(store))
+        nuclear.check_instance(nuclear.make_instance(2, 1, 2, 1, 2, "bilinear", 0), "amgm4", 1)
     finally:
         tr.uninstall()
     for name in ("grads.finalize.rows_in", "training.adagrad.rows",
-                 "models.backward_all_tails.flop", "ranking.queries"):
+                 "models.backward_all_tails.flop", "ranking.queries",
+                 "nuclear.stages", "nuclear.lbfgs.iterations"):
         assert tr.counts[name] > 0, name
+    spans = tr.summary()
+    for name in ("nuclear.objective", "nuclear.raw_grads"):
+        assert spans[name]["calls"] > 0, name

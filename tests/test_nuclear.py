@@ -1,9 +1,11 @@
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from erkg.errors import ConfigError
+from erkg import nuclear
+from erkg.errors import ConfigError, InfeasibleError
 from erkg.nuclear import VARIANTS, _nuclear_opt, _variant_opt, check_instance, make_instance
 
 # frozen outputs of the 50-restart optimization oracle on the seed-0
@@ -102,6 +104,15 @@ class TestObjectiveMin:
         inst = make_instance(3, 2, 3, 2, 3, "bilinear", seed=0)
         with pytest.raises(ConfigError):
             _variant_opt(inst, "thm1", 2)
+
+
+    def test_infeasible_restarts_raise(self, monkeypatch):
+        monkeypatch.setattr(nuclear, "FEASIBILITY_TARGET", 0.0)
+        inst = make_instance(2, 1, 2, 1, 2, "bilinear", seed=0)
+        with pytest.raises(InfeasibleError, match=r"over 2 restarts") as info:
+            _nuclear_opt(inst, 2)
+        best = re.search(r"\(best (\S+) over", str(info.value)).group(1)
+        assert 0.0 <= float(best) < 1e-8
 
 
 class TestCheckInstance:

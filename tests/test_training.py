@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,19 @@ class TestTrain:
         for r in evaluated:
             assert 0.0 < r.valid_mrr <= 1.0
 
+    @pytest.mark.parametrize("mode", ["proximity", "dissimilarity"])
+    def test_category_mode_without_categories_rejected_before_training(self, mode, monkeypatch):
+        store, _cmap = generate_synthetic(60, 3, 4, 60, 0.05, 3)
+
+        def work_before_the_check(*args, **kwargs):
+            raise AssertionError("training started before the category check")
+
+        monkeypatch.setattr(training, "init_params", work_before_the_check)
+        cfg = TrainConfig(model="distmult", dim=4, epochs=1,
+                          regularizer=RegularizerSpec(kind="er", er_mode=mode))
+        with pytest.raises(ConfigError, match=f"er_mode '{mode}' needs a category file"):
+            train(cfg, store, None)
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
@@ -300,6 +315,30 @@ class TestCheckpoint:
         save_checkpoint(params, eps, path)
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_kind_bytes(self, tmp_path):
+        expected = {ModelKind.CP: 0, ModelKind.DISTMULT: 1, ModelKind.COMPLEX: 2,
+                    ModelKind.RESCAL: 3, ModelKind.TRANSE: 4, ModelKind.ROTATE: 5}
+        assert set(expected) == set(ModelKind)
+        for kind, byte in expected.items():
+            path = tmp_path / f"{kind.value}.ckpt"
+            save_checkpoint(init_params(kind, 3, 2, 2, seed=0), EpsilonState.create(2), path)
+            assert path.read_bytes()[8] == byte
+            assert load_checkpoint(path)[0].kind == kind
+
+    @pytest.mark.parametrize("offset, field, value, message", [
+        (8, "<B", 6, "unknown model kind byte 6"),
+        (4, "<I", 0, "unsupported checkpoint version 0"),
+        (4, "<I", 2, "unsupported checkpoint version 2"),
+    ])
+    def test_bad_header_field_rejected(self, tmp_path, offset, field, value, message):
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(init_params(ModelKind.CP, 3, 2, 2, seed=0), EpsilonState.create(2), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(field, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
     def test_rescal_size_arithmetic(self, tmp_path):
