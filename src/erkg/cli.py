@@ -32,7 +32,6 @@ from pathlib import Path
 from . import nuclear
 from .data import (
     add_reciprocals,
-    build_filter_index,
     generate_synthetic,
     load_categories,
     load_dataset,
@@ -186,7 +185,7 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
             raise ConfigError(f"grid.{key} must be a list, got {values!r}")
         grid[key] = [typed(v, float, f"grid.{key}[]") for v in values]
 
-    return RunConfig(
+    run = RunConfig(
         train_path=data["train"],
         valid_path=data["valid"],
         test_path=data["test"],
@@ -197,6 +196,19 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
         out_dir=out_dir,
         grid=grid,
     )
+    if allow_grid:
+        for _lr, _lam, cell in _grid_cells(run):
+            cell.train.validate()
+    return run
+
+
+def _grid_cells(cfg: RunConfig):
+    """``(learning_rate, lambda, run config)`` of each grid cell, in
+    leaderboard order; an absent grid key takes its standard set."""
+    for lr in cfg.grid.get("learning_rate", LEARNING_RATE_GRID):
+        for lam in cfg.grid.get("lambda", LAMBDA_GRID):
+            spec = replace(cfg.train.regularizer, lam=lam)
+            yield lr, lam, replace(cfg, train=replace(cfg.train, learning_rate=lr, regularizer=spec))
 
 
 def _load_store(cfg: RunConfig):
@@ -211,8 +223,7 @@ def _load_store(cfg: RunConfig):
 
 def _run_training(cfg: RunConfig, store, categories):
     params, eps, history = train(cfg.train, store, categories)
-    filter_index = build_filter_index(store)
-    report = evaluate(params, store.valid, filter_index, tie=cfg.tie_policy)
+    report = evaluate(params, store.valid, store.filter_index, tie=cfg.tie_policy)
     return params, eps, history, report
 
 
@@ -244,9 +255,7 @@ def cmd_evaluate(args) -> int:
     ):
         if ours != data:
             raise ConfigError(f"checkpoint has {ours} {what}, data has {data}")
-    filter_index = build_filter_index(store)
-    queries = store.split(args.split)
-    report = evaluate(params, queries, filter_index, tie=args.tie_policy)
+    report = evaluate(params, store.split(args.split), store.filter_index, tie=args.tie_policy)
     print(json.dumps(report.to_json_dict(), sort_keys=True))
     if args.out:
         _write_json(args.out, report.to_json_dict())
@@ -312,23 +321,18 @@ def cmd_synth(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     cfg = load_run_config(args.config, allow_grid=True)
-    lrs = cfg.grid.get("learning_rate", LEARNING_RATE_GRID)
-    lams = cfg.grid.get("lambda", LAMBDA_GRID)
     out = _out_dir(args.out if args.out is not None else cfg.out_dir)
     data = _load_store(cfg)
     rows = []
-    for lr in lrs:
-        for lam in lams:
-            spec = replace(cfg.train.regularizer, lam=lam)
-            cell = replace(cfg, train=replace(cfg.train, learning_rate=lr, regularizer=spec))
-            row = {"learning_rate": lr, "lambda": lam}
-            try:
-                _params, _eps, _history, report = _run_training(cell, *data)
-                row.update(report.to_json_dict())
-                row["status"] = "ok"
-            except ErkgError as exc:
-                row["status"] = f"failed: {exc}"
-            rows.append(row)
+    for lr, lam, cell in _grid_cells(cfg):
+        row = {"learning_rate": lr, "lambda": lam}
+        try:
+            _params, _eps, _history, report = _run_training(cell, *data)
+            row.update(report.to_json_dict())
+            row["status"] = "ok"
+        except ErkgError as exc:
+            row["status"] = f"failed: {exc}"
+        rows.append(row)
     ok_rows = [r for r in rows if r["status"] == "ok"]
     best = max(ok_rows, key=lambda r: r["mrr"], default=None)
     for row in rows:

@@ -115,8 +115,9 @@ class TripleStore:
     Immutable after construction; safe to share read-only across threads.
     ``duplicates`` counts exact duplicate lines kept (not dropped) per
     split.  ``adjacency`` (a :class:`KeyedCSR` of the training edges'
-    relation ids keyed by head, in training order) is a cache, built from
-    ``train`` on first use and kept.
+    relation ids keyed by head, in training order) and ``filter_index``
+    (:func:`build_filter_index` of the store) are caches, built on first
+    use and kept.
     """
 
     train: np.ndarray
@@ -138,6 +139,10 @@ class TripleStore:
     @cached_property
     def adjacency(self) -> KeyedCSR:
         return KeyedCSR.group(self.train[:, 0], self.train[:, 1])
+
+    @cached_property
+    def filter_index(self) -> KeyedCSR:
+        return build_filter_index(self)
 
     def all_triples(self) -> np.ndarray:
         return np.concatenate([self.train, self.valid, self.test], axis=0)

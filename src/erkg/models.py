@@ -1,6 +1,11 @@
 """Embedding tables, score functions, relation operators, and analytic
 gradients for six link-prediction model families.
 
+``block_shapes`` is the one declaration of each kind's parameter
+layout (block names, order and shapes).  ``ModelParams`` holds exactly
+those blocks and reads its sizes from the tables; ``init_params`` draws
+them, and the checkpoint writes them, in that order.
+
 The bilinear family (``cp``, ``distmult``, ``complex``, ``rescal``) scores
 a triple as ``Re(conj(h) . R . t)``; the distance family (``transe``,
 ``rotate``) scores ``-||T_r(h) - t||_2``.  Complex-valued kinds store
@@ -49,7 +54,6 @@ it against, ``score`` and ``relational_transform``, live in
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -86,36 +90,33 @@ def block_shapes(
     return shapes
 
 
-@dataclass
 class ModelParams:
-    """Parameter blocks for one model.
+    """Parameter blocks for one model: exactly the blocks that
+    :func:`block_shapes` declares for ``kind``, in its order, else
+    ``ConfigError``.  The sizes are read from the tables.
 
-    ``entity`` is the (single or head-role) entity table, ``entity_tail``
-    the tail-role table (cp only), ``relation`` the per-relation
-    parameters: a diagonal vector (cp/distmult), an interleaved complex
-    diagonal (complex/rotate), a full matrix (rescal), or a translation
-    vector (transe).
+    ``entity`` is the head-role table (the only one except for cp),
+    ``relation`` the per-relation parameters: a diagonal vector
+    (cp/distmult), an interleaved complex diagonal (complex/rotate), a full
+    matrix (rescal), or a translation vector (transe).  Both are the
+    blocks themselves, changed in place.
     """
 
-    kind: ModelKind
-    n_entities: int
-    n_relations: int
-    dim: int
-    entity: np.ndarray
-    relation: np.ndarray
-    entity_tail: np.ndarray | None = None
+    def __init__(self, kind: ModelKind, blocks: dict[str, np.ndarray]):
+        self.kind = ModelKind(kind)
+        self._blocks = dict(blocks)
+        shapes = block_shapes(self.kind, self.n_entities, self.n_relations, self.dim)
+        if [(name, arr.shape) for name, arr in self._blocks.items()] != list(shapes.items()):
+            raise ConfigError(f"{self.kind.value} blocks do not match block_shapes {shapes}")
 
     def blocks(self) -> dict[str, np.ndarray]:
         """Parameter blocks in declared (checkpoint) order."""
-        if self.kind == ModelKind.CP:
-            return {"ent_h": self.entity, "ent_t": self.entity_tail, "rel": self.relation}
-        return {"ent": self.entity, "rel": self.relation}
+        return dict(self._blocks)
 
     def grad_shapes(self) -> dict[str, tuple[int, ...]]:
         """Shapes of every gradient block: the parameter blocks plus ``"eps"``."""
-        shapes = block_shapes(self.kind, self.n_entities, self.n_relations, self.dim)
-        shapes["eps"] = (self.n_relations,)
-        return shapes
+        return {**{name: arr.shape for name, arr in self._blocks.items()},
+                "eps": (self.n_relations,)}
 
     @property
     def head_key(self) -> str:
@@ -127,28 +128,39 @@ class ModelParams:
 
     @property
     def head_table(self) -> np.ndarray:
-        return self.entity
+        return self._blocks[self.head_key]
+
+    entity = head_table
 
     @property
     def tail_table(self) -> np.ndarray:
-        return self.entity_tail if self.kind == ModelKind.CP else self.entity
+        return self._blocks[self.tail_key]
+
+    @property
+    def relation(self) -> np.ndarray:
+        return self._blocks["rel"]
+
+    @property
+    def n_entities(self) -> int:
+        return self.head_table.shape[0]
+
+    @property
+    def n_relations(self) -> int:
+        return self.relation.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.head_table.shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            kind=self.kind,
-            n_entities=self.n_entities,
-            n_relations=self.n_relations,
-            dim=self.dim,
-            entity=self.entity.copy(),
-            relation=self.relation.copy(),
-            entity_tail=None if self.entity_tail is None else self.entity_tail.copy(),
-        )
+        return ModelParams(self.kind, {name: arr.copy() for name, arr in self._blocks.items()})
 
 
 def init_params(
     kind: ModelKind, n_entities: int, n_relations: int, dim: int, seed: int
 ) -> ModelParams:
-    """Seeded i.i.d. uniform [-1/sqrt(d), +1/sqrt(d)] initialization.
+    """Seeded i.i.d. uniform [-1/sqrt(d), +1/sqrt(d)] initialization of each
+    block, drawn in declared order.
 
     Rotation phases are drawn uniform on [0, 2pi) and stored as unit
     complex numbers.  Complex kinds require an even ``dim``.
@@ -158,30 +170,14 @@ def init_params(
         raise ConfigError(f"{kind.value} requires an even dim, got {dim}")
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(dim)
-
-    def table(*shape):
-        return rng.uniform(-bound, bound, size=shape)
-
-    entity = table(n_entities, dim)
-    entity_tail = table(n_entities, dim) if kind == ModelKind.CP else None
-    if kind == ModelKind.RESCAL:
-        relation = table(n_relations, dim, dim)
-    elif kind == ModelKind.ROTATE:
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_relations, dim // 2))
-        relation = np.empty((n_relations, dim))
-        relation[:, 0::2] = np.cos(phases)
-        relation[:, 1::2] = np.sin(phases)
-    else:
-        relation = table(n_relations, dim)
-    return ModelParams(
-        kind=kind,
-        n_entities=n_entities,
-        n_relations=n_relations,
-        dim=dim,
-        entity=entity,
-        relation=relation,
-        entity_tail=entity_tail,
-    )
+    blocks = {}
+    for name, shape in block_shapes(kind, n_entities, n_relations, dim).items():
+        if name == "rel" and kind == ModelKind.ROTATE:
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_relations, dim // 2))
+            blocks[name] = np.stack([np.cos(phases), np.sin(phases)], axis=-1).reshape(shape)
+        else:
+            blocks[name] = rng.uniform(-bound, bound, size=shape)
+    return ModelParams(kind, blocks)
 
 
 def project_constraints(params: ModelParams) -> ModelParams:

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CategoryMap, TripleStore, build_filter_index
+from .data import CategoryMap, TripleStore
 from .errors import CheckpointError, ConfigError, NumericError, check_fields
 from .grads import GradAccumulator, all_finite
 from .models import (
-    ModelKind, ModelParams, backward_all_tails, block_shapes, forward_all_tails,
-    init_params, project_constraints,
+    N3_KINDS, OPERATORS, ModelKind, ModelParams, backward_all_tails, block_shapes,
+    forward_all_tails, init_params, project_constraints,
 )
 from .ranking import evaluate
 from .regularizers import (
@@ -62,7 +62,7 @@ class TrainConfig:
     def validate(self) -> None:
         check_fields(self)
         try:
-            ModelKind(self.model)
+            kind = ModelKind(self.model)
         except ValueError as exc:
             raise ConfigError(f"unknown model kind {self.model!r}") from exc
         if self.learning_rate <= 0:
@@ -76,6 +76,11 @@ class TrainConfig:
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be an integer >= 1, got {self.patience!r}")
         self.regularizer.validate()
+        op, penalty = OPERATORS[kind], self.regularizer.kind
+        if (penalty == "n3" and kind not in N3_KINDS) or (penalty == "dura" and op.distance):
+            raise ConfigError(f"{penalty} penalty does not support {kind.value}")
+        if op.complex_coords and self.dim % 2 != 0:
+            raise ConfigError(f"{kind.value} requires an even dim, got {self.dim}")
 
 
 @dataclass
@@ -200,23 +205,18 @@ def train(
     spec = config.regularizer
     if spec.kind == "er" and spec.er_mode != "joint" and categories is None:
         raise ConfigError(f"er_mode {spec.er_mode!r} needs a category file")
-    n_ent = store.vocab.n_entities
+    train_arr = store.train
+    n = len(train_arr)
+    if n == 0:
+        raise ConfigError("empty training split")
     n_rel = store.vocab.n_relations
-    params = init_params(kind, n_ent, n_rel, config.dim, config.seed)
+    params = init_params(kind, store.vocab.n_entities, n_rel, config.dim, config.seed)
     eps_state = EpsilonState.create(n_rel, spec.epsilon_init)
     blocks = {**params.blocks(), "eps": eps_state.epsilon}
     accs = {name: np.zeros_like(arr) for name, arr in params.blocks().items()}
     accs["eps"] = eps_state.acc
 
-    filter_index = None
-    if config.eval_every > 0 and len(store.valid) > 0:
-        filter_index = build_filter_index(store)
-
     rng = np.random.default_rng(config.seed)
-    train_arr = store.train
-    n = len(train_arr)
-    if n == 0:
-        raise ConfigError("empty training split")
     history = TrainHistory()
     best_mrr = -np.inf
     stale = 0
@@ -256,51 +256,48 @@ def train(
             reg_value=reg_sum / n,
         )
         if (
-            filter_index is not None
-            and config.eval_every > 0
+            config.eval_every > 0
             and (epoch + 1) % config.eval_every == 0
+            and len(store.valid) > 0
         ):
-            report = evaluate(params, store.valid, filter_index)
+            report = evaluate(params, store.valid, store.filter_index)
             record.valid_mrr = report.mrr
             record.valid_hits1 = report.hits[1]
             record.valid_hits10 = report.hits[10]
-            if config.patience is not None:
-                if report.mrr > best_mrr + 1e-12:
-                    best_mrr = report.mrr
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= config.patience:
-                        record.seconds = time.perf_counter() - t0
-                        history.records.append(record)
-                        logger.info("early stop at epoch %d", epoch)
-                        break
+            if report.mrr > best_mrr + 1e-12:
+                best_mrr = report.mrr
+                stale = 0
+            else:
+                stale += 1
         record.seconds = time.perf_counter() - t0
         history.records.append(record)
+        if config.patience is not None and stale >= config.patience:
+            logger.info("early stop at epoch %d", epoch)
+            break
     return params, eps_state, history
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: magic "ERKG", version u32 LE, kind byte (the kind's index in
-# ModelKind's declaration order), three u64 dims, parameter blocks as
-# little-endian float64 in declared order, then the epsilon array (one
-# float64 per relation; NaN marks uninitialized).
+# Checkpoints: the 33-byte ``_HEADER`` (magic "ERKG", version u32 LE, kind
+# byte = the kind's index in ModelKind's declaration order, three u64 dims),
+# the blocks ``block_shapes`` declares as little-endian float64 in its
+# order, then the epsilon array (one float64 per relation; NaN marks
+# uninitialized).
 
 CHECKPOINT_MAGIC = b"ERKG"
 CHECKPOINT_VERSION = 1
 
+_HEADER = struct.Struct("<4sIBQQQ")
 _KINDS = list(ModelKind)
 
 
 def save_checkpoint(params: ModelParams, eps: EpsilonState, path) -> None:
     try:
         with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<B", _KINDS.index(params.kind)))
-            fh.write(
-                struct.pack("<QQQ", params.n_entities, params.n_relations, params.dim)
-            )
+            fh.write(_HEADER.pack(
+                CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _KINDS.index(params.kind),
+                params.n_entities, params.n_relations, params.dim,
+            ))
             for arr in params.blocks().values():
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(eps.epsilon, dtype="<f8").tobytes())
@@ -319,26 +316,23 @@ def load_checkpoint(path):
             raw = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint: {exc}") from exc
-    header = 4 + 4 + 1 + 24
-    if len(raw) < header or raw[:4] != CHECKPOINT_MAGIC:
+    if len(raw) < _HEADER.size or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError("bad checkpoint magic")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    _magic, version, kind_byte, n_ent, n_rel, dim = _HEADER.unpack_from(raw)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (kind_byte,) = struct.unpack_from("<B", raw, 8)
     if kind_byte >= len(_KINDS):
         raise CheckpointError(f"unknown model kind byte {kind_byte}")
     kind = _KINDS[kind_byte]
-    n_ent, n_rel, dim = struct.unpack_from("<QQQ", raw, 9)
     shapes = block_shapes(kind, n_ent, n_rel, dim)
-    expected = header + 8 * (
+    expected = _HEADER.size + 8 * (
         sum(int(np.prod(s)) for s in shapes.values()) + n_rel
     )
     if len(raw) != expected:
         raise CheckpointError(
             f"checkpoint size mismatch: expected {expected} bytes, got {len(raw)}"
         )
-    offset = header
+    offset = _HEADER.size
     blocks = {}
     for name, shape in shapes.items():
         count = int(np.prod(shape))
@@ -349,13 +343,4 @@ def load_checkpoint(path):
         )
         offset += 8 * count
     epsilon = np.frombuffer(raw, dtype="<f8", count=n_rel, offset=offset).copy()
-    params = ModelParams(
-        kind=kind,
-        n_entities=int(n_ent),
-        n_relations=int(n_rel),
-        dim=int(dim),
-        entity=blocks.get("ent", blocks.get("ent_h")),
-        relation=blocks["rel"],
-        entity_tail=blocks.get("ent_t"),
-    )
-    return params, EpsilonState(epsilon=epsilon, acc=np.zeros(int(n_rel)))
+    return ModelParams(kind, blocks), EpsilonState(epsilon=epsilon, acc=np.zeros(n_rel))

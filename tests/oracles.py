@@ -2,6 +2,7 @@
 ``erkg`` are checked against them."""
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,6 +13,60 @@ from erkg.regularizers import ER_MODES, _sigmoid
 logger = logging.getLogger(__name__)
 
 DIAGONAL_KINDS = frozenset({ModelKind.CP, ModelKind.DISTMULT})
+
+
+@dataclass
+class FieldParams:
+    """Model parameters as seven separate fields: the sizes given beside
+    the tables, cp's tail table in its own field, and the block names
+    spelled out per kind."""
+
+    kind: ModelKind
+    n_entities: int
+    n_relations: int
+    dim: int
+    entity: np.ndarray
+    relation: np.ndarray
+    entity_tail: np.ndarray | None = None
+
+    def blocks(self) -> dict[str, np.ndarray]:
+        if self.kind == ModelKind.CP:
+            return {"ent_h": self.entity, "ent_t": self.entity_tail, "rel": self.relation}
+        return {"ent": self.entity, "rel": self.relation}
+
+
+def init_field_params(kind, n_entities: int, n_relations: int, dim: int, seed: int):
+    """Seeded initialization written table by table: the entity table,
+    cp's tail table, then the relation block, uniform on
+    [-1/sqrt(d), +1/sqrt(d)] except rotation phases, drawn uniform on
+    [0, 2pi) and stored as interleaved (cos, sin)."""
+    kind = ModelKind(kind)
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / np.sqrt(dim)
+
+    def table(*shape):
+        return rng.uniform(-bound, bound, size=shape)
+
+    entity = table(n_entities, dim)
+    entity_tail = table(n_entities, dim) if kind == ModelKind.CP else None
+    if kind == ModelKind.RESCAL:
+        relation = table(n_relations, dim, dim)
+    elif kind == ModelKind.ROTATE:
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_relations, dim // 2))
+        relation = np.empty((n_relations, dim))
+        relation[:, 0::2] = np.cos(phases)
+        relation[:, 1::2] = np.sin(phases)
+    else:
+        relation = table(n_relations, dim)
+    return FieldParams(
+        kind=kind,
+        n_entities=n_entities,
+        n_relations=n_relations,
+        dim=dim,
+        entity=entity,
+        relation=relation,
+        entity_tail=entity_tail,
+    )
 
 
 def score(params: ModelParams, h: int, r: int, t: int) -> float:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from erkg import cli, nuclear
+from erkg import cli, data, nuclear
 from erkg.cli import load_run_config, main
 from erkg.presets import _PAPER, get_preset
 
@@ -392,6 +392,20 @@ class TestGridsearch:
             assert run_cli("gridsearch", "--config", str(cfg)) == 2
             assert "grid.learning_rate" in capsys.readouterr().err
 
+    def test_filter_index_built_once(self, synth_dir, tmp_path, monkeypatch):
+        cfg = write_config(
+            tmp_path / "cfg.json", synth_dir, tmp_path / "grid",
+            grid={"learning_rate": [0.1, 0.05], "lambda": [0.05]},
+        )
+        doc = json.loads(cfg.read_text())
+        doc["train"].update(epochs=2, eval_every=1)
+        cfg.write_text(json.dumps(doc))
+        built = []
+        build = data.build_filter_index
+        monkeypatch.setattr(data, "build_filter_index", lambda s: built.append(s) or build(s))
+        assert run_cli("gridsearch", "--config", str(cfg)) == 0
+        assert len(built) == 1
+
     def test_default_grids_are_standard_sets(self):
         from erkg.presets import LAMBDA_GRID, LEARNING_RATE_GRID
 
@@ -447,6 +461,36 @@ class TestPreset:
         cfg.write_text(json.dumps(doc))
         assert load_run_config(cfg).train == get_preset(model, dataset, scale)
 
+
+RESCAL_N3 = ("rescal", {}, {"kind": "n3"}, {}, "n3 penalty does not support rescal")
+COMPLEX_DIM_7 = ("complex", {"dim": 7}, {}, {}, "complex requires an even dim, got 7")
+LR_MESSAGE = "learning_rate must be positive"
+
+
+@pytest.mark.parametrize("command, model, train_keys, reg_keys, grid, message", [
+    ("train", *RESCAL_N3),
+    ("gridsearch", *RESCAL_N3),
+    ("train", *COMPLEX_DIM_7),
+    ("gridsearch", *COMPLEX_DIM_7),
+    ("gridsearch", "distmult", {}, {}, {"learning_rate": [0.1, -0.1]}, LR_MESSAGE),
+    ("gridsearch", "distmult", {}, {}, {"learning_rate": [0.0]}, LR_MESSAGE),
+])
+def test_untrainable_config_exits_2_before_training(
+    synth_dir, tmp_path, capsys, monkeypatch, command, model, train_keys, reg_keys, grid, message
+):
+    cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run", model=model,
+                       **({"grid": grid} if grid else {}))
+    doc = json.loads(cfg.read_text())
+    doc["train"].update(train_keys)
+    doc["regularizer"].update(reg_keys)
+    cfg.write_text(json.dumps(doc))
+
+    def training_started(*args, **kwargs):
+        raise AssertionError("training started on a config that cannot train")
+
+    monkeypatch.setattr(cli, "train", training_started)
+    assert run_cli(command, "--config", str(cfg)) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "verify-theorems", "synth", "gridsearch"])

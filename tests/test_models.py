@@ -8,13 +8,16 @@ from erkg.models import (
     ModelKind,
     ModelParams,
     backward_all_tails,
+    block_shapes,
     cview,
     forward_all_tails,
     init_params,
     project_constraints,
 )
+from erkg.regularizers import EpsilonState
+from erkg.training import load_checkpoint, save_checkpoint
 from grads_oracle import densify
-from oracles import relational_transform, score
+from oracles import init_field_params, relational_transform, score
 
 ALL_KINDS = list(ModelKind)
 
@@ -29,15 +32,10 @@ def make_params(kind, n_ent=5, n_rel=3, dim=4, seed=0):
 
 
 def manual_distmult(h, r, t):
-    p = ModelParams(
-        kind=ModelKind.DISTMULT,
-        n_entities=2,
-        n_relations=1,
-        dim=len(h),
-        entity=np.array([h, t], dtype=float),
-        relation=np.array([r], dtype=float),
+    return ModelParams(
+        ModelKind.DISTMULT,
+        {"ent": np.array([h, t], dtype=float), "rel": np.array([r], dtype=float)},
     )
-    return p
 
 
 class TestInit:
@@ -62,6 +60,60 @@ class TestInit:
         for kind in (ModelKind.COMPLEX, ModelKind.ROTATE):
             with pytest.raises(ConfigError):
                 init_params(kind, 4, 2, 5, seed=0)
+
+
+# (n_entities, n_relations, dim): odd and even sizes; odd dims only for
+# the kinds that store real coordinates.
+LAYOUT_CASES = [
+    (kind, sizes)
+    for kind in ALL_KINDS
+    for sizes in [(5, 3, 4), (8, 2, 6), (1, 1, 2), (7, 4, 5), (6, 1, 3)]
+    if not (OPERATORS[kind].complex_coords and sizes[2] % 2)
+]
+
+
+class TestLayout:
+    @pytest.mark.parametrize("kind, sizes", LAYOUT_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_blocks_match_the_field_oracle(self, kind, sizes, seed):
+        p = init_params(kind, *sizes, seed)
+        want = init_field_params(kind, *sizes, seed)
+        got = p.blocks()
+        assert list(got) == list(want.blocks())
+        for name, arr in want.blocks().items():
+            assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+            assert got[name].tobytes() == arr.tobytes(), name
+        assert (p.n_entities, p.n_relations, p.dim) == (
+            want.n_entities, want.n_relations, want.dim)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_sizes_follow_the_tables(self, kind, tmp_path):
+        p = init_params(kind, 7, 3, 4, seed=5)
+        assert (p.n_entities, p.n_relations, p.dim) == (7, 3, 4)
+        assert list(p.blocks()) == list(block_shapes(kind, 7, 3, 4))
+        assert p.copy().blocks().keys() == p.blocks().keys()
+        save_checkpoint(p, EpsilonState.create(3), tmp_path / "c.erkg")
+        loaded, _eps = load_checkpoint(tmp_path / "c.erkg")
+        assert (loaded.n_entities, loaded.n_relations, loaded.dim) == (7, 3, 4)
+        assert loaded.head_table.shape == loaded.tail_table.shape == (7, 4)
+        smaller = ModelParams(kind, {name: arr[:2] for name, arr in p.blocks().items()})
+        assert (smaller.n_entities, smaller.n_relations, smaller.dim) == (2, 2, 4)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_blocks_outside_the_declared_layout_rejected(self, kind):
+        blocks = init_params(kind, 5, 3, 4, seed=0).blocks()
+        names = list(blocks)
+        bad = [
+            dict(reversed(blocks.items())),
+            {**blocks, "extra": np.zeros((5, 4))},
+            {**blocks, "rel": blocks["rel"][..., :2]},
+            {**blocks, names[0]: blocks[names[0]][:, :2]},
+        ]
+        if kind == ModelKind.CP:
+            bad.append({**blocks, "ent_t": blocks["ent_t"][:3]})
+        for case in bad:
+            with pytest.raises(ConfigError, match="block_shapes"):
+                ModelParams(kind, case)
 
 
 class TestScore:
@@ -110,8 +162,7 @@ class TestScoreAllTails:
         for kind in (ModelKind.CP, ModelKind.DISTMULT, ModelKind.COMPLEX, ModelKind.RESCAL):
             p = make_params(kind, seed=7)
             p.entity[:] = 0.0
-            if p.entity_tail is not None:
-                p.entity_tail[:] = 0.0
+            p.tail_table[:] = 0.0
             assert np.all(score_all_tails(p, 0, 0) == 0.0)
 
     def test_transe_all_zero_params(self):

@@ -207,7 +207,7 @@ class TestRankInvariances:
         store = random_store(seed=10, n_ent=10)
         filter_index = build_filter_index(store)
         scaled = params.copy()
-        scaled.entity *= 1.7
+        scaled.entity[:] *= 1.7
         for h, r, t in store.test:
             a = filtered_rank(params, (int(h), int(r), int(t)), filter_index)
             b = filtered_rank(scaled, (int(h), int(r), int(t)), filter_index)

@@ -21,15 +21,9 @@ from oracles import pair_label, relational_transform
 
 
 def distmult_params(entity_rows, relation_rows):
-    entity = np.array(entity_rows, dtype=float)
-    relation = np.array(relation_rows, dtype=float)
     return ModelParams(
-        kind=ModelKind.DISTMULT,
-        n_entities=len(entity),
-        n_relations=len(relation),
-        dim=entity.shape[1],
-        entity=entity,
-        relation=relation,
+        ModelKind.DISTMULT,
+        {"ent": np.array(entity_rows, dtype=float), "rel": np.array(relation_rows, dtype=float)},
     )
 
 
@@ -51,8 +45,8 @@ class TestFro:
         batch = np.array([[0, 0, 1], [2, 1, 3]])
         v1 = penalty_fro(p, batch, GradAccumulator())
         p2 = p.copy()
-        p2.entity *= 2.0
-        p2.relation *= 2.0
+        p2.entity[:] *= 2.0
+        p2.relation[:] *= 2.0
         v2 = penalty_fro(p2, batch, GradAccumulator())
         assert v2 == pytest.approx(4.0 * v1)
 
@@ -87,8 +81,8 @@ class TestN3:
         batch = np.array([[0, 0, 1], [2, 1, 3]])
         v1 = penalty_n3(p, batch, GradAccumulator())
         p2 = p.copy()
-        p2.entity *= 3.0
-        p2.relation *= 3.0
+        p2.entity[:] *= 3.0
+        p2.relation[:] *= 3.0
         v2 = penalty_n3(p2, batch, GradAccumulator())
         assert v2 == pytest.approx(27.0 * v1)
 
@@ -292,8 +286,7 @@ class TestPenaltyEr:
             assert value >= 0.0
             p0 = p.copy()
             p0.entity[:] = 0.0
-            if p0.entity_tail is not None:
-                p0.entity_tail[:] = 0.0
+            p0.tail_table[:] = 0.0
             v0 = penalty_er(p0, batch, pairs, spec, GradAccumulator(), eps=eps)
             # norm terms vanish; pair transforms of zero vectors vanish for
             # linear kinds, translations contribute through relation vectors

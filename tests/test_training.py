@@ -1,8 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import erkg.data as data
 import erkg.training as training
 from erkg.data import TripleStore, Vocab, add_reciprocals, generate_synthetic
 from erkg.errors import CheckpointError, ConfigError, NumericError
@@ -144,6 +149,27 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="unknown model kind 'foo'"):
             TrainConfig(model="foo").validate()
 
+    @pytest.mark.parametrize("model, penalty, dim, message", [
+        ("rescal", "n3", 8, "n3 penalty does not support rescal"),
+        ("transe", "n3", 8, "n3 penalty does not support transe"),
+        ("rotate", "n3", 8, "n3 penalty does not support rotate"),
+        ("transe", "dura", 8, "dura penalty does not support transe"),
+        ("rotate", "dura", 8, "dura penalty does not support rotate"),
+        ("complex", "none", 7, "complex requires an even dim, got 7"),
+        ("rotate", "er", 5, "rotate requires an even dim, got 5"),
+    ])
+    def test_untrainable_combination_rejected(self, model, penalty, dim, message):
+        cfg = TrainConfig(model=model, dim=dim, regularizer=RegularizerSpec(kind=penalty))
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+
+    @pytest.mark.parametrize("model, penalty, dim", [
+        ("cp", "n3", 8), ("complex", "n3", 8), ("rescal", "dura", 8),
+        ("distmult", "dura", 7), ("transe", "fro", 5), ("rotate", "er", 6),
+    ])
+    def test_trainable_combination_accepted(self, model, penalty, dim):
+        TrainConfig(model=model, dim=dim, regularizer=RegularizerSpec(kind=penalty)).validate()
+
 
 class TestTrain:
     def test_one_epoch_decreases_loss(self):
@@ -278,6 +304,59 @@ class TestTrain:
                           regularizer=RegularizerSpec(kind="er", er_mode=mode))
         with pytest.raises(ConfigError, match=f"er_mode '{mode}' needs a category file"):
             train(cfg, store, None)
+
+    @pytest.mark.parametrize("cfg, store, message", [
+        (TrainConfig(model="rescal", dim=4, regularizer=RegularizerSpec(kind="n3")),
+         toy_store(), "n3 penalty does not support rescal"),
+        (TrainConfig(model="complex", dim=7), toy_store(), "complex requires an even dim"),
+        (TrainConfig(model="distmult", dim=4), toy_store(triples=np.empty((0, 3))),
+         "empty training split"),
+    ])
+    def test_rejected_before_initialization(self, cfg, store, message, monkeypatch):
+        def work_before_the_check(*args, **kwargs):
+            raise AssertionError("parameters initialized before the check")
+
+        monkeypatch.setattr(training, "init_params", work_before_the_check)
+        with pytest.raises(ConfigError, match=message):
+            train(cfg, store)
+
+    def test_early_stop_records_each_epoch_once(self, monkeypatch):
+        """With a flat validation MRR, patience 2 stops after the third
+        evaluated epoch, whose record is the last one kept."""
+        store, _ = generate_synthetic(30, 3, 3, 30, 0.1, seed=9)
+        store = add_reciprocals(store)
+        flat = training.evaluate(init_params("distmult", 30, 6, 8, seed=0),
+                                 store.valid, store.filter_index)
+        monkeypatch.setattr(training, "evaluate", lambda *args: flat)
+        cfg = TrainConfig(model="distmult", dim=8, batch_size=32, learning_rate=0.1,
+                          epochs=10, seed=5, eval_every=1, patience=2)
+        _, _, history = train(cfg, store)
+        assert [r.epoch for r in history.records] == [0, 1, 2]
+        assert all(r.valid_mrr == flat.mrr and r.seconds > 0.0 for r in history.records)
+
+    def test_evaluation_uses_the_stores_filter_index(self, monkeypatch):
+        store, _ = generate_synthetic(30, 3, 3, 30, 0.1, seed=9)
+        store = add_reciprocals(store)
+        built = []
+        build = data.build_filter_index
+        monkeypatch.setattr(data, "build_filter_index", lambda s: built.append(s) or build(s))
+        cfg = TrainConfig(model="distmult", dim=8, batch_size=32, epochs=2, eval_every=1)
+        train(cfg, store)
+        train(cfg, store)
+        assert len(built) == 1 and built[0] is store
+        for cached, fresh in zip(store.filter_index, build(store)):
+            assert np.array_equal(cached, fresh)
+
+    def test_fingerprint_tool_repeats(self):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "tests.fingerprints", "rescal:er", "cp:n3"]
+        runs = [subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True,
+                               check=True, timeout=300).stdout.splitlines()
+                for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert [line.split()[:2] for line in runs[0]] == [["rescal", "er"], ["cp", "n3"]]
 
 
 class TestCheckpoint:
