@@ -15,8 +15,9 @@ training, ranking or checking starts.
 
 Run ``verify-theorems`` with ``OPENBLAS_NUM_THREADS=1``: its many tiny
 objective calls gain nothing from BLAS threads.  On a 2-core host,
-``--seeds 1 --restarts 10`` took 6.2 s wall and 13.3 s CPU at default
-threading, and 5.9 s wall and 6.6 s CPU with one thread.
+``--seeds 1 --restarts 10`` took 5.3 s wall and 9.9 s CPU at default
+threading, and 4.5 s wall and 4.5 s CPU with one thread (medians of
+five runs each).
 """
 
 from __future__ import annotations

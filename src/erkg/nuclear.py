@@ -28,10 +28,16 @@ residual is below 1e-8.  (L-BFGS-B is a line-search descent; plain
 gradient descent cannot traverse the scaling-degenerate CP valleys to
 1e-8 in practical time.)  The best feasible restart is reported; no
 value is reported from an infeasible restart.
+
+The penalty runs on the (I*J) x K unfolding of the target: with PR the
+rows p_i * r_j, the residual is E = PR Q^T - X, its Q-gradient E^T PR,
+and its P- and R-gradients the sums over j and over i of (E Q) * R and
+(E Q) * P.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,83 +118,66 @@ def make_instance(
     P = rng.uniform(-1.0, 1.0, size=(I, D))
     R = rng.uniform(-1.0, 1.0, size=(J, D))
     Q = rng.uniform(-1.0, 1.0, size=(K, D))
-    return FactorInstance(
-        target=_cp(P, R, Q), rank=D, norm_order=t, mechanism=mechanism, seed=seed
-    )
+    target = np.einsum("id,jd,kd->ijk", P, R, Q)
+    return FactorInstance(target=target, rank=D, norm_order=t, mechanism=mechanism, seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# Objective values and gradients on (P, R, Q).
-
-
-def _cp(P, R, Q) -> np.ndarray:
-    """The CP tensor sum_d p_d (x) r_d (x) q_d."""
-    return np.einsum("id,jd,kd->ijk", P, R, Q)
-
-
-def _tnorm(v: np.ndarray, t: int, axis=0) -> np.ndarray:
-    if t == 2:
-        return np.sqrt(np.sum(v * v, axis=axis))
-    return np.sum(np.abs(v) ** 3, axis=axis) ** (1.0 / 3.0)
+# Objective values and gradients on (P, R, Q), in few numpy calls each: an
+# L-BFGS-B restart makes thousands of calls on a few dozen numbers.
 
 
 def _nuclear_grads(P, R, Q, t):
-    np_, nr, nq = _tnorm(P, t), _tnorm(R, t), _tnorm(Q, t)
-    val = float(np.sum(np_ * nr * nq))
+    """sum_d ||p_d||_t ||r_d||_t ||q_d||_t and its gradient.
 
-    def dnorm(M, n):
-        safe = np.where(n > 1e-150, n, 1.0)
-        if t == 2:
-            g = M / safe
-        else:
-            g = (np.abs(M) * M) / (safe * safe)
-        g[:, n <= 1e-150] = 0.0
-        return g
-
-    gP = dnorm(P, np_) * (nr * nq)
-    gR = dnorm(R, nr) * (np_ * nq)
-    gQ = dnorm(Q, nq) * (np_ * nr)
-    return val, gP, gR, gQ
+    d||m||_t / dm is m / ||m|| for t=2 and |m| m / ||m||^2 for t=3; a
+    column whose norm is at most 1e-150 gets a zero gradient.
+    """
+    # m * M sums over a column to ||.||_t^t
+    mP, mR, mQ = (P, R, Q) if t == 2 else (np.abs(P) * P, np.abs(R) * R, np.abs(Q) * Q)
+    root = np.sqrt if t == 2 else np.cbrt
+    nP = root(np.add.reduce(mP * P, 0))
+    nR = root(np.add.reduce(mR * R, 0))
+    nQ = root(np.add.reduce(mQ * Q, 0))
+    dP, dR, dQ = (nP, nR, nQ) if t == 2 else (nP * nP, nR * nR, nQ * nQ)
+    nPR = nP * nR
+    val = float(nPR @ nQ)
+    D = len(nP)
+    fP = np.divide(nR * nQ, dP, out=np.zeros(D), where=nP > 1e-150)
+    fR = np.divide(nP * nQ, dR, out=np.zeros(D), where=nR > 1e-150)
+    fQ = np.divide(nPR, dQ, out=np.zeros(D), where=nQ > 1e-150)
+    return val, mP * fP, mR * fR, mQ * fQ
 
 
 def _variant_grads(P, R, Q, name):
     var = VARIANTS[name]
     I, J, K = len(P), len(R), len(Q)
-    pref = 1.0 / (var.pref_denom * np.sqrt(J))
+    pref = 1.0 / (var.pref_denom * math.sqrt(J))
     if name == "amgm4":
-        rho2 = np.sum(R * R, axis=0)
-        p2 = np.sum(P * P, axis=0)
-        val = pref * (float(np.sum(p2 * rho2)) + J * float(np.sum(Q * Q)))
-        gP = pref * 2.0 * P * rho2[None, :]
-        gR = pref * 2.0 * R * p2[None, :]
-        gQ = pref * 2.0 * J * Q
-        return val, gP, gR, gQ
+        rho2 = np.add.reduce(R * R, 0)
+        p2 = np.add.reduce(P * P, 0)
+        val = pref * (float(p2 @ rho2) + J * float(np.vdot(Q, Q)))
+        return val, P * (2.0 * pref * rho2), R * (2.0 * pref * p2), (2.0 * pref * J) * Q
+    s = var.sign
     if var.norm_order == 2:
-        rho = np.sum(R * R, axis=0)
-        sp = P.sum(axis=0)
-        sq = Q.sum(axis=0)
-        p2 = np.sum(P * P, axis=0)
-        q2 = np.sum(Q * Q, axis=0)
-        c = K * p2 + I * q2 + 2.0 * var.sign * sp * sq
-        val = pref * (J * K * float(np.sum(P * P)) + I * J * float(np.sum(Q * Q)) + float(np.sum(rho * c)))
-        gP = pref * (2.0 * J * K * P + rho[None, :] * (2.0 * K * P + 2.0 * var.sign * sq[None, :]))
-        gQ = pref * (2.0 * I * J * Q + rho[None, :] * (2.0 * I * Q + 2.0 * var.sign * sp[None, :]))
-        gR = pref * 2.0 * R * c[None, :]
-        return val, gP, gR, gQ
-    rho = np.sum(np.abs(R) ** 3, axis=0)
-    E = P[:, None, :] + var.sign * Q[None, :, :]
-    absE = np.abs(E)
-    cube = np.sum(absE**3, axis=(0, 1))
-    dE = 3.0 * absE * E
-    val = pref * (
-        J * K * float(np.sum(np.abs(P) ** 3))
-        + I * J * float(np.sum(np.abs(Q) ** 3))
-        + float(np.sum(rho * cube))
-    )
-    gP = pref * (3.0 * J * K * np.abs(P) * P + rho[None, :] * dE.sum(axis=1))
-    gQ = pref * (3.0 * I * J * np.abs(Q) * Q + var.sign * rho[None, :] * dE.sum(axis=0))
-    gR = pref * 3.0 * np.abs(R) * R * cube[None, :]
-    return val, gP, gR, gQ
+        rho = np.add.reduce(R * R, 0)
+        sp, sq = np.add.reduce(P, 0), np.add.reduce(Q, 0)
+        c = K * np.add.reduce(P * P, 0) + I * np.add.reduce(Q * Q, 0) + (2.0 * s) * (sp * sq)
+        val = pref * (J * K * float(np.vdot(P, P)) + I * J * float(np.vdot(Q, Q)) + float(rho @ c))
+        c2 = 2.0 * pref
+        gP = P * (c2 * (J * K + K * rho)) + (c2 * s) * (rho * sq)
+        gQ = Q * (c2 * (I * J + I * rho)) + (c2 * s) * (rho * sp)
+        return val, gP, R * (c2 * c), gQ
+    mP, mR, mQ = np.abs(P) * P, np.abs(R) * R, np.abs(Q) * Q
+    rho = np.add.reduce(mR * R, 0)
+    E = P[:, None, :] + s * Q
+    mE = np.abs(E) * E
+    e3 = np.add.reduce(mE * E, (0, 1))
+    val = pref * (J * K * float(np.vdot(mP, P)) + I * J * float(np.vdot(mQ, Q)) + float(rho @ e3))
+    c3 = 3.0 * pref
+    gP = (c3 * J * K) * mP + (c3 * rho) * np.add.reduce(mE, 1)
+    gQ = (c3 * I * J) * mQ + (c3 * s * rho) * np.add.reduce(mE, 0)
+    return val, gP, mR * (c3 * e3), gQ
 
 
 # ---------------------------------------------------------------------------
@@ -213,23 +202,34 @@ def _multi_restart(instance, raw_grads, restarts, salt):
     (I, J, K), D = X.shape, instance.rank
     denom = float(np.linalg.norm(X)) or 1.0
 
+    X2 = X.reshape(I * J, K)
+    IJ = I + J
+
     def unpack(theta):
-        P = theta[: I * D].reshape(I, D)
-        R = theta[I * D : (I + J) * D].reshape(J, D)
-        Q = theta[(I + J) * D :].reshape(K, D)
-        return P, R, Q
+        # P, R, Q are the row blocks of theta as an (I + J + K) x D matrix
+        T = theta.reshape(-1, D)
+        return T[:I], T[I:IJ], T[IJ:]
+
+    def residual(P, R, Q):
+        # CP(P, R, Q) - X on the (I*J) x K unfolding, whose rows are
+        # (p_i * r_j) Q^T; also returns the (I*J) x D rows p_i * r_j
+        PR = (P[:, None, :] * R).reshape(I * J, D)
+        return PR, PR @ Q.T - X2
 
     def objective(theta):
         # raw value plus mu ||CP(P, R, Q) - X||^2 / ||X||^2 at the current stage's mu
         scale = mu / (denom * denom)
         P, R, Q = unpack(theta)
         val, gP, gR, gQ = raw_grads(P, R, Q)
-        E = _cp(P, R, Q) - X
-        val += scale * float(np.sum(E * E))
-        gP = gP + 2.0 * scale * np.einsum("ijk,jd,kd->id", E, R, Q)
-        gR = gR + 2.0 * scale * np.einsum("ijk,id,kd->jd", E, P, Q)
-        gQ = gQ + 2.0 * scale * np.einsum("ijk,id,jd->kd", E, P, R)
-        return val, np.concatenate([gP.ravel(), gR.ravel(), gQ.ravel()])
+        PR, E = residual(P, R, Q)
+        val += scale * float(np.vdot(E, E))
+        E *= 2.0 * scale
+        G = (E @ Q).reshape(I, J, D)  # sum_k E_ijk q_kd
+        grad = np.empty((IJ + K, D))
+        np.add(gP, np.add.reduce(G * R, 1), out=grad[:I])
+        np.add(gR, np.add.reduce(G * P[:, None, :], 0), out=grad[I:IJ])
+        np.add(gQ, E.T @ PR, out=grad[IJ:])
+        return val, grad.ravel()
 
     init_scale = max((denom / np.sqrt(X.size) / D) ** (1.0 / 3.0), 0.1)
     best = None
@@ -248,7 +248,7 @@ def _multi_restart(instance, raw_grads, restarts, salt):
                 options={"maxiter": STAGE_ITERS, "ftol": 1e-18, "gtol": 1e-14},
             ).x
             P, R, Q = unpack(theta)
-            resid = float(np.linalg.norm(_cp(P, R, Q) - X)) / denom
+            resid = float(np.linalg.norm(residual(P, R, Q)[1])) / denom
             if resid < FEASIBILITY_TARGET:
                 break
             mu *= MU_GROWTH

@@ -75,6 +75,8 @@ class TrainConfig:
             raise ConfigError("adagrad_eps must be positive")
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be an integer >= 1, got {self.patience!r}")
+        if self.patience is not None and self.eval_every == 0:
+            raise ConfigError("patience needs eval_every >= 1: early stopping counts evaluations")
         self.regularizer.validate()
         op, penalty = OPERATORS[kind], self.regularizer.kind
         if (penalty == "n3" and kind not in N3_KINDS) or (penalty == "dura" and op.distance):
@@ -198,7 +200,8 @@ def train(
     Returns ``(params, eps_state, history)``.  The store should normally
     be reciprocal-augmented so head prediction trains as tail prediction.
     The ER category modes (``er_mode`` other than ``joint``) need
-    ``categories``; without them ``ConfigError`` is raised before any work.
+    ``categories``, and ``eval_every > 0`` a non-empty validation split;
+    without them ``ConfigError`` is raised before any work.
     """
     config.validate()
     kind = ModelKind(config.model)
@@ -209,6 +212,8 @@ def train(
     n = len(train_arr)
     if n == 0:
         raise ConfigError("empty training split")
+    if config.eval_every > 0 and len(store.valid) == 0:
+        raise ConfigError("eval_every needs a non-empty validation split")
     n_rel = store.vocab.n_relations
     params = init_params(kind, store.vocab.n_entities, n_rel, config.dim, config.seed)
     eps_state = EpsilonState.create(n_rel, spec.epsilon_init)
@@ -255,11 +260,7 @@ def train(
             loss=loss_sum / n,
             reg_value=reg_sum / n,
         )
-        if (
-            config.eval_every > 0
-            and (epoch + 1) % config.eval_every == 0
-            and len(store.valid) > 0
-        ):
+        if config.eval_every > 0 and (epoch + 1) % config.eval_every == 0:
             report = evaluate(params, store.valid, store.filter_index)
             record.valid_mrr = report.mrr
             record.valid_hits1 = report.hits[1]

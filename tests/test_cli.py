@@ -147,6 +147,24 @@ class TestTrain:
         assert run_cli("train", "--config", str(cfg)) == 2
         assert "patience" in capsys.readouterr().err
 
+    def test_patience_without_evaluation_exits_2(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        doc = json.loads(cfg.read_text())
+        doc["train"].update(patience=2)
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "patience needs eval_every" in capsys.readouterr().err
+
+    def test_evaluation_without_valid_split_exits_2(self, synth_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        doc = json.loads(cfg.read_text())
+        doc["train"].update(eval_every=1)
+        doc["data"]["valid"] = str(tmp_path / "valid.txt")
+        (tmp_path / "valid.txt").write_text("")
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "non-empty validation split" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

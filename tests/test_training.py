@@ -122,7 +122,11 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("patience", [None, 1, 5])
     def test_good_patience_accepted(self, patience):
-        TrainConfig(patience=patience).validate()
+        TrainConfig(patience=patience, eval_every=1).validate()
+
+    def test_patience_without_evaluation_rejected(self):
+        with pytest.raises(ConfigError, match="patience needs eval_every"):
+            TrainConfig(patience=2).validate()
 
     @pytest.mark.parametrize("field", ["learning_rate", "lam", "tau"])
     def test_nan_rejected(self, field):
@@ -311,6 +315,8 @@ class TestTrain:
         (TrainConfig(model="complex", dim=7), toy_store(), "complex requires an even dim"),
         (TrainConfig(model="distmult", dim=4), toy_store(triples=np.empty((0, 3))),
          "empty training split"),
+        (TrainConfig(model="distmult", dim=4, eval_every=1), toy_store(),
+         "eval_every needs a non-empty validation split"),
     ])
     def test_rejected_before_initialization(self, cfg, store, message, monkeypatch):
         def work_before_the_check(*args, **kwargs):
