@@ -46,9 +46,15 @@ has ``vjp = (r G, x conj(G))``.
 Scoring has one path, batched: ``forward_all_tails`` scores every entity
 as tail of each query, and ``backward_all_tails`` adds the gradient
 parts of its tables to the batch's ``GradAccumulator``, as every penalty
-does, so a batch is merged once.  The scalar oracles the tests compare
-it against, ``score`` and ``relational_transform``, live in
-``tests/oracles.py`` and do not use the operator table.
+does, so a batch is merged once.  Both work in place on their B x |E|
+arrays: ``backward_all_tails`` consumes its upstream gradient ``G``
+(the distance kinds overwrite it with ``C = G / D`` and clamp
+``ctx["D"]``), so a caller that needs ``G`` afterwards passes a copy.
+The scalar oracles the tests compare it against, ``score`` and
+``relational_transform``, live in ``tests/oracles.py`` and do not use
+the operator table; so do the allocating ``forward_all_tails``,
+``backward_all_tails`` and ``batch_ce`` that the in-place kernels must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -178,6 +184,28 @@ def init_params(
         else:
             blocks[name] = rng.uniform(-bound, bound, size=shape)
     return ModelParams(kind, blocks)
+
+
+def check_triples(params: ModelParams, triples, what: str) -> np.ndarray:
+    """``triples`` as an int64 (n, 3) array of (head, relation, tail) ids.
+
+    ``ConfigError`` if it has another shape, is empty (``"empty
+    {what}"``) or holds an id outside the model's tables.
+    """
+    triples = np.asarray(triples, dtype=np.int64)
+    if triples.ndim != 2 or triples.shape[1] != 3:
+        raise ConfigError(f"{what} must be an (n, 3) array of ids, got shape {triples.shape}")
+    if len(triples) == 0:
+        raise ConfigError(f"empty {what}")
+    bound = np.array([params.n_entities, params.n_relations, params.n_entities])
+    bad = (triples < 0) | (triples >= bound)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ConfigError(
+            f"query {i}: {('head', 'relation', 'tail')[j]} id {triples[i, j]} "
+            f"outside [0, {bound[j]})"
+        )
+    return triples
 
 
 def project_constraints(params: ModelParams) -> ModelParams:
@@ -310,7 +338,12 @@ _EPS_DIST = 1e-30
 
 
 def forward_all_tails(params: ModelParams, heads: np.ndarray, rels: np.ndarray):
-    """Score every entity as tail for each (head, relation) query."""
+    """Score every entity as tail for each (head, relation) query.
+
+    The distance kinds expand ``||Q - t||^2`` in place: ``D`` (squared
+    distances, then distances) and the Gram product ``S`` are the only
+    two B x |E| buffers, and ``S`` ends up holding ``-D``.
+    """
     op = OPERATORS[params.kind]
     H = params.head_table[heads]
     R = params.relation[rels]
@@ -319,15 +352,22 @@ def forward_all_tails(params: ModelParams, heads: np.ndarray, rels: np.ndarray):
     S = Q @ T.T
     D = None
     if op.distance:
-        d2 = np.sum(Q * Q, axis=1)[:, None] + np.sum(T * T, axis=1)[None, :] - 2.0 * S
-        D = np.sqrt(np.maximum(d2, 0.0))
-        S = -D
+        D = np.sum(Q * Q, axis=1)[:, None] + np.sum(T * T, axis=1)[None, :]
+        S *= 2.0
+        D -= S
+        np.maximum(D, 0.0, out=D)
+        np.sqrt(D, out=D)
+        np.negative(D, out=S)
     return S, {"heads": heads, "rels": rels, "H": H, "R": R, "Q": Q, "D": D}
 
 
 def backward_all_tails(params: ModelParams, ctx, G: np.ndarray, acc) -> None:
     """Backpropagate an upstream B x |E| gradient through forward_all_tails
-    and add the gradient parts to ``acc``."""
+    and add the gradient parts to ``acc``.
+
+    ``G`` is consumed: the distance kinds clamp ``ctx["D"]`` and
+    overwrite ``G`` with ``C = G / D``.
+    """
     op = OPERATORS[params.kind]
     H, R, Q, D = ctx["H"], ctx["R"], ctx["Q"], ctx["D"]
     T = params.tail_table
@@ -335,7 +375,7 @@ def backward_all_tails(params: ModelParams, ctx, G: np.ndarray, acc) -> None:
         GT = G.T @ Q
         GQ = G @ T
     else:
-        C = G / np.maximum(D, _EPS_DIST)
+        C = np.divide(G, np.maximum(D, _EPS_DIST, out=D), out=G)
         GQ = C @ T - C.sum(axis=1)[:, None] * Q
         GT = C.T @ Q - C.sum(axis=0)[:, None] * T
     GH, GR = op.adjoint_vjp(H, R, GQ) if op.scores_adjoint else op.vjp(H, R, GQ)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import KeyedCSR, pair_key
-from .errors import ConfigError
-from .models import ModelParams, forward_all_tails
+from .errors import ConfigError, typed
+from .models import ModelParams, check_triples, forward_all_tails
 
 # A rank is 1 + (candidates scored above the target) + weight x (others tied).
 _TIE_WEIGHT = {"mean": 0.5, "optimistic": 0.0, "pessimistic": 1.0}
@@ -50,21 +50,14 @@ def evaluate(
 ) -> RankingReport:
     """Aggregate filtered ranks over a query set into MRR and Hits@k.
 
-    A query id outside the model's tables raises ``ConfigError``.
+    ``ConfigError`` for an empty query set, a query id outside the
+    model's tables or a ``chunk`` that is not an integer >= 1.
     """
     if tie not in TIE_POLICIES:
         raise ConfigError(f"unknown tie policy {tie!r}")
-    if len(test) == 0:
-        raise ConfigError("empty evaluation set")
-    test = np.asarray(test, dtype=np.int64)
-    bound = np.array([params.n_entities, params.n_relations, params.n_entities])
-    bad = (test < 0) | (test >= bound)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise ConfigError(
-            f"query {i}: {('head', 'relation', 'tail')[j]} id {test[i, j]} "
-            f"outside [0, {bound[j]})"
-        )
+    if typed(chunk, int, "chunk") < 1:
+        raise ConfigError(f"chunk must be >= 1, got {chunk}")
+    test = check_triples(params, test, "evaluation set")
     weight = _TIE_WEIGHT[tie]
     ranks = np.empty(len(test))
     for start in range(0, len(test), chunk):

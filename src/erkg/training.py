@@ -23,7 +23,7 @@ from .errors import CheckpointError, ConfigError, NumericError, check_fields
 from .grads import GradAccumulator, all_finite
 from .models import (
     N3_KINDS, OPERATORS, ModelKind, ModelParams, backward_all_tails, block_shapes,
-    forward_all_tails, init_params, project_constraints,
+    check_triples, forward_all_tails, init_params, project_constraints,
 )
 from .ranking import evaluate
 from .regularizers import (
@@ -128,15 +128,23 @@ def _adagrad_step_inplace(param, acc, idx, grad, lr, eps):
 
 def _batch_ce(params: ModelParams, batch: np.ndarray):
     """Mean cross entropy over a batch, and a ``GradAccumulator`` holding
-    its gradient parts: ``(loss, acc)``."""
+    its gradient parts: ``(loss, acc)``.
+
+    The score matrix of ``forward_all_tails`` becomes the gradient in
+    place (shift by the row max, ``exp``, normalize, subtract the
+    targets, divide by the batch size), and ``backward_all_tails``
+    consumes it: one B x |E| buffer from scores to gradient.
+    """
     heads, rels, tails = batch[:, 0], batch[:, 1], batch[:, 2]
     S, ctx = forward_all_tails(params, heads, rels)
-    m = S.max(axis=1, keepdims=True)
-    ex = np.exp(S - m)
-    z = ex.sum(axis=1)
     b_idx = np.arange(len(batch))
-    loss = float(np.mean(m[:, 0] + np.log(z) - S[b_idx, tails]))
-    G = ex / z[:, None]
+    target = S[b_idx, tails]
+    m = S.max(axis=1, keepdims=True)
+    G = np.subtract(S, m, out=S)
+    np.exp(G, out=G)
+    z = G.sum(axis=1)
+    loss = float(np.mean(m[:, 0] + np.log(z) - target))
+    G /= z[:, None]
     G[b_idx, tails] -= 1.0
     G /= len(batch)
     acc = GradAccumulator()
@@ -179,8 +187,10 @@ def batch_objective(
     The gradient set covers every parameter block and, for joint-mode
     pair labels, the ``"eps"`` thresholds.  The loss and the penalty add
     their rows to one accumulator, merged once.  Used by the training
-    loop and by finite-difference checks.
+    loop and by finite-difference checks.  An empty batch, or an id
+    outside the model's tables, raises ``ConfigError``.
     """
+    batch = check_triples(params, batch, "batch")
     loss, acc = _batch_ce(params, batch)
     reg_value = 0.0
     if spec.kind != "none" and spec.lam > 0.0:

@@ -49,10 +49,15 @@ def fingerprint(store, pair: str, workdir: Path) -> str:
     return f"{kind} {penalty} {digest} {record.loss!r} {record.reg_value!r}"
 
 
+def fingerprint_store():
+    """The small reciprocal-augmented synthetic graph every pair trains on."""
+    store, _categories = generate_synthetic(60, 3, 4, 60, 0.05, seed=3)
+    return add_reciprocals(store)
+
+
 def main(argv: list[str]) -> int:
     pairs = argv or supported_pairs()
-    store, _categories = generate_synthetic(60, 3, 4, 60, 0.05, seed=3)
-    store = add_reciprocals(store)
+    store = fingerprint_store()
     with tempfile.TemporaryDirectory() as workdir:
         for pair in pairs:
             print(fingerprint(store, pair, Path(workdir)), flush=True)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from erkg.errors import ConfigError, NumericError
-from erkg.models import ModelKind, ModelParams, cview
+from erkg.grads import GradAccumulator
+from erkg.models import OPERATORS, ModelKind, ModelParams, cview
 from erkg.regularizers import ER_MODES, _sigmoid
 
 logger = logging.getLogger(__name__)
@@ -169,3 +170,58 @@ def pair_label(params, h_a, h_b, r, mode, categories=None, eps=None, tau=1.0, st
         raise ConfigError(f"epsilon for relation {r} is not initialized")
     dist = float(np.linalg.norm(params.head_table[h_a] - params.head_table[h_b]))
     return float(_sigmoid((eps.epsilon[r] - dist) / tau))
+
+
+def forward_all_tails(params: ModelParams, heads: np.ndarray, rels: np.ndarray):
+    """``models.forward_all_tails`` with fresh arrays at every step: the
+    distance kinds form ``d2``, its clamp, ``D`` and ``-D`` apart."""
+    op = OPERATORS[params.kind]
+    H = params.head_table[heads]
+    R = params.relation[rels]
+    T = params.tail_table
+    Q = op.adjoint(H, R) if op.scores_adjoint else op.apply(H, R)
+    S = Q @ T.T
+    D = None
+    if op.distance:
+        d2 = np.sum(Q * Q, axis=1)[:, None] + np.sum(T * T, axis=1)[None, :] - 2.0 * S
+        D = np.sqrt(np.maximum(d2, 0.0))
+        S = -D
+    return S, {"heads": heads, "rels": rels, "H": H, "R": R, "Q": Q, "D": D}
+
+
+def backward_all_tails(params: ModelParams, ctx, G: np.ndarray, acc) -> None:
+    """``models.backward_all_tails`` leaving ``G`` and ``ctx["D"]`` as
+    they were: ``C = G / max(D, 1e-30)`` is a fresh array."""
+    op = OPERATORS[params.kind]
+    H, R, Q, D = ctx["H"], ctx["R"], ctx["Q"], ctx["D"]
+    T = params.tail_table
+    if D is None:
+        GT = G.T @ Q
+        GQ = G @ T
+    else:
+        C = G / np.maximum(D, 1e-30)
+        GQ = C @ T - C.sum(axis=1)[:, None] * Q
+        GT = C.T @ Q - C.sum(axis=0)[:, None] * T
+    GH, GR = op.adjoint_vjp(H, R, GQ) if op.scores_adjoint else op.vjp(H, R, GQ)
+    acc.add(params.tail_key, None, GT)
+    acc.add(params.head_key, ctx["heads"], GH)
+    acc.add("rel", ctx["rels"], GR)
+
+
+def batch_ce(params: ModelParams, batch: np.ndarray):
+    """``training._batch_ce`` on the allocating kernels above, with
+    ``S - m``, its ``exp`` and ``G`` as three fresh B x |E| arrays:
+    ``(loss, acc)``."""
+    heads, rels, tails = batch[:, 0], batch[:, 1], batch[:, 2]
+    S, ctx = forward_all_tails(params, heads, rels)
+    m = S.max(axis=1, keepdims=True)
+    ex = np.exp(S - m)
+    z = ex.sum(axis=1)
+    b_idx = np.arange(len(batch))
+    loss = float(np.mean(m[:, 0] + np.log(z) - S[b_idx, tails]))
+    G = ex / z[:, None]
+    G[b_idx, tails] -= 1.0
+    G /= len(batch)
+    acc = GradAccumulator()
+    backward_all_tails(params, ctx, G, acc)
+    return loss, acc

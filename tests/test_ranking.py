@@ -149,6 +149,13 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(p, np.empty((0, 3), dtype=np.int64), no_filter())
 
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5, True])
+    def test_chunk_below_one_or_not_integer_rejected(self, chunk):
+        p = init_params(ModelKind.DISTMULT, 4, 1, 2, seed=4)
+        test = np.array([[0, 0, 1], [1, 0, 2]], dtype=np.int64)
+        with pytest.raises(ConfigError, match="chunk"):
+            evaluate(p, test, no_filter(), chunk=chunk)
+
     def test_json_fields(self):
         report = RankingReport(mrr=0.5, hits={1: 0.2, 10: 0.9}, n_queries=7)
         assert report.to_json_dict() == {
