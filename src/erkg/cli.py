@@ -15,8 +15,8 @@ training, ranking or checking starts.
 
 Run ``verify-theorems`` with ``OPENBLAS_NUM_THREADS=1``: its many tiny
 objective calls gain nothing from BLAS threads.  On a 2-core host,
-``--seeds 1 --restarts 10`` took 5.3 s wall and 9.9 s CPU at default
-threading, and 4.5 s wall and 4.5 s CPU with one thread (medians of
+``--seeds 1 --restarts 10`` took 4.1 s wall and 7.8 s CPU at default
+threading, and 3.7 s wall and 3.7 s CPU with one thread (medians of
 five runs each).
 """
 

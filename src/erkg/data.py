@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, check_seed
 
 logger = logging.getLogger(__name__)
 
@@ -372,7 +372,7 @@ def generate_synthetic(
     if n_relations < 1 or triples_per_relation < 1:
         raise ConfigError("counts must be positive")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     cats = np.arange(n_entities, dtype=np.int64) % n_categories
     members = [np.where(cats == c)[0] for c in range(n_categories)]
 

@@ -62,6 +62,14 @@ def typed(value, kind, name: str):
     raise ConfigError(f"{name} must be {names}, got {value!r}")
 
 
+def check_seed(value) -> int:
+    """``value`` checked to be a seed numpy's ``SeedSequence`` takes, an
+    integer >= 0, or a ``ConfigError``."""
+    if typed(value, int, "seed") < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {value!r}")
+    return value
+
+
 def check_fields(obj) -> None:
     """Check every field of the dataclass ``obj`` with :func:`typed`
     against its type hint."""

@@ -29,6 +29,13 @@ gradient descent cannot traverse the scaling-degenerate CP valleys to
 1e-8 in practical time.)  The best feasible restart is reported; no
 value is reported from an infeasible restart.
 
+The stages run on the lab's own L-BFGS-B loop, ``minimize``, around
+scipy's compiled core (Byrd, Lu, Nocedal and Zhu 1995).  It makes the
+calls ``scipy.optimize.minimize`` makes, so iterates are bitwise the
+same, without the wrappers, which cost about as much per call as the
+objective on a few dozen numbers; ``scipy.optimize`` is imported by the
+first stage, not by ``import erkg``.
+
 The penalty runs on the (I*J) x K unfolding of the target: with PR the
 rows p_i * r_j, the residual is E = PR Q^T - X, its Q-gradient E^T PR,
 and its P- and R-gradients the sums over j and over i of (E Q) * R and
@@ -39,17 +46,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError, InfeasibleError, check_seed
 
 FEASIBILITY_TARGET = 1e-8
 MU0 = 100.0
 MU_GROWTH = 10.0
 MAX_STAGES = 14
 STAGE_ITERS = 250
+# L-BFGS-B settings of each stage: scipy's defaults for the memory, the
+# line-search steps and the evaluations, and the relative-reduction and
+# projected-gradient tolerances (ftol, gtol) in scipy's spelling
+STAGE_MEMORY = 10
+STAGE_MAXLS = 20
+STAGE_MAXFUN = 15_000
+STAGE_FTOL = 1e-18
+STAGE_GTOL = 1e-14
 MECHANISMS = ("bilinear", "distance")
 
 AMGM_BAND = (0.95, 1.05)
@@ -114,7 +129,7 @@ def make_instance(
         raise ConfigError("norm order must be 2 or 3")
     if mechanism not in MECHANISMS:
         raise ConfigError(f"unknown mechanism {mechanism!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     P = rng.uniform(-1.0, 1.0, size=(I, D))
     R = rng.uniform(-1.0, 1.0, size=(J, D))
     Q = rng.uniform(-1.0, 1.0, size=(K, D))
@@ -184,6 +199,61 @@ def _variant_grads(P, R, Q, name):
 # Penalty-method minimization.
 
 
+class StageResult(NamedTuple):
+    x: np.ndarray
+    nit: int
+
+
+def minimize(fun, x0) -> StageResult:
+    """Unbounded L-BFGS-B from ``x0`` on ``fun(x) -> (value, gradient)``.
+
+    The reverse-communication loop of scipy's ``_minimize_lbfgsb`` around
+    its compiled core ``setulb``, with its evaluation caching: ``fun`` runs
+    once at ``x0``, then on a copy of each point the core asks for unless
+    that point equals the last one (so ``fun`` must not write to it).  A
+    stage ends after ``STAGE_ITERS`` iterations, after the iteration in
+    which the evaluations exceed ``STAGE_MAXFUN``, or when the core stops.
+    """
+    try:
+        from scipy.optimize._lbfgsb import setulb
+    except ImportError as exc:
+        raise ConfigError(f"the nuclear lab needs scipy >= 1.15: {exc}") from exc
+    x = np.array(x0, dtype=np.float64).ravel()
+    m, n = STAGE_MEMORY, x.size
+    last_x = x.copy()
+    fx, gx = fun(last_x)
+    nfev = 1
+    bound = np.zeros(n)  # never read: nbd 0 leaves every variable unbounded
+    nbd = np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = STAGE_FTOL / np.finfo(float).eps
+    f, g, nit = 0.0, np.zeros(n), 0
+    while True:
+        g = g.astype(np.float64)
+        try:
+            setulb(m, x, bound, bound, nbd, f, g, factr, STAGE_GTOL, wa, iwa,
+                   task, lsave, isave, dsave, STAGE_MAXLS, ln_task)
+        except TypeError as exc:
+            raise ConfigError(f"the nuclear lab needs scipy >= 1.15: {exc}") from exc
+        if task[0] == 3:  # the core wants f and g at x
+            if not np.array_equal(x, last_x):
+                last_x = x.copy()
+                fx, gx = fun(last_x)
+                nfev += 1
+            f, g = fx, gx
+        elif task[0] == 1:  # a new iteration
+            nit += 1
+            if nit >= STAGE_ITERS:
+                task[:] = 5, 504  # stop: iteration limit
+            elif nfev > STAGE_MAXFUN:
+                task[:] = 5, 502  # stop: evaluation limit
+        else:
+            return StageResult(x, nit)
+
+
 @dataclass
 class _OptResult:
     value: float
@@ -240,13 +310,7 @@ def _multi_restart(instance, raw_grads, restarts, salt):
         theta = rng.normal(0.0, init_scale, size=(I + J + K) * D)
         mu = MU0
         for _stage in range(MAX_STAGES):
-            theta = minimize(
-                objective,
-                theta,
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": STAGE_ITERS, "ftol": 1e-18, "gtol": 1e-14},
-            ).x
+            theta = minimize(objective, theta).x
             P, R, Q = unpack(theta)
             resid = float(np.linalg.norm(residual(P, R, Q)[1])) / denom
             if resid < FEASIBILITY_TARGET:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CategoryMap, TripleStore
-from .errors import CheckpointError, ConfigError, NumericError, check_fields
+from .errors import CheckpointError, ConfigError, NumericError, check_fields, check_seed
 from .grads import GradAccumulator, all_finite
 from .models import (
     N3_KINDS, OPERATORS, ModelKind, ModelParams, backward_all_tails, block_shapes,
@@ -61,6 +61,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         check_fields(self)
+        check_seed(self.seed)
         try:
             kind = ModelKind(self.model)
         except ValueError as exc:

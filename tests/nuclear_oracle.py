@@ -1,15 +1,37 @@
-"""Reference nuclear-lab objective built on three-operand ``einsum``.
+"""Reference nuclear-lab objective built on three-operand ``einsum``, and
+the reference stage minimizer.
 
 The raw gradients are written per factor with ``np.sum``, broadcasts and
 a masked-division helper, and the penalty term reconstructs the whole
 I x J x K tensor and contracts the residual against two factors at a
 time.  ``erkg.nuclear`` instead works on the (I*J) x K unfolding with
 matrix products; the two must agree up to rounding.
+
+``scipy_minimize`` runs a stage through ``scipy.optimize.minimize``;
+``erkg.nuclear.minimize`` drives the same L-BFGS-B core itself and must
+give bitwise the same iterates, iteration counts and objective calls.
 """
 
 import numpy as np
 
+from erkg import nuclear
 from erkg.nuclear import VARIANTS
+
+
+def scipy_minimize(fun, x0):
+    """One stage by ``scipy.optimize.minimize`` with the lab's settings,
+    read from ``erkg.nuclear`` at call time."""
+    from scipy.optimize import minimize
+
+    options = {
+        "maxiter": nuclear.STAGE_ITERS,
+        "maxfun": nuclear.STAGE_MAXFUN,
+        "maxcor": nuclear.STAGE_MEMORY,
+        "maxls": nuclear.STAGE_MAXLS,
+        "ftol": nuclear.STAGE_FTOL,
+        "gtol": nuclear.STAGE_GTOL,
+    }
+    return minimize(fun, x0, jac=True, method="L-BFGS-B", options=options)
 
 
 def cp(P, R, Q):

@@ -74,6 +74,12 @@ class TestSynth:
         )
         assert code == 2
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = run_cli("synth", "--seed", "-1", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_outputs_and_exit_zero(self, synth_dir, tmp_path):
@@ -146,6 +152,20 @@ class TestTrain:
         cfg.write_text(json.dumps(doc))
         assert run_cli("train", "--config", str(cfg)) == 2
         assert "patience" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("in_config", [True, False])
+    def test_negative_seed_exits_2(self, synth_dir, tmp_path, capsys, in_config):
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        flag = []
+        if in_config:
+            doc = json.loads(cfg.read_text())
+            doc["train"]["seed"] = -1
+            cfg.write_text(json.dumps(doc))
+        else:
+            flag = ["--seed", "-1"]
+        assert run_cli("train", "--config", str(cfg), *flag) == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.erkg").exists()
 
     def test_patience_without_evaluation_exits_2(self, synth_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
@@ -341,6 +361,14 @@ class TestVerifyTheorems:
 
     def test_unknown_variant_exits_2(self):
         assert run_cli("verify-theorems", "--variants", "thm9") == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        code = run_cli("verify-theorems", "--seed", "-1", "--seeds", "1", "--restarts", "1",
+                       "--out", str(tmp_path))
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and "seed must be an integer >= 0, got -1" in err
+        assert not (tmp_path / "theorem_reports.json").exists()
 
     @pytest.mark.parametrize("flag", ["--restarts", "--seeds"])
     def test_zero_count_exits_2(self, tmp_path, capsys, flag):

@@ -124,6 +124,15 @@ class TestTrainConfig:
     def test_good_patience_accepted(self, patience):
         TrainConfig(patience=patience, eval_every=1).validate()
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match=f"seed must be an integer >= 0, got {seed}"):
+            TrainConfig(seed=seed).validate()
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**70, np.int64(5)])
+    def test_seeds_numpy_takes_accepted(self, seed):
+        TrainConfig(seed=seed).validate()
+
     def test_patience_without_evaluation_rejected(self):
         with pytest.raises(ConfigError, match="patience needs eval_every"):
             TrainConfig(patience=2).validate()
