@@ -13,11 +13,19 @@ a triple as ``Re(conj(h) . R . t)``; the distance family (``transe``,
 so every parameter block is a plain real array.
 
 ``OPERATORS`` maps each kind to its relation operator ``T_r``, batched
-over rows (``X`` holds one embedding row per row of ``R =
-params.relation[rels]``), with real storage in and out:
+over rows: ``X`` holds one embedding row per entry of the relation ids
+``rels``, and ``table`` is the relation block (``params.relation``, or
+a scaled copy of it), with real storage in and out:
 
-* ``apply(X, R)`` is ``T_r x``; ``vjp(X, R, G) -> (GX, GR)`` maps a
-  gradient on the output to gradients on ``X`` and ``R``;
+* ``apply(X, rels, table)`` is ``T_r x``; ``vjp(X, rels, table, G) ->
+  (GX, rel_ids, GR)`` maps a gradient on the output to gradients on
+  ``X`` and on the rows ``rel_ids`` of ``table``, which the caller hands
+  to ``acc.add("rel", rel_ids, GR)``.  The diagonal, complex, rotation
+  and translation kinds gather ``table[rels]`` inside and return
+  ``rels`` with one gradient row per input row.  RESCAL sorts the rows
+  by relation once per call and runs one GEMM per relation present; its
+  ``rel_ids`` are the distinct relations, ascending, each with one
+  summed ``X_r^T G_r`` block;
 * linear kinds add the adjoint under the real inner product of the
   storage, ``<T_r x, y> = <x, T_r* y>``, as ``adjoint`` and
   ``adjoint_vjp``; dura penalizes ``||T_r* t||``;
@@ -247,11 +255,11 @@ class _Operator:
 class _Diagonal(_Operator):
     """``x * r`` with a real diagonal (cp, distmult); self-adjoint."""
 
-    def apply(self, X, R):
-        return X * R
+    def apply(self, X, rels, table):
+        return X * table[rels]
 
-    def vjp(self, X, R, G):
-        return G * R, G * X
+    def vjp(self, X, rels, table, G):
+        return G * table[rels], rels, G * X
 
     adjoint = apply
     adjoint_vjp = vjp
@@ -263,19 +271,21 @@ class _ComplexDiagonal(_Operator):
     scores_adjoint = True
     complex_coords = True
 
-    def apply(self, X, R):
-        return (_c(X) * _c(R)).view(np.float64)
+    def apply(self, X, rels, table):
+        return (_c(X) * _c(table[rels])).view(np.float64)
 
-    def vjp(self, X, R, G):
+    def vjp(self, X, rels, table, G):
         Gc = _c(G)
-        return (np.conj(_c(R)) * Gc).view(np.float64), (np.conj(_c(X)) * Gc).view(np.float64)
+        GX = (np.conj(_c(table[rels])) * Gc).view(np.float64)
+        return GX, rels, (np.conj(_c(X)) * Gc).view(np.float64)
 
-    def adjoint(self, X, R):
-        return (_c(X) * np.conj(_c(R))).view(np.float64)
+    def adjoint(self, X, rels, table):
+        return (_c(X) * np.conj(_c(table[rels]))).view(np.float64)
 
-    def adjoint_vjp(self, X, R, G):
+    def adjoint_vjp(self, X, rels, table, G):
         Gc = _c(G)
-        return (_c(R) * Gc).view(np.float64), (_c(X) * np.conj(Gc)).view(np.float64)
+        GX = (_c(table[rels]) * Gc).view(np.float64)
+        return GX, rels, (_c(X) * np.conj(Gc)).view(np.float64)
 
 
 class _Rotation(_ComplexDiagonal):
@@ -285,20 +295,55 @@ class _Rotation(_ComplexDiagonal):
     scores_adjoint = False
 
 
+def _groups(rels):
+    """Rows grouped by relation: the stable sort order of ``rels``, then
+    the distinct relations in ascending order with the ``[start, stop)``
+    of each one's rows in that order."""
+    order = np.argsort(rels, kind="stable")
+    r = rels[order]
+    starts = np.flatnonzero(np.diff(r, prepend=-1))
+    return order, r[starts], starts, np.append(starts[1:], len(r))
+
+
+def _unsort(order, rows):
+    out = np.empty_like(rows)
+    out[order] = rows
+    return out
+
+
 class _Matrix(_Operator):
-    """Row vector times a full d x d matrix, ``x @ R_r`` (rescal)."""
+    """Row vector times a full d x d matrix, ``x @ R_r`` (rescal); the
+    adjoint is ``x @ R_r.T``.
 
-    def apply(self, X, R):
-        return np.einsum("bd,bde->be", X, R)
+    Rows are grouped by relation and each group is one GEMM against its
+    relation's matrix.  The relation gradient is one summed ``X_r^T G_r``
+    block per distinct relation, in ascending relation order.
+    """
 
-    def vjp(self, X, R, G):
-        return np.einsum("be,bde->bd", G, R), np.einsum("bd,be->bde", X, G)
+    def apply(self, X, rels, table):
+        order, ids, starts, stops = _groups(rels)
+        Xs = X[order]
+        out = np.empty_like(Xs)
+        for r, a, b in zip(ids, starts, stops):
+            np.matmul(Xs[a:b], table[r], out=out[a:b])
+        return _unsort(order, out)
 
-    def adjoint(self, X, R):
-        return np.einsum("be,bde->bd", X, R)
+    def vjp(self, X, rels, table, G):
+        order, ids, starts, stops = _groups(rels)
+        Xs, Gs = X[order], G[order]
+        GX = np.empty_like(Gs)
+        GR = np.empty((len(ids),) + table.shape[1:])
+        for k, (r, a, b) in enumerate(zip(ids, starts, stops)):
+            np.matmul(Gs[a:b], table[r].T, out=GX[a:b])
+            np.matmul(Xs[a:b].T, Gs[a:b], out=GR[k])
+        return _unsort(order, GX), ids, GR
 
-    def adjoint_vjp(self, X, R, G):
-        return np.einsum("bd,bde->be", G, R), np.einsum("bd,be->bde", G, X)
+    def adjoint(self, X, rels, table):
+        return self.apply(X, rels, table.transpose(0, 2, 1))
+
+    def adjoint_vjp(self, X, rels, table, G):
+        GX, ids, GR = self.vjp(X, rels, table.transpose(0, 2, 1), G)
+        return GX, ids, GR.transpose(0, 2, 1)
 
 
 class _Translation(_Operator):
@@ -307,11 +352,11 @@ class _Translation(_Operator):
     distance = True
     translation = True
 
-    def apply(self, X, R):
-        return X + R
+    def apply(self, X, rels, table):
+        return X + table[rels]
 
-    def vjp(self, X, R, G):
-        return G, G
+    def vjp(self, X, rels, table, G):
+        return G, rels, G
 
 
 OPERATORS = {
@@ -346,9 +391,8 @@ def forward_all_tails(params: ModelParams, heads: np.ndarray, rels: np.ndarray):
     """
     op = OPERATORS[params.kind]
     H = params.head_table[heads]
-    R = params.relation[rels]
     T = params.tail_table
-    Q = op.adjoint(H, R) if op.scores_adjoint else op.apply(H, R)
+    Q = (op.adjoint if op.scores_adjoint else op.apply)(H, rels, params.relation)
     S = Q @ T.T
     D = None
     if op.distance:
@@ -358,7 +402,7 @@ def forward_all_tails(params: ModelParams, heads: np.ndarray, rels: np.ndarray):
         np.maximum(D, 0.0, out=D)
         np.sqrt(D, out=D)
         np.negative(D, out=S)
-    return S, {"heads": heads, "rels": rels, "H": H, "R": R, "Q": Q, "D": D}
+    return S, {"heads": heads, "rels": rels, "H": H, "Q": Q, "D": D}
 
 
 def backward_all_tails(params: ModelParams, ctx, G: np.ndarray, acc) -> None:
@@ -369,7 +413,7 @@ def backward_all_tails(params: ModelParams, ctx, G: np.ndarray, acc) -> None:
     overwrite ``G`` with ``C = G / D``.
     """
     op = OPERATORS[params.kind]
-    H, R, Q, D = ctx["H"], ctx["R"], ctx["Q"], ctx["D"]
+    H, Q, D = ctx["H"], ctx["Q"], ctx["D"]
     T = params.tail_table
     if D is None:
         GT = G.T @ Q
@@ -378,7 +422,8 @@ def backward_all_tails(params: ModelParams, ctx, G: np.ndarray, acc) -> None:
         C = np.divide(G, np.maximum(D, _EPS_DIST, out=D), out=G)
         GQ = C @ T - C.sum(axis=1)[:, None] * Q
         GT = C.T @ Q - C.sum(axis=0)[:, None] * T
-    GH, GR = op.adjoint_vjp(H, R, GQ) if op.scores_adjoint else op.vjp(H, R, GQ)
+    vjp = op.adjoint_vjp if op.scores_adjoint else op.vjp
+    GH, rel_ids, GR = vjp(H, ctx["rels"], params.relation, GQ)
     acc.add(params.tail_key, None, GT)
     acc.add(params.head_key, ctx["heads"], GH)
-    acc.add("rel", ctx["rels"], GR)
+    acc.add("rel", rel_ids, GR)

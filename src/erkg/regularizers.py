@@ -239,17 +239,17 @@ def penalty_dura(
     B = len(batch)
     heads, rels, tails = batch[:, 0], batch[:, 1], batch[:, 2]
     H = params.head_table[heads]
-    R = params.relation[rels]
     T = params.tail_table[tails]
-    Th = op.apply(H, R)
-    Ta = op.adjoint(T, R)
+    Th = op.apply(H, rels, params.relation)
+    Ta = op.adjoint(T, rels, params.relation)
     value = np.sum(Th * Th) + np.sum(T * T) + np.sum(Ta * Ta) + np.sum(H * H)
-    GH, GRh = op.vjp(H, R, 2.0 * Th)
-    GT, GRt = op.adjoint_vjp(T, R, 2.0 * Ta)
+    GH, rel_ids, GRh = op.vjp(H, rels, params.relation, 2.0 * Th)
+    # the same rels give the same rel_ids, so the two parts add row by row
+    GT, _, GRt = op.adjoint_vjp(T, rels, params.relation, 2.0 * Ta)
     w = scale / B
     acc.add(params.head_key, heads, (GH + 2.0 * H) * w)
     acc.add(params.tail_key, tails, (GT + 2.0 * T) * w)
-    acc.add("rel", rels, (GRh + GRt) * w)
+    acc.add("rel", rel_ids, (GRh + GRt) * w)
     return float(value / B)
 
 
@@ -442,19 +442,18 @@ def _pair_terms(
             continue  # zero at every key; a(1 - a) = 0 stops its label gradient too
         # T h_a + sign T h_b is T (h_a + sign h_b), with r scaled by c.
         c = 1.0 + sign if op.translation else 1.0
-        Rs = [params.relation[rel] for rel in chain] if c else []
-        if c != 1.0:
-            Rs = [c * R for R in Rs]
+        hops = chain if c else []
+        table = params.relation if c == 1.0 else c * params.relation
         X = [diff if sign < 0 else Ha + Hb]
-        for R in Rs:
-            X.append(op.apply(X[-1], R))
+        for rel in hops:
+            X.append(op.apply(X[-1], rel, table))
         v, G = _norm_value_grad(X[-1], spec.norm_order, op.complex_coords)
         value += float(np.sum(counts * coef * v))
         dvalue_dlabel += slope * v
         G = (w * coef)[:, None] * G
-        for X_in, R, rel in reversed(list(zip(X, Rs, chain))):
-            G, GR = op.vjp(X_in, R, G)
-            acc.add("rel", rel, GR if c == 1.0 else c * GR)
+        for X_in, rel in reversed(list(zip(X, hops))):
+            G, rel_ids, GR = op.vjp(X_in, rel, table, G)
+            acc.add("rel", rel_ids, GR if c == 1.0 else c * GR)
         g_a += G
         g_b += sign * G
     if soft_any:

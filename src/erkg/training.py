@@ -12,6 +12,8 @@ seed.
 from __future__ import annotations
 
 import logging
+import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -127,6 +129,34 @@ def _adagrad_step_inplace(param, acc, idx, grad, lr, eps):
         param[idx] -= lr * grad / (np.sqrt(a) + eps)
 
 
+def _check_size(kind: ModelKind, n_entities: int, n_relations: int, dim: int) -> None:
+    """``ConfigError`` if the parameter blocks and their Adagrad
+    accumulators would not fit in the machine's physical memory; read from
+    the block shapes, so nothing is allocated."""
+    shapes = block_shapes(kind, n_entities, n_relations, dim)
+    need = 2 * 8 * sum(math.prod(shape) for shape in shapes.values())
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return
+    if need > have:
+        raise ConfigError(
+            f"dim {dim} needs {need / 2**30:.3g} GiB for the {kind.value} parameters "
+            f"and their Adagrad state over {n_entities} entities, more than the "
+            f"{have / 2**30:.3g} GiB of this machine"
+        )
+
+
+def _check_finite_state(params: ModelParams, accs: dict, epoch: int) -> None:
+    """``NumericError`` unless every parameter block and Adagrad
+    accumulator is finite: an overflowing step can leave the loss and
+    gradients finite while an accumulator turns infinite."""
+    for what, arrays in (("parameter block", params.blocks()), ("Adagrad accumulator", accs)):
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise NumericError(f"non-finite {what} {name!r} after epoch {epoch}")
+
+
 def _batch_ce(params: ModelParams, batch: np.ndarray):
     """Mean cross entropy over a batch, and a ``GradAccumulator`` holding
     its gradient parts: ``(loss, acc)``.
@@ -212,7 +242,10 @@ def train(
     be reciprocal-augmented so head prediction trains as tail prediction.
     The ER category modes (``er_mode`` other than ``joint``) need
     ``categories``, and ``eval_every > 0`` a non-empty validation split;
-    without them ``ConfigError`` is raised before any work.
+    without them ``ConfigError`` is raised before any work, as it is for a
+    ``dim`` whose parameters cannot be allocated.  A non-finite parameter
+    block or Adagrad accumulator at the end of an epoch raises
+    ``NumericError``.
     """
     config.validate()
     kind = ModelKind(config.model)
@@ -225,11 +258,18 @@ def train(
         raise ConfigError("empty training split")
     if config.eval_every > 0 and len(store.valid) == 0:
         raise ConfigError("eval_every needs a non-empty validation split")
-    n_rel = store.vocab.n_relations
-    params = init_params(kind, store.vocab.n_entities, n_rel, config.dim, config.seed)
+    n_ent, n_rel = store.vocab.n_entities, store.vocab.n_relations
+    _check_size(kind, n_ent, n_rel, config.dim)
+    try:
+        params = init_params(kind, n_ent, n_rel, config.dim, config.seed)
+        accs = {name: np.zeros_like(arr) for name, arr in params.blocks().items()}
+    except MemoryError as exc:
+        raise ConfigError(
+            f"dim {config.dim}: cannot allocate the {kind.value} parameters "
+            f"over {n_ent} entities"
+        ) from exc
     eps_state = EpsilonState.create(n_rel, spec.epsilon_init)
     blocks = {**params.blocks(), "eps": eps_state.epsilon}
-    accs = {name: np.zeros_like(arr) for name, arr in params.blocks().items()}
     accs["eps"] = eps_state.acc
 
     rng = np.random.default_rng(config.seed)
@@ -265,6 +305,7 @@ def train(
             project_constraints(params)
             loss_sum += loss * len(batch)
             reg_sum += reg_value * len(batch)
+        _check_finite_state(params, accs, epoch)
 
         record = EpochRecord(
             epoch=epoch,

@@ -6,11 +6,16 @@ Two checkouts train the same numbers when their outputs are equal.  Run
 from the repository root:
 
     PYTHONPATH=src python -m tests.fingerprints [kind:penalty ...]
+    PYTHONPATH=src python -m tests.fingerprints --against SAVED [kind:penalty ...]
 
-With no arguments every supported pair runs.  ``er`` runs in joint mode
-with second-order paths on.
+With no pairs named every supported pair runs.  ``er`` runs in joint mode
+with second-order paths on.  ``--against SAVED`` compares with an earlier
+output saved to a file: each pair prints ``same``, or its new digest with
+the relative move of its loss and regularizer value (``new`` for a pair
+absent from SAVED), and the exit status is 1 if any pair differs.
 """
 
+import argparse
 import hashlib
 import sys
 import tempfile
@@ -55,13 +60,43 @@ def fingerprint_store():
     return add_reciprocals(store)
 
 
+def relative_move(new: str, old: str) -> float:
+    a, b = float(new), float(old)
+    return abs(a - b) / abs(b) if b else abs(a - b)
+
+
+def compare(line: str, saved: dict[tuple[str, str], list[str]]) -> str:
+    """``kind penalty`` and ``same``, ``new``, or the new digest with the
+    relative moves of loss and regularizer against ``saved``."""
+    kind, penalty, digest, loss, reg = line.split()
+    old = saved.get((kind, penalty))
+    if old is None:
+        return f"{kind} {penalty} new"
+    if old == [digest, loss, reg]:
+        return f"{kind} {penalty} same"
+    return (f"{kind} {penalty} {digest} loss {relative_move(loss, old[1]):.1e} "
+            f"reg {relative_move(reg, old[2]):.1e}")
+
+
 def main(argv: list[str]) -> int:
-    pairs = argv or supported_pairs()
+    ap = argparse.ArgumentParser(prog="python -m tests.fingerprints")
+    ap.add_argument("--against", type=Path, help="an earlier output to compare with")
+    ap.add_argument("pairs", nargs="*", help="kind:penalty (default: every supported pair)")
+    args = ap.parse_args(argv)
+    saved = None
+    if args.against is not None:
+        rows = (line.split() for line in args.against.read_text().splitlines() if line.strip())
+        saved = {(row[0], row[1]): row[2:] for row in rows}
     store = fingerprint_store()
+    differ = False
     with tempfile.TemporaryDirectory() as workdir:
-        for pair in pairs:
-            print(fingerprint(store, pair, Path(workdir)), flush=True)
-    return 0
+        for pair in args.pairs or supported_pairs():
+            line = fingerprint(store, pair, Path(workdir))
+            if saved is not None:
+                line = compare(line, saved)
+                differ |= not line.endswith(" same")
+            print(line, flush=True)
+    return int(differ)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,10 @@
 """Scalar reference helpers that only the tests use: the batched paths of
-``erkg`` are checked against them."""
+``erkg`` are checked against them.
+
+``ROW_OPERATORS`` is the gathered-row form of ``models.OPERATORS``: each
+operator takes ``R = table[rels]``, one relation row per input row, and
+its ``vjp`` returns one relation-gradient row per input row, RESCAL's
+through ``einsum``.  ``tests/penalty_oracle.py`` is written on it."""
 
 import logging
 from dataclasses import dataclass
@@ -111,6 +116,87 @@ def relational_transform(params: ModelParams, x: np.ndarray, r: int) -> np.ndarr
     raise ConfigError(f"unknown kind {kind}")
 
 
+def _c(a: np.ndarray) -> np.ndarray:
+    return cview(np.ascontiguousarray(a))
+
+
+class _RowOperator:
+    distance = False
+    scores_adjoint = False
+    complex_coords = False
+    translation = False
+
+
+class _RowDiagonal(_RowOperator):
+    def apply(self, X, R):
+        return X * R
+
+    def vjp(self, X, R, G):
+        return G * R, G * X
+
+    adjoint = apply
+    adjoint_vjp = vjp
+
+
+class _RowComplexDiagonal(_RowOperator):
+    scores_adjoint = True
+    complex_coords = True
+
+    def apply(self, X, R):
+        return (_c(X) * _c(R)).view(np.float64)
+
+    def vjp(self, X, R, G):
+        Gc = _c(G)
+        return (np.conj(_c(R)) * Gc).view(np.float64), (np.conj(_c(X)) * Gc).view(np.float64)
+
+    def adjoint(self, X, R):
+        return (_c(X) * np.conj(_c(R))).view(np.float64)
+
+    def adjoint_vjp(self, X, R, G):
+        Gc = _c(G)
+        return (_c(R) * Gc).view(np.float64), (_c(X) * np.conj(Gc)).view(np.float64)
+
+
+class _RowRotation(_RowComplexDiagonal):
+    distance = True
+    scores_adjoint = False
+
+
+class _RowMatrix(_RowOperator):
+    def apply(self, X, R):
+        return np.einsum("bd,bde->be", X, R)
+
+    def vjp(self, X, R, G):
+        return np.einsum("be,bde->bd", G, R), np.einsum("bd,be->bde", X, G)
+
+    def adjoint(self, X, R):
+        return np.einsum("be,bde->bd", X, R)
+
+    def adjoint_vjp(self, X, R, G):
+        return np.einsum("bd,bde->be", G, R), np.einsum("bd,be->bde", G, X)
+
+
+class _RowTranslation(_RowOperator):
+    distance = True
+    translation = True
+
+    def apply(self, X, R):
+        return X + R
+
+    def vjp(self, X, R, G):
+        return G, G
+
+
+ROW_OPERATORS = {
+    ModelKind.CP: _RowDiagonal(),
+    ModelKind.DISTMULT: _RowDiagonal(),
+    ModelKind.COMPLEX: _RowComplexDiagonal(),
+    ModelKind.RESCAL: _RowMatrix(),
+    ModelKind.TRANSE: _RowTranslation(),
+    ModelKind.ROTATE: _RowRotation(),
+}
+
+
 def cross_entropy_loss(scores: np.ndarray, target: int):
     """Stable cross entropy of one score vector against a target entity.
 
@@ -177,23 +263,22 @@ def forward_all_tails(params: ModelParams, heads: np.ndarray, rels: np.ndarray):
     distance kinds form ``d2``, its clamp, ``D`` and ``-D`` apart."""
     op = OPERATORS[params.kind]
     H = params.head_table[heads]
-    R = params.relation[rels]
     T = params.tail_table
-    Q = op.adjoint(H, R) if op.scores_adjoint else op.apply(H, R)
+    Q = (op.adjoint if op.scores_adjoint else op.apply)(H, rels, params.relation)
     S = Q @ T.T
     D = None
     if op.distance:
         d2 = np.sum(Q * Q, axis=1)[:, None] + np.sum(T * T, axis=1)[None, :] - 2.0 * S
         D = np.sqrt(np.maximum(d2, 0.0))
         S = -D
-    return S, {"heads": heads, "rels": rels, "H": H, "R": R, "Q": Q, "D": D}
+    return S, {"heads": heads, "rels": rels, "H": H, "Q": Q, "D": D}
 
 
 def backward_all_tails(params: ModelParams, ctx, G: np.ndarray, acc) -> None:
     """``models.backward_all_tails`` leaving ``G`` and ``ctx["D"]`` as
     they were: ``C = G / max(D, 1e-30)`` is a fresh array."""
     op = OPERATORS[params.kind]
-    H, R, Q, D = ctx["H"], ctx["R"], ctx["Q"], ctx["D"]
+    H, Q, D = ctx["H"], ctx["Q"], ctx["D"]
     T = params.tail_table
     if D is None:
         GT = G.T @ Q
@@ -202,10 +287,11 @@ def backward_all_tails(params: ModelParams, ctx, G: np.ndarray, acc) -> None:
         C = G / np.maximum(D, 1e-30)
         GQ = C @ T - C.sum(axis=1)[:, None] * Q
         GT = C.T @ Q - C.sum(axis=0)[:, None] * T
-    GH, GR = op.adjoint_vjp(H, R, GQ) if op.scores_adjoint else op.vjp(H, R, GQ)
+    vjp = op.adjoint_vjp if op.scores_adjoint else op.vjp
+    GH, rel_ids, GR = vjp(H, ctx["rels"], params.relation, GQ)
     acc.add(params.tail_key, None, GT)
     acc.add(params.head_key, ctx["heads"], GH)
-    acc.add("rel", ctx["rels"], GR)
+    acc.add("rel", rel_ids, GR)
 
 
 def batch_ce(params: ModelParams, batch: np.ndarray):

@@ -7,7 +7,9 @@ are written out separately, pair by pair, with both heads transformed.
 caller's accumulator, shares one pair-term body, and works on distinct
 pair keys and head differences; the two must agree up to rounding.  The
 pair labels and their batch-median thresholds are computed here over the
-listed pairs, as before that rewrite.
+listed pairs, as before that rewrite.  The relation operators are the
+gathered-row ones of ``oracles.ROW_OPERATORS``, so no operator code
+under test runs here.
 """
 
 import logging
@@ -17,8 +19,9 @@ import numpy as np
 
 from erkg.errors import ConfigError
 from erkg.grads import GradAccumulator
-from erkg.models import N3_KINDS, OPERATORS
+from erkg.models import N3_KINDS
 from erkg.regularizers import _EPS_DIST, _norm_value_grad, _sigmoid
+from oracles import ROW_OPERATORS
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +116,7 @@ def _add_label_grads(acc, params, lp, dfda, tau):
 
 def _norm_terms(params, batch, order, acc, cols):
     B = len(batch)
-    cx = OPERATORS[params.kind].complex_coords
+    cx = ROW_OPERATORS[params.kind].complex_coords
     keys = (params.head_key, "rel", params.tail_key)
     tables = (params.head_table, params.relation, params.tail_table)
     value = 0.0
@@ -143,7 +146,7 @@ def penalty_n3(params, batch):
 
 
 def penalty_dura(params, batch):
-    op = OPERATORS[params.kind]
+    op = ROW_OPERATORS[params.kind]
     if op.distance:
         raise ConfigError(f"dura penalty does not support {params.kind.value}")
     if len(batch) == 0:
@@ -170,7 +173,7 @@ def penalty_er(params, batch, pairs, spec, categories=None, eps=None):
         raise ConfigError("spec.kind must be 'er'")
     if len(batch) == 0:
         raise ConfigError("penalty needs a nonempty batch")
-    op = OPERATORS[params.kind]
+    op = ROW_OPERATORS[params.kind]
     order = spec.norm_order
     acc = GradAccumulator()
     value = _norm_terms(params, batch, order, acc, (0, 2))
@@ -208,7 +211,7 @@ def penalty_er(params, batch, pairs, spec, categories=None, eps=None):
 def penalty_er_second_order(params, path_pairs, spec, categories=None, eps=None):
     if path_pairs.n == 0:
         return 0.0, {}
-    op = OPERATORS[params.kind]
+    op = ROW_OPERATORS[params.kind]
     lp, keep = _label_pair_entities(
         params, path_pairs.head_a, path_pairs.head_b, path_pairs.rel1, spec,
         categories, eps,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from erkg import cli, data, nuclear
+from erkg import cli, data, nuclear, training
 from erkg.cli import load_run_config, main
 from erkg.presets import _PAPER, get_preset
 
@@ -165,6 +165,34 @@ class TestTrain:
             flag = ["--seed", "-1"]
         assert run_cli("train", "--config", str(cfg), *flag) == 2
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.erkg").exists()
+
+    def test_overflowing_adagrad_state_exits_3(self, synth_dir, tmp_path, capsys):
+        """Lambda 1e300 keeps the loss and gradients finite but overflows
+        the squared gradients into the Adagrad accumulators."""
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run",
+                           regularizer={"kind": "fro", "lambda": 1e300})
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run_cli("train", "--config", str(cfg)) == 3
+        err = capsys.readouterr().err
+        assert "non-finite Adagrad accumulator" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "checkpoint.erkg").exists()
+
+    @pytest.mark.parametrize("size_check", [True, False])
+    def test_huge_dim_exits_2(self, synth_dir, tmp_path, capsys, monkeypatch, size_check):
+        """Refused from the block shapes alone, or, without that check,
+        when the allocation fails."""
+        if not size_check:
+            monkeypatch.setattr(training, "_check_size", lambda *args: None)
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        doc = json.loads(cfg.read_text())
+        doc["train"]["dim"] = 10**12
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "dim 1000000000000" in err and "distmult" in err and "entities" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "run" / "checkpoint.erkg").exists()
 
     def test_patience_without_evaluation_exits_2(self, synth_dir, tmp_path, capsys):

@@ -255,9 +255,9 @@ def count_applies(monkeypatch, kind):
     calls = []
     apply = op.apply
 
-    def counted(X, R):
+    def counted(X, rels, table):
         calls.append(1)
-        return apply(X, R)
+        return apply(X, rels, table)
 
     monkeypatch.setattr(op, "apply", counted)
     return calls
