@@ -11,7 +11,8 @@ verification or tolerance failure, 2 usage/config error, 3 numeric
 abort.  Inputs are never mutated.  An input that cannot be read or
 decoded (a config, data, category or checkpoint file) exits 2, and so
 does an output path that cannot be created; both are found before any
-training, ranking or checking starts.
+training, ranking or checking starts.  A size whose arrays cannot be
+allocated (``dim``, ``synth``'s counts, ``--dims``) exits 2 naming it.
 
 Run ``verify-theorems`` with ``OPENBLAS_NUM_THREADS=1``: its many tiny
 objective calls gain nothing from BLAS threads.  On a 2-core host,
@@ -46,6 +47,7 @@ from .errors import (
     InfeasibleError,
     NumericError,
     ParseError,
+    check_memory,
     typed,
 )
 from .presets import LAMBDA_GRID, LEARNING_RATE_GRID, get_preset
@@ -282,10 +284,10 @@ def cmd_verify_theorems(args) -> int:
     for s in range(args.seeds):
         seed = args.seed + s
         for v in variants:
-            inst = nuclear.make_instance(I, J, K, D, norm_order[v], args.mechanism, seed)
             row = {"seed": seed, "I": I, "J": J, "K": K, "D": D,
                    "mechanism": args.mechanism}
             try:
+                inst = nuclear.make_instance(*dims, norm_order[v], args.mechanism, seed)
                 rep = nuclear.check_instance(inst, v, args.restarts)
                 row.update(asdict(rep))
                 row["feasible"] = True
@@ -294,6 +296,8 @@ def cmd_verify_theorems(args) -> int:
             except InfeasibleError as exc:
                 row.update({"variant": v, "feasible": False, "error": str(exc)})
                 any_bad = True
+            except MemoryError as exc:
+                raise ConfigError(f"--dims {args.dims}: cannot allocate the instance") from exc
             reports.append(row)
             print(json.dumps(row, sort_keys=True))
     if out is not None:
@@ -302,14 +306,19 @@ def cmd_verify_theorems(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    store, cmap = generate_synthetic(
-        n_entities=args.entities,
-        n_categories=args.categories,
-        n_relations=args.relations,
-        triples_per_relation=args.triples_per_relation,
-        noise_rate=args.noise,
-        seed=args.seed,
-    )
+    what = f"--relations {args.relations} with --triples-per-relation {args.triples_per_relation}"
+    check_memory(24 * args.relations * args.triples_per_relation, what, "the triples")
+    try:
+        store, cmap = generate_synthetic(
+            n_entities=args.entities,
+            n_categories=args.categories,
+            n_relations=args.relations,
+            triples_per_relation=args.triples_per_relation,
+            noise_rate=args.noise,
+            seed=args.seed,
+        )
+    except MemoryError as exc:
+        raise ConfigError(f"--entities {args.entities}, {what}: cannot allocate the graph") from exc
     out = Path(args.out)
     save_triples(store, out)
     save_categories(cmap, store.vocab, out / "categories.txt")

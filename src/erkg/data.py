@@ -16,6 +16,10 @@ one per split; entity categories in an optional sidecar TSV of
 - In a category file, entities outside the vocabulary are skipped and an
   entity's last label wins; both are counted and logged.
 
+Rows are sorted and grouped by key in one place, :func:`sorted_runs`:
+the duplicate counts, the filter index, RESCAL's relation groups and
+ER's distinct pair keys all use it.
+
 Triples are indexed by one type, :class:`KeyedCSR`: values grouped by an
 int64 key with one vectorized ``lookup``.  The training edges keyed by
 head (``TripleStore.adjacency``) serve path sampling; the known-true
@@ -74,6 +78,21 @@ def pair_key(a, b) -> np.ndarray:
     return np.left_shift(np.asarray(a, dtype=np.int64), 32) | np.asarray(b, dtype=np.int64)
 
 
+def sorted_runs(keys) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of the key tuples (equal-length integer
+    arrays, last key primary, as ``np.lexsort`` takes them), and where in
+    it each run of equal tuples starts: ``order[starts]`` is the first row
+    of each distinct tuple, ascending, and ``np.diff(np.append(starts,
+    len(order)))`` how often each occurs."""
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        k = key[order]
+        new[1:] |= k[1:] != k[:-1]
+    return order, np.flatnonzero(new)
+
+
 class KeyedCSR(NamedTuple):
     """Values grouped by an int64 key (CSR).
 
@@ -89,10 +108,8 @@ class KeyedCSR(NamedTuple):
     def group(cls, keys, values) -> "KeyedCSR":
         """Group ``values`` by ``keys``, keeping their order within a key."""
         keys = np.asarray(keys, dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
-        return cls(keys[starts], np.append(starts, len(keys)), np.asarray(values)[order])
+        order, starts = sorted_runs([keys])
+        return cls(keys[order[starts]], np.append(starts, len(keys)), np.asarray(values)[order])
 
     def lookup(self, query) -> tuple[np.ndarray, np.ndarray]:
         """Every value of each query key in turn: the index into ``query``
@@ -184,14 +201,6 @@ def _undecodable_line(path) -> int:
     return 0
 
 
-def _sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` sorted, and a mask of each distinct row's first copy."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows, first
-
-
 def load_dataset(train_path, valid_path, test_path) -> TripleStore:
     """Load the three splits over one vocabulary."""
     entities: dict[str, int] = {}
@@ -203,7 +212,8 @@ def load_dataset(train_path, valid_path, test_path) -> TripleStore:
         for h, r, t in _rows(path, 3, "triple"):
             ids.extend((ent(h, len(entities)), rel(r, len(relations)), ent(t, len(entities))))
         arr = splits[name] = np.array(ids, dtype=np.int64).reshape(-1, 3)
-        dups[name] = int(len(arr) - _sorted_rows(arr)[1].sum())
+        _, starts = sorted_runs((arr[:, 2], pair_key(arr[:, 0], arr[:, 1])))
+        dups[name] = len(arr) - len(starts)
         if dups[name]:
             logger.warning("%s: kept %d duplicate triples", path, dups[name])
     return TripleStore(**splits, vocab=Vocab(entities, relations), duplicates=dups)
@@ -267,9 +277,10 @@ def build_filter_index(store: TripleStore) -> KeyedCSR:
     known-true tails of each ``pair_key(head, relation)``, sorted and
     unique."""
     rows = np.concatenate([arr.reshape(-1, 3) for _, arr in store.splits()])
-    rows, first = _sorted_rows(rows.astype(np.int64, copy=False))
-    rows = rows[first]
-    return KeyedCSR.group(pair_key(rows[:, 0], rows[:, 1]), rows[:, 2])
+    keys, tails = pair_key(rows[:, 0], rows[:, 1]), rows[:, 2].astype(np.int64)
+    order, starts = sorted_runs((tails, keys))
+    first = order[starts]
+    return KeyedCSR.group(keys[first], tails[first])
 
 
 @dataclass
@@ -364,13 +375,13 @@ def generate_synthetic(
     deterministic given the seed.
     """
     if n_categories < 2:
-        raise ConfigError("need at least 2 categories")
+        raise ConfigError(f"n_categories must be >= 2, got {n_categories}")
     if not 0.0 <= noise_rate < 1.0:
         raise ConfigError("noise_rate must be in [0, 1)")
     if n_entities < n_categories:
-        raise ConfigError("need at least one entity per category")
+        raise ConfigError(f"n_entities must be >= n_categories, got {n_entities} < {n_categories}")
     if n_relations < 1 or triples_per_relation < 1:
-        raise ConfigError("counts must be positive")
+        raise ConfigError("n_relations and triples_per_relation must be >= 1")
 
     rng = np.random.default_rng(check_seed(seed))
     cats = np.arange(n_entities, dtype=np.int64) % n_categories
@@ -379,7 +390,7 @@ def generate_synthetic(
     n_clean = int(round((1.0 - noise_rate) * triples_per_relation))
     n_noise = triples_per_relation - n_clean
     if triples_per_relation > n_entities * n_entities:
-        raise ConfigError("more triples per relation than distinct entity pairs")
+        raise ConfigError("triples_per_relation exceeds the distinct entity pairs")
 
     triples = []
     for r in range(n_relations):

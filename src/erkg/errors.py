@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import os
 import sys
 import typing
 
@@ -76,3 +77,18 @@ def check_fields(obj) -> None:
     hints = typing.get_type_hints(type(obj))
     for f in dataclasses.fields(obj):
         typed(getattr(obj, f.name), hints[f.name], f.name)
+
+
+def check_memory(need: float, what: str, purpose: str) -> None:
+    """``ConfigError`` naming ``what`` if ``need`` bytes for ``purpose``
+    exceed the machine's physical memory (unchecked where it is unknown),
+    so an allocation that cannot succeed is refused before any work."""
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return
+    if need > have:
+        raise ConfigError(
+            f"{what} needs {need / 2**30:.3g} GiB for {purpose}, more than the "
+            f"{have / 2**30:.3g} GiB of this machine"
+        )

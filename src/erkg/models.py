@@ -72,6 +72,7 @@ from enum import Enum
 
 import numpy as np
 
+from .data import KeyedCSR
 from .errors import ConfigError
 
 logger = logging.getLogger(__name__)
@@ -295,16 +296,6 @@ class _Rotation(_ComplexDiagonal):
     scores_adjoint = False
 
 
-def _groups(rels):
-    """Rows grouped by relation: the stable sort order of ``rels``, then
-    the distinct relations in ascending order with the ``[start, stop)``
-    of each one's rows in that order."""
-    order = np.argsort(rels, kind="stable")
-    r = rels[order]
-    starts = np.flatnonzero(np.diff(r, prepend=-1))
-    return order, r[starts], starts, np.append(starts[1:], len(r))
-
-
 def _unsort(order, rows):
     out = np.empty_like(rows)
     out[order] = rows
@@ -321,19 +312,19 @@ class _Matrix(_Operator):
     """
 
     def apply(self, X, rels, table):
-        order, ids, starts, stops = _groups(rels)
+        ids, bounds, order = KeyedCSR.group(rels, np.arange(len(rels)))
         Xs = X[order]
         out = np.empty_like(Xs)
-        for r, a, b in zip(ids, starts, stops):
+        for r, a, b in zip(ids, bounds[:-1], bounds[1:]):
             np.matmul(Xs[a:b], table[r], out=out[a:b])
         return _unsort(order, out)
 
     def vjp(self, X, rels, table, G):
-        order, ids, starts, stops = _groups(rels)
+        ids, bounds, order = KeyedCSR.group(rels, np.arange(len(rels)))
         Xs, Gs = X[order], G[order]
         GX = np.empty_like(Gs)
         GR = np.empty((len(ids),) + table.shape[1:])
-        for k, (r, a, b) in enumerate(zip(ids, starts, stops)):
+        for k, (r, a, b) in enumerate(zip(ids, bounds[:-1], bounds[1:])):
             np.matmul(Gs[a:b], table[r].T, out=GX[a:b])
             np.matmul(Xs[a:b].T, Gs[a:b], out=GR[k])
         return _unsort(order, GX), ids, GR

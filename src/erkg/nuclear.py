@@ -124,7 +124,7 @@ def make_instance(
 ) -> FactorInstance:
     """Compose a deterministic rank-<=D target from uniform [-1, 1] factors."""
     if min(I, J, K, D) < 1:
-        raise ConfigError("all dimensions must be >= 1")
+        raise ConfigError(f"dims I, J, K, D must all be >= 1, got {I}, {J}, {K}, {D}")
     if t not in (2, 3):
         raise ConfigError("norm order must be 2 or 3")
     if mechanism not in MECHANISMS:

@@ -41,17 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CategoryMap, TripleStore, pair_key
+from .data import CategoryMap, TripleStore, pair_key, sorted_runs
 from .errors import ConfigError, check_fields
 from .grads import GradAccumulator
-from .models import N3_KINDS, OPERATORS, ModelParams, cview
+from .models import _EPS_DIST, N3_KINDS, OPERATORS, ModelParams, cview
 
 logger = logging.getLogger(__name__)
 
 ER_MODES = ("proximity", "dissimilarity", "joint")
 REG_KINDS = ("none", "fro", "n3", "dura", "er")
-
-_EPS_DIST = 1e-30
 
 
 @dataclass
@@ -61,8 +59,8 @@ class RegularizerSpec:
     The fields are the keys of a run config's ``regularizer`` section, with
     their types and defaults; ``lam``, the coefficient applied by the
     trainer, is spelled ``"lambda"`` there.  ``pair_budget`` caps sampled
-    pairs per relation per batch; ``dissim_weight`` optionally rescales the
-    sum-term relative to the difference term (shared coefficient by
+    pairs per relation per batch; ``dissim_weight``, nonnegative, rescales
+    the sum-term relative to the difference term (shared coefficient by
     default).
     """
 
@@ -93,7 +91,9 @@ class RegularizerSpec:
         if self.second_order and self.path_budget < 1:
             raise ConfigError("path_budget must be >= 1")
         if self.tau <= 0:
-            raise ConfigError("temperature must be positive")
+            raise ConfigError("tau (the temperature) must be positive")
+        if self.dissim_weight < 0:
+            raise ConfigError("dissim_weight must be nonnegative")
         if isinstance(self.epsilon_init, str) and self.epsilon_init != "batch_median":
             raise ConfigError(f"unknown epsilon_init {self.epsilon_init!r}")
 
@@ -281,15 +281,10 @@ def _budget_pairs(keys: np.ndarray, heads: np.ndarray, budget: int, seed: int):
     gstart = np.cumsum(sizes) - sizes
     pos = np.arange(N) - gstart[g]
     # Runs of one (group, head); each run keeps the group's order.
-    h = heads[order]
-    by_run = np.lexsort((h, g))
-    rg, rh = g[by_run], h[by_run]
-    new_run = np.ones(N, dtype=bool)
-    new_run[1:] = (rg[1:] != rg[:-1]) | (rh[1:] != rh[:-1])
-    run_start = np.flatnonzero(new_run)
+    by_run, run_start = sorted_runs((heads[order], g))
     run_len = np.diff(np.append(run_start, N))
     run = np.empty(N, dtype=np.int64)
-    run[by_run] = np.cumsum(new_run) - 1
+    run[by_run] = np.repeat(np.arange(len(run_start)), run_len)
     # Earlier members of the group with the same head, and with another.
     same = np.empty(N, dtype=np.int64)
     same[by_run] = np.arange(N) - run_start[run[by_run]]
@@ -351,21 +346,6 @@ def _init_epsilon(
         eps.epsilon[r] = float(np.median(np.repeat(dists[m], counts[m])))
 
 
-def _distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Index of one occurrence of each distinct tuple of ``keys`` (equal
-    length integer arrays), and how often the tuple occurs.  A lexsort
-    over few keys costs less than ``np.unique(axis=0)``."""
-    order = np.lexsort(keys)
-    n = len(order)
-    start = np.zeros(n, dtype=bool)
-    start[:1] = True
-    for key in keys:
-        k = key[order]
-        start[1:] |= k[1:] != k[:-1]
-    first = np.flatnonzero(start)
-    return order[first], np.diff(np.append(first, n))
-
-
 def _category_labels(
     ha: np.ndarray, hb: np.ndarray, counts: np.ndarray, spec: RegularizerSpec,
     categories: CategoryMap | None,
@@ -415,7 +395,8 @@ def _pair_terms(
     term when every label is 0.  Adds ``scale`` times the gradients
     (heads, every hop's relations, soft labels) to ``acc``.
     """
-    first, counts = _distinct([pair_key(ha, hb), *chain])
+    order, starts = sorted_runs([pair_key(ha, hb), *chain])
+    first, counts = order[starts], np.diff(np.append(starts, len(order)))
     keep, label, soft = _category_labels(ha[first], hb[first], counts, spec, categories)
     first, counts, label, soft = first[keep], counts[keep], label[keep], soft[keep]
     ha, hb, chain = ha[first], hb[first], [rel[first] for rel in chain]

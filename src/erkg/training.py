@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .data import CategoryMap, TripleStore
-from .errors import CheckpointError, ConfigError, NumericError, check_fields, check_seed
+from .errors import (
+    CheckpointError, ConfigError, NumericError, check_fields, check_memory, check_seed,
+)
 from .grads import GradAccumulator, all_finite
 from .models import (
     N3_KINDS, OPERATORS, ModelKind, ModelParams, backward_all_tails, block_shapes,
@@ -104,16 +105,10 @@ class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
 
     def to_json_list(self):
+        """One dict per epoch, the ``EpochRecord`` fields with ``reg_value``
+        spelled ``reg``."""
         return [
-            {
-                "epoch": r.epoch,
-                "loss": r.loss,
-                "reg": r.reg_value,
-                "valid_mrr": r.valid_mrr,
-                "valid_hits1": r.valid_hits1,
-                "valid_hits10": r.valid_hits10,
-                "seconds": r.seconds,
-            }
+            {"reg" if key == "reg_value" else key: value for key, value in asdict(r).items()}
             for r in self.records
         ]
 
@@ -135,16 +130,8 @@ def _check_size(kind: ModelKind, n_entities: int, n_relations: int, dim: int) ->
     the block shapes, so nothing is allocated."""
     shapes = block_shapes(kind, n_entities, n_relations, dim)
     need = 2 * 8 * sum(math.prod(shape) for shape in shapes.values())
-    try:
-        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):
-        return
-    if need > have:
-        raise ConfigError(
-            f"dim {dim} needs {need / 2**30:.3g} GiB for the {kind.value} parameters "
-            f"and their Adagrad state over {n_entities} entities, more than the "
-            f"{have / 2**30:.3g} GiB of this machine"
-        )
+    check_memory(need, f"dim {dim}", f"the {kind.value} parameters and their "
+                 f"Adagrad state over {n_entities} entities")
 
 
 def _check_finite_state(params: ModelParams, accs: dict, epoch: int) -> None:

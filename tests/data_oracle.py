@@ -1,15 +1,19 @@
-"""Line-by-line reference readers for the data files.
+"""Line-by-line reference readers for the data files, and the triple
+indexes built by sorting whole rows.
 
 ``parse_triple_file`` and ``category_rows`` are the per-line loops that
 ``erkg.data`` used before one row reader served both kinds of file,
 strict mode included.  The vocabulary is a pair of plain name -> id
 dicts that grow in first-appearance order unless ``strict`` is set.
+``duplicate_count`` and ``build_filter_index`` sort the rows on their
+three columns, as ``erkg.data`` did before ``sorted_runs``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from erkg.data import KeyedCSR, pair_key
 from erkg.errors import ConfigError, ErkgError, ParseError
 
 
@@ -105,3 +109,26 @@ def category_rows(path, entity_index):
                 n_relabeled += 1
             category_of[eid] = cid
     return category_of, len(category_ids), n_skipped, n_relabeled
+
+
+def sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` sorted, and a mask of each distinct row's first copy."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows, first
+
+
+def duplicate_count(rows: np.ndarray) -> int:
+    """How many rows repeat an earlier one."""
+    return int(len(rows) - sorted_rows(rows)[1].sum())
+
+
+def build_filter_index(store) -> KeyedCSR:
+    """The known-true tails of each ``pair_key(head, relation)`` over all
+    three splits, sorted and unique."""
+    rows = np.concatenate([arr.reshape(-1, 3) for _, arr in store.splits()])
+    rows, first = sorted_rows(rows.astype(np.int64, copy=False))
+    rows = rows[first]
+    keys, starts = np.unique(pair_key(rows[:, 0], rows[:, 1]), return_index=True)
+    return KeyedCSR(keys, np.append(starts, len(rows)), rows[:, 2])

@@ -22,7 +22,8 @@ import tempfile
 from pathlib import Path
 
 from erkg.data import add_reciprocals, generate_synthetic
-from erkg.models import N3_KINDS, OPERATORS, ModelKind
+from erkg.errors import ConfigError
+from erkg.models import ModelKind
 from erkg.regularizers import RegularizerSpec
 from erkg.training import TrainConfig, save_checkpoint, train
 
@@ -30,14 +31,17 @@ PENALTIES = ("none", "fro", "n3", "dura", "er")
 
 
 def supported_pairs() -> list[str]:
-    """``kind:penalty`` of every pair the trainer supports (25)."""
-    return [
-        f"{kind.value}:{penalty}"
-        for kind in ModelKind
-        for penalty in PENALTIES
-        if not (penalty == "n3" and kind not in N3_KINDS)
-        and not (penalty == "dura" and OPERATORS[kind].distance)
-    ]
+    """``kind:penalty`` of every pair the trainer supports (25), as
+    ``TrainConfig.validate`` decides."""
+    pairs = []
+    for kind in ModelKind:
+        for penalty in PENALTIES:
+            try:
+                TrainConfig(model=kind.value, regularizer=RegularizerSpec(kind=penalty)).validate()
+            except ConfigError:
+                continue
+            pairs.append(f"{kind.value}:{penalty}")
+    return pairs
 
 
 def fingerprint(store, pair: str, workdir: Path) -> str:

@@ -197,6 +197,16 @@ ROW_OPERATORS = {
 }
 
 
+def relation_groups(rels):
+    """Rows grouped by relation: the stable sort order of ``rels``, then
+    the distinct relations in ascending order with the ``[start, stop)``
+    of each one's rows in that order."""
+    order = np.argsort(rels, kind="stable")
+    r = rels[order]
+    starts = np.flatnonzero(np.diff(r, prepend=-1))
+    return order, r[starts], starts, np.append(starts[1:], len(r))
+
+
 def cross_entropy_loss(scores: np.ndarray, target: int):
     """Stable cross entropy of one score vector against a target entity.
 

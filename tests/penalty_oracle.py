@@ -26,6 +26,21 @@ from oracles import ROW_OPERATORS
 logger = logging.getLogger(__name__)
 
 
+def distinct(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Index of one occurrence of each distinct tuple of ``keys`` (equal
+    length integer arrays, last key primary), and how often the tuple
+    occurs."""
+    order = np.lexsort(keys)
+    n = len(order)
+    start = np.zeros(n, dtype=bool)
+    start[:1] = True
+    for key in keys:
+        k = key[order]
+        start[1:] |= k[1:] != k[:-1]
+    first = np.flatnonzero(start)
+    return order[first], np.diff(np.append(first, n))
+
+
 def _init_epsilon(eps, rels, dists):
     """Batch-median initialization for relations first seen in a pair set."""
     for r in np.unique(rels):

@@ -595,3 +595,134 @@ def test_output_path_under_a_file_exits_2(synth_dir, tmp_path, capsys, monkeypat
     assert run_cli(command, *argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert "output directory" in err or "cannot write" in err
+
+
+# ---------------------------------------------------------------------------
+# Every config field and numeric flag against -1, 0, a huge value, a tiny
+# value and a wrong type, run in-process.  Each outcome is the documented
+# exit code (0 ran, 2 usage or config error naming the key or flag, 3
+# numeric abort), or VALID: a huge value that is accepted and only costs
+# time, checked by loading the config or parsing the flags, so nothing
+# sized by it runs.  A huge memory size fails at once (10**12 entities),
+# never one the OS could commit lazily.
+
+VALID = "valid"
+PROBES = ("minus_one", "zero", "huge", "tiny", "wrong_type")
+INTS = (-1, 0, 10**12, 1, "1")
+FLOATS = (-1.0, 0.0, 1e300, 1e-300, "1")
+FLAG_INTS, FLAG_FLOATS = INTS[:4] + ("1.5",), FLOATS[:4] + ("x",)
+NOT_NUMBERS = (-1, 0, 10**12, 1e-300, None)  # for string and boolean fields
+
+# (section, key, values, outcomes, train keys the value needs to act)
+CONFIG_TABLE = [
+    (None, "model", NOT_NUMBERS, (2, 2, 2, 2, 2), {}),
+    ("train", "dim", INTS, (2, 2, 2, 0, 2), {}),
+    ("train", "batch_size", INTS, (2, 2, 0, 0, 2), {}),
+    ("train", "learning_rate", FLOATS, (2, 2, 3, 0, 2), {}),
+    ("train", "epochs", INTS, (2, 2, VALID, 0, 2), {}),
+    ("train", "seed", INTS, (2, 0, 0, 0, 2), {}),
+    (None, "regularizer", NOT_NUMBERS, (2, 2, 2, 2, 2), {}),
+    ("train", "eval_every", INTS, (2, 0, 0, 0, 2), {}),
+    ("train", "adagrad_eps", FLOATS, (2, 2, 0, 0, 2), {}),
+    ("train", "patience", INTS, (2, 2, 0, 0, 2), {"eval_every": 1}),
+    ("regularizer", "kind", NOT_NUMBERS, (2, 2, 2, 2, 2), {}),
+    ("regularizer", "lambda", FLOATS, (2, 0, 3, 0, 2), {}),
+    ("regularizer", "er_mode", NOT_NUMBERS, (2, 2, 2, 2, 2), {}),
+    ("regularizer", "norm_order", INTS, (2, 2, 2, 2, 2), {}),
+    ("regularizer", "pair_budget", INTS, (2, 2, 0, 0, 2), {}),
+    ("regularizer", "second_order", NOT_NUMBERS, (2, 2, 2, 2, 2), {}),
+    ("regularizer", "path_budget", INTS, (2, 2, 0, 0, 2), {}),
+    ("regularizer", "tau", FLOATS, (2, 2, 0, 3, 2), {}),
+    ("regularizer", "epsilon_init", FLOATS[:4] + (True,), (0, 0, 0, 0, 2), {}),
+    ("regularizer", "dissim_weight", FLOATS, (2, 0, 3, 0, 2), {}),
+    ("regularizer", "strict_labels", NOT_NUMBERS, (2, 2, 2, 2, 2), {}),
+]
+
+# (command, flag, values, outcomes); flags not probed keep small values
+FLAG_TABLE = [
+    ("train", "--seed", FLAG_INTS, (2, 0, 0, 0, 2)),
+    *[("synth", flag, FLAG_INTS, outcomes) for flag, outcomes in [
+        ("--entities", (2, 2, 2, 2, 2)),
+        ("--categories", (2, 2, 2, 2, 2)),
+        ("--relations", (2, 2, 2, 0, 2)),
+        ("--triples-per-relation", (2, 2, 2, 0, 2)),
+        ("--seed", (2, 0, 0, 0, 2)),
+    ]],
+    ("synth", "--noise", FLAG_FLOATS, (2, 0, 2, 0, 2)),
+    *[("verify-theorems", f"--dims:{i}", FLAG_INTS, (2, 2, 2, 0, 2)) for i in range(4)],
+    ("verify-theorems", "--seeds", FLAG_INTS, (2, 2, VALID, 0, 2)),
+    ("verify-theorems", "--seed", FLAG_INTS, (2, 0, 0, 0, 2)),
+    ("verify-theorems", "--restarts", FLAG_INTS, (2, 2, VALID, 0, 2)),
+]
+
+SMALL_FLAGS = {
+    "train": {},
+    "synth": {"--entities": "30", "--categories": "2", "--relations": "2",
+              "--triples-per-relation": "20", "--noise": "0.1", "--seed": "9"},
+    "verify-theorems": {"--dims": "2,1,2,1", "--seeds": "1", "--seed": "0", "--restarts": "1"},
+}
+
+
+def _cases(table):
+    for section, key, values, outcomes, *rest in table:
+        for probe, value, outcome in zip(PROBES, values, outcomes):
+            where = "" if section is None else f"{section}."
+            yield pytest.param(section, key, value, outcome, *rest, id=f"{where}{key}={probe}")
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value
+        return exc.code
+
+
+def _check_outcome(code, outcome, err, name):
+    assert code == outcome, err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error:" in err and name in err.replace("-", "_")
+    if code == 3:
+        assert "numeric abort:" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("section, key, value, outcome, context", _cases(CONFIG_TABLE))
+def test_config_value_table(synth_dir, tmp_path, capsys, section, key, value, outcome, context):
+    regularizer = {"kind": "er", "lambda": 0.05, "er_mode": "joint", "second_order": True}
+    cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run", regularizer=regularizer)
+    doc = json.loads(cfg.read_text())
+    doc["train"].update(dim=8, epochs=1, **context)
+    (doc if section is None else doc[section])[key] = value
+    cfg.write_text(json.dumps(doc))
+    if outcome == VALID:
+        load_run_config(cfg)
+        return
+    code = _exit_code(["train", "--config", str(cfg)])
+    _check_outcome(code, outcome, capsys.readouterr().err, key)
+    assert (tmp_path / "run" / "checkpoint.erkg").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("command, flag, value, outcome", _cases(FLAG_TABLE))
+def test_flag_value_table(synth_dir, tmp_path, capsys, command, flag, value, outcome):
+    flags = dict(SMALL_FLAGS[command])
+    if flag.startswith("--dims:"):
+        dims = flags["--dims"].split(",")
+        dims[int(flag[-1])] = str(value)
+        flag, value = "--dims", ",".join(dims)
+    flags[flag] = str(value)
+    argv = [command, *[f"{name}={v}" for name, v in flags.items()]]  # "=" lets "-1" through
+    if command == "train":
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        doc = json.loads(cfg.read_text())
+        doc["train"].update(dim=8, epochs=1)
+        cfg.write_text(json.dumps(doc))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+    if outcome == VALID:
+        args = cli.build_parser().parse_args(argv)
+        assert getattr(args, flag.lstrip("-")) == value
+        return
+    code = _exit_code(argv)
+    _check_outcome(code, outcome, capsys.readouterr().err, flag.lstrip("-").replace("-", "_"))

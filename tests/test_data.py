@@ -15,6 +15,7 @@ from erkg.data import (
     pair_key,
     save_categories,
     save_triples,
+    sorted_runs,
 )
 from erkg.errors import ConfigError, ParseError
 
@@ -329,6 +330,48 @@ class TestKeyedCSR:
                               np.lexsort((b, a)))
         n_pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
         assert n_pairs == 175 and len(np.unique(pair_key(a, b))) == n_pairs
+
+
+def _random_keys(seed, n):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(-3, 4, size=n), rng.integers(0, 3, size=n), rng.integers(0, 2, size=n)]
+
+
+class TestSortedRuns:
+    @pytest.mark.parametrize("keys", [
+        _random_keys(6, 400),
+        _random_keys(7, 0),
+        _random_keys(8, 1),
+        [np.full(9, 4), np.zeros(9, dtype=np.int64)],
+        [np.random.default_rng(9).integers(0, 5, size=50)],
+    ], ids=["random", "no-rows", "one-row", "all-equal", "one-key"])
+    def test_matches_np_unique(self, keys):
+        order, starts = sorted_runs(keys)
+        rows = np.stack(keys[::-1], axis=1)  # primary key first
+        uniq, first, counts = np.unique(rows, axis=0, return_index=True, return_counts=True)
+        np.testing.assert_array_equal(rows[order[starts]], uniq)
+        np.testing.assert_array_equal(order[starts], first)
+        np.testing.assert_array_equal(np.diff(np.append(starts, len(order))), counts)
+        # stable: within a run the rows keep their input order
+        run = np.repeat(np.arange(len(starts)), counts)
+        assert np.all(np.diff(order)[run[1:] == run[:-1]] > 0)
+
+    def test_filter_index_and_duplicates_match_oracle(self, tmp_path):
+        rng = np.random.default_rng(10)
+        base = rng.integers(0, 9, size=(240, 3))
+        base[:, 1] %= 3
+        splits = {"train": base[:150], "valid": np.concatenate([base[100:190], base[:15]]),
+                  "test": np.concatenate([base[190:], base[190:200]])}
+        vocab = Vocab({f"e{i}": i for i in range(9)}, {f"r{i}": i for i in range(3)})
+        save_triples(TripleStore(vocab=vocab, **splits), tmp_path)
+        store = load_dataset(*(tmp_path / f"{name}.txt" for name in ("train", "valid", "test")))
+        assert store.duplicates == {
+            name: data_oracle.duplicate_count(arr) for name, arr in store.splits()}
+        assert min(store.duplicates.values()) > 0
+        store = add_reciprocals(store)
+        got, ref = build_filter_index(store), data_oracle.build_filter_index(store)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestCategories:

@@ -1,7 +1,7 @@
 """``python -m tests.fingerprints --against SAVED`` compares a run with an
 earlier output, pair by pair."""
 
-from fingerprints import main
+from fingerprints import main, supported_pairs
 
 
 def test_against_prints_same_moves_and_new(tmp_path, capsys):
@@ -21,3 +21,11 @@ def test_against_prints_same_moves_and_new(tmp_path, capsys):
     saved.write_text(f"distmult none {digest} {loss} {reg}\n")
     assert main(["--against", str(saved), "cp:none"]) == 1
     assert capsys.readouterr().out == "cp none new\n"
+
+
+def test_supported_pairs_are_the_trainable_ones():
+    """25 pairs: every kind with none, fro and er; n3 not on rescal or the
+    distance kinds; dura not on the distance kinds."""
+    pairs = supported_pairs()
+    assert len(pairs) == 25 and pairs[:5] == ["cp:none", "cp:fro", "cp:n3", "cp:dura", "cp:er"]
+    assert not {"rescal:n3", "transe:n3", "rotate:n3", "transe:dura", "rotate:dura"} & set(pairs)

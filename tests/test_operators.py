@@ -7,9 +7,10 @@ per distinct relation."""
 import numpy as np
 import pytest
 
+from erkg.data import KeyedCSR
 from erkg.grads import merge_rows
 from erkg.models import OPERATORS, ModelKind, init_params
-from oracles import ROW_OPERATORS
+from oracles import ROW_OPERATORS, relation_groups
 
 N_REL, DIM = 6, 8
 RELS = {
@@ -63,3 +64,15 @@ def test_operator_matches_row_oracle(kind, name, rels_name):
         assert GX.tobytes() == ref_GX.tobytes()
         np.testing.assert_array_equal(rel_ids, rels)
         assert GR.tobytes() == ref_GR.tobytes()
+
+
+@pytest.mark.parametrize("rels_name", list(RELS))
+def test_relation_groups_match_oracle(rels_name):
+    """RESCAL's grouping, ``KeyedCSR.group`` of the row indices by
+    relation, is the stable argsort grouping of ``oracles``."""
+    rels = RELS[rels_name]
+    ids, bounds, order = KeyedCSR.group(rels, np.arange(len(rels)))
+    ref_order, ref_ids, starts, stops = relation_groups(rels)
+    np.testing.assert_array_equal(order, ref_order)
+    np.testing.assert_array_equal(ids, ref_ids)
+    np.testing.assert_array_equal(bounds, np.append(starts, stops[-1]))

@@ -13,7 +13,7 @@ import pytest
 
 import penalty_oracle
 from erkg import regularizers
-from erkg.data import CategoryMap
+from erkg.data import CategoryMap, pair_key, sorted_runs
 from erkg.grads import GradAccumulator
 from erkg.models import OPERATORS, ModelKind, init_params
 from erkg.regularizers import (
@@ -213,6 +213,18 @@ def test_hub_matches_oracle(kind, order, mode):
     assert eps_new.initialized.any()
     np.testing.assert_array_equal(eps_new.initialized, eps_ref.initialized)
     np.testing.assert_array_equal(eps_new.epsilon, eps_ref.epsilon)
+
+
+def test_distinct_path_keys_match_oracle():
+    """The distinct (h_a, h_b, r1, r2) keys ``_pair_terms`` works on, and
+    their counts, are those of ``penalty_oracle.distinct``."""
+    _, _, _, paths, _, _ = hub_problem("complex", "joint", 2)
+    keys = [pair_key(paths.head_a, paths.head_b), paths.rel1, paths.rel2]
+    order, starts = sorted_runs(keys)
+    first, counts = penalty_oracle.distinct(keys)
+    np.testing.assert_array_equal(order[starts], first)
+    np.testing.assert_array_equal(np.diff(np.append(starts, len(order))), counts)
+    assert counts.max() == 40
 
 
 # ---------------------------------------------------------------------------
