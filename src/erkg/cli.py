@@ -19,6 +19,15 @@ objective calls gain nothing from BLAS threads.  On a 2-core host,
 ``--seeds 1 --restarts 10`` took 4.1 s wall and 7.8 s CPU at default
 threading, and 3.7 s wall and 3.7 s CPU with one thread (medians of
 five runs each).
+
+``train`` with a penalty already runs two threads, the loss beside the
+penalty (see ``training``), so it gains little from BLAS threads either.
+On the same host, five epochs of complex + ER (joint, dim 128, batch
+500) on ``synth --entities 2000 --categories 8 --relations 20
+--triples-per-relation 250 --noise 0.05 --seed 5`` with reciprocals took
+4.1 s wall and 7.8 s CPU at default threading, and 4.0 s wall and 4.8 s
+CPU with ``OPENBLAS_NUM_THREADS=1`` (medians of three runs each, start-up
+and validation included); the checkpoints were byte-identical.
 """
 
 from __future__ import annotations
@@ -305,9 +314,21 @@ def cmd_verify_theorems(args) -> int:
     return 1 if any_bad else 0
 
 
+# Peak bytes of ``generate_synthetic`` per triple and per entity, from
+# tracemalloc: each triple is a tuple in a list, and one in its relation's
+# set of used pairs, before the int64 arrays exist (one relation of
+# 100,000 triples over 2,000 entities peaked at 290 bytes a triple;
+# 200,000 entities, at 245 bytes an entity, for their names and labels).
+SYNTH_BYTES_PER_TRIPLE = 300
+SYNTH_BYTES_PER_ENTITY = 250
+
+
 def cmd_synth(args) -> int:
-    what = f"--relations {args.relations} with --triples-per-relation {args.triples_per_relation}"
-    check_memory(24 * args.relations * args.triples_per_relation, what, "the triples")
+    what = (f"--entities {args.entities}, --relations {args.relations} with "
+            f"--triples-per-relation {args.triples_per_relation}")
+    need = (SYNTH_BYTES_PER_TRIPLE * args.relations * args.triples_per_relation
+            + SYNTH_BYTES_PER_ENTITY * args.entities)
+    check_memory(need, what, "generating the graph")
     try:
         store, cmap = generate_synthetic(
             n_entities=args.entities,
@@ -318,7 +339,7 @@ def cmd_synth(args) -> int:
             seed=args.seed,
         )
     except MemoryError as exc:
-        raise ConfigError(f"--entities {args.entities}, {what}: cannot allocate the graph") from exc
+        raise ConfigError(f"{what}: cannot allocate the graph") from exc
     out = Path(args.out)
     save_triples(store, out)
     save_categories(cmap, store.vocab, out / "categories.txt")

@@ -8,8 +8,9 @@ canonical set, keeping row-sparsity whenever no dense contribution was
 seen.  A training batch is merged once, and ``finalize`` is the only
 merge: the loss (``models.backward_all_tails``: the tail table dense,
 head and relation rows) and every penalty add their parts, already
-scaled by their coefficients, to the one accumulator of
-``training.batch_objective``.
+scaled by their coefficients, to an accumulator of their own, and
+``training.batch_objective`` appends the penalty's parts after the
+loss's (``extend``) before it merges them.
 
 Rows sharing an index are summed by ``merge_rows``: it takes the sorted
 unique indices of all sparse parts and the inverse once, then adds each
@@ -65,6 +66,11 @@ class GradAccumulator:
 
     def add(self, name: str, idx: np.ndarray | None, arr: np.ndarray) -> None:
         self._parts.setdefault(name, []).append((idx, arr))
+
+    def extend(self, other: "GradAccumulator") -> None:
+        """Append ``other``'s parts after this accumulator's, block by block."""
+        for name, parts in other._parts.items():
+            self._parts.setdefault(name, []).extend(parts)
 
     def finalize(self, shapes: dict[str, tuple[int, ...]]) -> GradSet:
         """Collapse contributions; densify a block only if one part is dense."""

@@ -55,9 +55,12 @@ Scoring has one path, batched: ``forward_all_tails`` scores every entity
 as tail of each query, and ``backward_all_tails`` adds the gradient
 parts of its tables to the batch's ``GradAccumulator``, as every penalty
 does, so a batch is merged once.  Both work in place on their B x |E|
-arrays: ``backward_all_tails`` consumes its upstream gradient ``G``
-(the distance kinds overwrite it with ``C = G / D`` and clamp
-``ctx["D"]``), so a caller that needs ``G`` afterwards passes a copy.
+arrays: ``forward_all_tails`` writes the scores into a caller's ``out``
+array if given one (``training.batch_objective`` allocates it on the
+calling thread and scores on a worker), and ``backward_all_tails``
+consumes its upstream gradient ``G`` (the distance kinds overwrite it
+with ``C = G / D`` and clamp ``ctx["D"]``), so a caller that needs
+``G`` afterwards passes a copy.
 The scalar oracles the tests compare it against, ``score`` and
 ``relational_transform``, live in ``tests/oracles.py`` and do not use
 the operator table; so do the allocating ``forward_all_tails``,
@@ -373,18 +376,23 @@ OPERATORS = {
 _EPS_DIST = 1e-30
 
 
-def forward_all_tails(params: ModelParams, heads: np.ndarray, rels: np.ndarray):
+def forward_all_tails(
+    params: ModelParams, heads: np.ndarray, rels: np.ndarray, out: np.ndarray | None = None
+):
     """Score every entity as tail for each (head, relation) query.
 
     The distance kinds expand ``||Q - t||^2`` in place: ``D`` (squared
     distances, then distances) and the Gram product ``S`` are the only
-    two B x |E| buffers, and ``S`` ends up holding ``-D``.
+    two B x |E| buffers, and ``S`` ends up holding ``-D``.  Given
+    ``out``, a C-contiguous B x |E| float64 array, ``S`` is ``out``: the
+    GEMM writes into it, so the scores are bitwise those of a fresh
+    ``S``.
     """
     op = OPERATORS[params.kind]
     H = params.head_table[heads]
     T = params.tail_table
     Q = (op.adjoint if op.scores_adjoint else op.apply)(H, rels, params.relation)
-    S = Q @ T.T
+    S = np.matmul(Q, T.T, out=out)
     D = None
     if op.distance:
         D = np.sum(Q * Q, axis=1)[:, None] + np.sum(T * T, axis=1)[None, :]

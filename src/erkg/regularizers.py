@@ -406,18 +406,23 @@ def _pair_terms(
     op = OPERATORS[params.kind]
     Ha, Hb = params.head_table[ha], params.head_table[hb]
     diff = Ha - Hb
+    # Soft labels are 0 until set below, so a label of 1 at every key
+    # means no soft labels and no sum term.
+    total = Ha + Hb if wd and not label.all() else None
+    del Ha, Hb
     soft_any = bool(soft.any())
     if soft_any:
         if eps is None:
             raise ConfigError("joint labeling requires an EpsilonState")
-        rel, d = chain[0][soft], diff[soft]
+        at = slice(None) if soft.all() else soft  # a view, not a copy, when all are soft
+        soft_rel, d = chain[0][at], diff[at]
         dist = np.sqrt(np.sum(d * d, axis=1))
-        _init_epsilon(eps, rel, dist, counts[soft])
-        label[soft] = _sigmoid((eps.epsilon[rel] - dist) / spec.tau)
+        _init_epsilon(eps, soft_rel, dist, counts[at])
+        label[at] = _sigmoid((eps.epsilon[soft_rel] - dist) / spec.tau)
     w = counts * (scale / n_pairs)
     value = 0.0
     dvalue_dlabel = np.zeros(len(label))
-    g_a, g_b = np.zeros_like(Ha), np.zeros_like(Hb)
+    g_a, g_b = np.zeros_like(diff), np.zeros_like(diff)
     for sign, coef, slope in ((-1.0, label, 1.0), (1.0, (1.0 - label) * wd, -wd)):
         if not coef.any():
             continue  # zero at every key; a(1 - a) = 0 stops its label gradient too
@@ -425,27 +430,31 @@ def _pair_terms(
         c = 1.0 + sign if op.translation else 1.0
         hops = chain if c else []
         table = params.relation if c == 1.0 else c * params.relation
-        X = [diff if sign < 0 else Ha + Hb]
+        X = [diff if sign < 0 else total]
         for rel in hops:
             X.append(op.apply(X[-1], rel, table))
-        v, G = _norm_value_grad(X[-1], spec.norm_order, op.complex_coords)
+        # Each hop's input is dropped once its gradient is taken.
+        v, G = _norm_value_grad(X.pop(), spec.norm_order, op.complex_coords)
         value += float(np.sum(counts * coef * v))
         dvalue_dlabel += slope * v
-        G = (w * coef)[:, None] * G
-        for X_in, rel in reversed(list(zip(X, hops))):
-            G, rel_ids, GR = op.vjp(X_in, rel, table, G)
+        G *= (w * coef)[:, None]
+        for rel in reversed(hops):
+            G, rel_ids, GR = op.vjp(X.pop(), rel, table, G)
             acc.add("rel", rel_ids, GR if c == 1.0 else c * GR)
         g_a += G
-        g_b += sign * G
+        if sign < 0:
+            g_b -= G
+        else:
+            g_b += G
     if soft_any:
         # Soft labels sigmoid((eps_r - ||h_a - h_b||) / tau) pass the
         # gradient on to the thresholds and to h_a - h_b.
-        a = label[soft]
-        g = (dvalue_dlabel * w)[soft] * (a * (1.0 - a) / spec.tau)
-        acc.add("eps", chain[0][soft], g)
-        g_diff = (-g / np.maximum(dist, _EPS_DIST))[:, None] * diff[soft]
-        g_a[soft] += g_diff
-        g_b[soft] -= g_diff
+        a = label[at]
+        g = (dvalue_dlabel * w)[at] * (a * (1.0 - a) / spec.tau)
+        acc.add("eps", soft_rel, g)
+        g_diff = (-g / np.maximum(dist, _EPS_DIST))[:, None] * d
+        g_a[at] += g_diff
+        g_b[at] -= g_diff
     acc.add(params.head_key, ha, g_a)
     acc.add(params.head_key, hb, g_b)
     return value / n_pairs

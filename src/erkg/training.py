@@ -5,8 +5,21 @@ loss is the cross entropy against the true tail, and the configured
 penalty (scaled by its coefficient) is added.  One sparse-aware Adagrad
 step per batch touches exactly the parameter rows that received
 gradient; rotation relations are reprojected to unit modulus after each
-step.  Single-threaded runs are bitwise deterministic given the config
-seed.
+step.
+
+Given one batch's parameters the loss and the penalty are independent,
+so ``batch_objective`` runs the loss (``_batch_ce``, bound by its GEMMs,
+which release the GIL) on a worker thread started for the batch, while
+the calling thread computes the penalty (bound by the interpreter).
+Neither side writes what the other reads: both only read the parameter
+blocks, the penalty alone updates the thresholds, and each adds its
+gradient parts to its own ``GradAccumulator``.  The penalty's parts are
+then appended after the loss's, so the one merge sums every part in the
+order a sequential run adds them, and runs are bitwise deterministic
+given the config seed, whatever the thread timing.  The loss's B x |E|
+score buffer is allocated by the calling thread, which keeps the
+worker's malloc arena small.  With no penalty (``"none"`` or
+``lambda`` 0) no thread starts.
 """
 
 from __future__ import annotations
@@ -144,17 +157,18 @@ def _check_finite_state(params: ModelParams, accs: dict, epoch: int) -> None:
                 raise NumericError(f"non-finite {what} {name!r} after epoch {epoch}")
 
 
-def _batch_ce(params: ModelParams, batch: np.ndarray):
+def _batch_ce(params: ModelParams, batch: np.ndarray, out: np.ndarray | None = None):
     """Mean cross entropy over a batch, and a ``GradAccumulator`` holding
     its gradient parts: ``(loss, acc)``.
 
     The score matrix of ``forward_all_tails`` becomes the gradient in
     place (shift by the row max, ``exp``, normalize, subtract the
     targets, divide by the batch size), and ``backward_all_tails``
-    consumes it: one B x |E| buffer from scores to gradient.
+    consumes it: one B x |E| buffer from scores to gradient, ``out`` if
+    given (see ``forward_all_tails``).
     """
     heads, rels, tails = batch[:, 0], batch[:, 1], batch[:, 2]
-    S, ctx = forward_all_tails(params, heads, rels)
+    S, ctx = forward_all_tails(params, heads, rels, out=out)
     b_idx = np.arange(len(batch))
     target = S[b_idx, tails]
     m = S.max(axis=1, keepdims=True)
@@ -203,18 +217,32 @@ def batch_objective(
     """Loss plus scaled penalty for one batch: (total, loss, reg, grads).
 
     The gradient set covers every parameter block and, for joint-mode
-    pair labels, the ``"eps"`` thresholds.  The loss and the penalty add
-    their rows to one accumulator, merged once.  Used by the training
-    loop and by finite-difference checks.  An empty batch, or an id
-    outside the model's tables, raises ``ConfigError``.
+    pair labels, the ``"eps"`` thresholds.  With a penalty, the loss runs
+    on a worker thread while this thread computes the penalty (see the
+    module docstring); the penalty's gradient parts follow the loss's in
+    one accumulator, merged once.  An exception from either side is
+    raised only after both sides have finished; if both raise, the
+    penalty's is.  Used by
+    the training loop and by finite-difference checks.  An empty batch,
+    or an id outside the model's tables, raises ``ConfigError``.
     """
     batch = check_triples(params, batch, "batch")
-    loss, acc = _batch_ce(params, batch)
     reg_value = 0.0
     if spec.kind != "none" and spec.lam > 0.0:
-        reg_value = _penalty(
-            params, batch, spec, categories, eps, store, pair_seed, path_seed, acc
-        )
+        # imported here, so processes that train no penalty never load it
+        from concurrent.futures import ThreadPoolExecutor
+
+        scores = np.empty((len(batch), params.n_entities))
+        reg_acc = GradAccumulator()
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            ce = worker.submit(_batch_ce, params, batch, scores)
+            reg_value = _penalty(
+                params, batch, spec, categories, eps, store, pair_seed, path_seed, reg_acc
+            )
+        loss, acc = ce.result()
+        acc.extend(reg_acc)
+    else:
+        loss, acc = _batch_ce(params, batch)
     return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())
 
 

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from erkg import training
 from erkg.errors import ConfigError, NumericError
 from erkg.grads import GradAccumulator
-from erkg.models import OPERATORS, ModelKind, ModelParams, cview
+from erkg.models import OPERATORS, ModelKind, ModelParams, check_triples, cview
 from erkg.regularizers import ER_MODES, _sigmoid
 
 logger = logging.getLogger(__name__)
@@ -304,10 +305,11 @@ def backward_all_tails(params: ModelParams, ctx, G: np.ndarray, acc) -> None:
     acc.add("rel", rel_ids, GR)
 
 
-def batch_ce(params: ModelParams, batch: np.ndarray):
+def batch_ce(params: ModelParams, batch: np.ndarray, out=None):
     """``training._batch_ce`` on the allocating kernels above, with
     ``S - m``, its ``exp`` and ``G`` as three fresh B x |E| arrays:
-    ``(loss, acc)``."""
+    ``(loss, acc)``.  ``out`` is taken and left unused, so the oracle can
+    stand in for ``_batch_ce`` under ``training.batch_objective``."""
     heads, rels, tails = batch[:, 0], batch[:, 1], batch[:, 2]
     S, ctx = forward_all_tails(params, heads, rels)
     m = S.max(axis=1, keepdims=True)
@@ -321,3 +323,17 @@ def batch_ce(params: ModelParams, batch: np.ndarray):
     acc = GradAccumulator()
     backward_all_tails(params, ctx, G, acc)
     return loss, acc
+
+
+def batch_objective(params, batch, spec, categories=None, eps=None, store=None,
+                    pair_seed=0, path_seed=1):
+    """``training.batch_objective`` on one thread: the loss, then the
+    penalty adding its parts to the loss's accumulator, merged once."""
+    batch = check_triples(params, batch, "batch")
+    loss, acc = training._batch_ce(params, batch)
+    reg_value = 0.0
+    if spec.kind != "none" and spec.lam > 0.0:
+        reg_value = training._penalty(
+            params, batch, spec, categories, eps, store, pair_seed, path_seed, acc
+        )
+    return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())

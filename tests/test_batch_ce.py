@@ -9,7 +9,7 @@ import pytest
 
 import erkg.training as training
 from erkg.errors import ConfigError
-from erkg.models import ModelKind, init_params
+from erkg.models import ModelKind, forward_all_tails, init_params
 from erkg.regularizers import RegularizerSpec
 from erkg.training import _batch_ce, batch_objective
 
@@ -45,6 +45,20 @@ def test_batch_ce_matches_allocating_oracle(kind, batch_name):
     batch = BATCHES[batch_name]
     loss, acc = _batch_ce(params, batch)
     ref_loss, ref_acc = oracles.batch_ce(params, batch)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert finalized_bytes(acc, params) == finalized_bytes(ref_acc, params)
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_batch_ce_into_a_callers_buffer(kind):
+    """Scores written into ``out`` give the loss and gradient of fresh
+    ones, bit for bit, and ``out`` is the buffer the kernels work in."""
+    params = init_params(kind, N_ENT, N_REL, 16, seed=5)
+    batch = BATCHES["batch500"]
+    out = np.empty((len(batch), N_ENT))
+    assert forward_all_tails(params, batch[:, 0], batch[:, 1], out=out)[0] is out
+    loss, acc = _batch_ce(params, batch, out)
+    ref_loss, ref_acc = _batch_ce(params, batch)
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
     assert finalized_bytes(acc, params) == finalized_bytes(ref_acc, params)
 

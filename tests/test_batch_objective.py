@@ -1,0 +1,145 @@
+"""``training.batch_objective`` runs the loss on a worker thread beside the
+penalty; ``oracles.batch_objective`` runs the two one after the other.
+Every total, loss, regularizer value, gradient block and threshold state
+must equal the oracle's bit for bit, and an exception from either side
+must leave only after both sides have finished."""
+
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import erkg.training as training
+import oracles
+from erkg.data import CategoryMap, add_reciprocals, generate_synthetic
+from erkg.errors import ConfigError
+from erkg.models import init_params
+from erkg.regularizers import EpsilonState, RegularizerSpec
+from erkg.training import TrainConfig, batch_objective, train
+from gradcheck import build_problem, supported_combos
+
+
+def outcome_bytes(result, eps):
+    total, loss, reg, grads = result
+    blocks = {name: (None if idx is None else idx.tobytes(), arr.tobytes())
+              for name, (idx, arr) in grads.items()}
+    return (np.array([total, loss, reg]).tobytes(), blocks,
+            eps.epsilon.tobytes(), eps.acc.tobytes())
+
+
+def both_ways(params, batch, spec, categories, eps, store, seeds=(17, 29)):
+    """The threaded and the sequential outcome, each from its own copy of
+    the threshold state."""
+    eps_t, eps_s = eps.copy(), eps.copy()
+    threaded = batch_objective(params, batch, spec, categories, eps_t, store, *seeds)
+    sequential = oracles.batch_objective(params, batch, spec, categories, eps_s, store, *seeds)
+    return outcome_bytes(threaded, eps_t), outcome_bytes(sequential, eps_s)
+
+
+@pytest.mark.parametrize(
+    "kind,reg,mode,order,second", supported_combos(), ids=lambda v: str(v)
+)
+def test_threaded_matches_sequential_oracle(kind, reg, mode, order, second):
+    params, eps, batch, spec, categories, store = build_problem(kind, reg, mode, order, second)
+    threaded, sequential = both_ways(params, batch, spec, categories, eps, store)
+    assert threaded == sequential
+
+
+@pytest.fixture(scope="module")
+def graph():
+    store, categories = generate_synthetic(300, 4, 6, 120, 0.05, seed=5)
+    return add_reciprocals(store), categories
+
+
+@pytest.mark.parametrize("model, dim, reg", [
+    ("complex", 32, {"er_mode": "joint", "second_order": True}),
+    ("rescal", 16, {"er_mode": "proximity"}),
+])
+def test_threaded_matches_oracle_on_a_full_batch(graph, model, dim, reg):
+    """Batches large enough that the two sides overlap, from fresh
+    (median-initialized) thresholds, several times over, with the
+    interpreter switching threads every microsecond."""
+    store, categories = graph
+    params = init_params(model, store.vocab.n_entities, store.vocab.n_relations, dim, seed=3)
+    spec = RegularizerSpec(kind="er", lam=0.05, **reg)
+    eps = EpsilonState.create(store.vocab.n_relations)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(3):
+            batch = store.train[k * 250:(k + 1) * 250]
+            threaded, sequential = both_ways(params, batch, spec, categories, eps, store,
+                                             (k, k + 1))
+            assert threaded == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_no_penalty_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    params, eps, batch, _spec, categories, store = build_problem("complex", "er")
+    for spec in (RegularizerSpec(kind="none"), RegularizerSpec(kind="er", lam=0.0)):
+        batch_objective(params, batch, spec, categories, eps, store, 17, 29)
+
+
+def test_strict_labels_error_keeps_its_type_and_message():
+    params, eps, batch, spec, _categories, store = build_problem("distmult", "er", "proximity")
+    spec.strict_labels = True
+    unlabeled = CategoryMap({}, 2, 0.0)
+    with pytest.raises(ConfigError, match="^pair with unlabeled entity in category mode$"):
+        batch_objective(params, batch, spec, unlabeled, eps, store, 17, 29)
+
+
+def slow(fn, finished):
+    """``fn`` that sleeps first and records when it has returned."""
+    def run(*args):
+        time.sleep(0.2)
+        result = fn(*args)
+        finished.append(True)
+        return result
+    return run
+
+
+def fail(*args):
+    raise RuntimeError("side failed")
+
+
+@pytest.mark.parametrize("failing", ["_penalty", "_batch_ce"])
+def test_failure_waits_for_the_other_side(failing, monkeypatch):
+    params, eps, batch, spec, categories, store = build_problem("complex", "er", second_order=True)
+    other = "_batch_ce" if failing == "_penalty" else "_penalty"
+    finished = []
+    with monkeypatch.context() as patch:
+        patch.setattr(training, failing, fail)
+        patch.setattr(training, other, slow(getattr(training, other), finished))
+        with pytest.raises(RuntimeError, match="side failed"):
+            batch_objective(params, batch, spec, categories, eps.copy(), store, 17, 29)
+        assert finished == [True]
+    threaded, sequential = both_ways(params, batch, spec, categories, eps, store)
+    assert threaded == sequential
+
+
+def test_train_leaves_no_thread(graph):
+    store, _categories = graph
+    before = set(threading.enumerate())
+    spec = RegularizerSpec(kind="er", lam=0.05, second_order=True)
+    train(TrainConfig(model="complex", dim=8, batch_size=100, epochs=1, regularizer=spec), store)
+    assert set(threading.enumerate()) == before
+
+
+def test_import_starts_no_thread():
+    code = ("import threading; n = threading.active_count(); import erkg; "
+            "print(threading.active_count() - n)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "0"

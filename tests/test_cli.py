@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -80,6 +81,23 @@ class TestSynth:
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_count_beyond_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        """10,000 triples need 240 kB as int64 rows but about 3 MB while
+        they are generated; on a machine of 1 MB the count is refused
+        before any work."""
+        def work_before_the_check(*args, **kwargs):
+            raise AssertionError("generation started")
+
+        pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(cli, "generate_synthetic", work_before_the_check)
+        code = run_cli("synth", "--entities", "30", "--categories", "2", "--relations", "10",
+                       "--triples-per-relation", "1000", "--out", str(tmp_path / "x"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--relations 10 with --triples-per-relation 1000" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_outputs_and_exit_zero(self, synth_dir, tmp_path):
@@ -120,6 +138,21 @@ class TestTrain:
         cfg.write_text(json.dumps(doc))
         assert run_cli("train", "--config", str(cfg)) == 2
         assert "er_mode 'proximity' needs a category file" in capsys.readouterr().err
+
+    def test_strict_labels_with_an_unlabeled_head_exits_2(self, synth_dir, tmp_path, capsys):
+        """The penalty's ``ConfigError`` reaches the CLI with its type and
+        message, although the loss runs beside it on a worker thread."""
+        cats = tmp_path / "categories.txt"
+        cats.write_text("".join((synth_dir / "categories.txt").read_text().splitlines(True)[:10]))
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        doc = json.loads(cfg.read_text())
+        doc["data"]["categories"] = str(cats)
+        doc["regularizer"]["strict_labels"] = True
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("train", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: pair with unlabeled entity in category mode\n"
+        assert not (tmp_path / "run" / "checkpoint.erkg").exists()
 
     def test_config_is_directory_exits_2(self, tmp_path, capsys):
         assert run_cli("train", "--config", str(tmp_path)) == 2
