@@ -28,6 +28,17 @@ On the same host, five epochs of complex + ER (joint, dim 128, batch
 4.1 s wall and 7.8 s CPU at default threading, and 4.0 s wall and 4.8 s
 CPU with ``OPENBLAS_NUM_THREADS=1`` (medians of three runs each, start-up
 and validation included); the checkpoints were byte-identical.
+
+``evaluate`` (and the ranking that ends ``train`` and each ``gridsearch``
+cell) ranks its chunks on two threads (see ``ranking``), so run it with
+one BLAS thread too: at default threading the two threads and OpenBLAS's
+own compete for the cores.  On the same host, ``evaluate --split test``
+of a ComplEx dim-128 checkpoint on a 14.5k-entity, 270k-triple synthetic
+graph (54,036 test queries with reciprocals) took 7.1 s wall and 12.5 s
+CPU at default threading, against 6.0 s and 11.0 s when ranking ran on
+one thread, and 4.9 s wall and 8.4 s CPU with ``OPENBLAS_NUM_THREADS=1``,
+against 8.0 s and 8.0 s on one thread (medians of three runs each,
+start-up and loading included); the reports were identical.
 """
 
 from __future__ import annotations
@@ -224,7 +235,15 @@ def _grid_cells(cfg: RunConfig):
 
 
 def _load_store(cfg: RunConfig):
+    """The run's store and categories.  An empty validation split raises
+    ``ConfigError`` here, before any training: every run ends by ranking
+    it."""
     store = load_dataset(cfg.train_path, cfg.valid_path, cfg.test_path)
+    if len(store.valid) == 0:
+        raise ConfigError(
+            f"data.valid {cfg.valid_path} is empty: train and gridsearch report on a "
+            "non-empty validation split"
+        )
     categories = None
     if cfg.categories_path is not None:
         categories = load_categories(cfg.categories_path, store.vocab)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from erkg import training
+from erkg import models, ranking, training
+from erkg.data import pair_key
 from erkg.errors import ConfigError, NumericError
 from erkg.grads import GradAccumulator
 from erkg.models import OPERATORS, ModelKind, ModelParams, check_triples, cview
@@ -337,3 +338,28 @@ def batch_objective(params, batch, spec, categories=None, eps=None, store=None,
             params, batch, spec, categories, eps, store, pair_seed, path_seed, acc
         )
     return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())
+
+
+def evaluate(params, test, filter_index, ks=(1, 10), tie="mean", keep_ranks=False, chunk=256):
+    """``ranking.evaluate`` one chunk after another on the calling thread,
+    each chunk's scores in a fresh array from ``models.forward_all_tails``."""
+    test = check_triples(params, test, "evaluation set")
+    weight = {"mean": 0.5, "optimistic": 0.0, "pessimistic": 1.0}[tie]
+    ranks = np.empty(len(test))
+    for start in range(0, len(test), chunk):
+        part = test[start : start + chunk]
+        rows, targets = np.arange(len(part)), part[:, 2]
+        S, _ = models.forward_all_tails(params, part[:, 0], part[:, 1])
+        st = S[rows, targets]
+        src, tails = filter_index.lookup(pair_key(part[:, 0], part[:, 1]))
+        S[src, tails] = -np.inf
+        S[rows, targets] = st
+        above = np.count_nonzero(S > st[:, None], axis=1)
+        ties = np.count_nonzero(S == st[:, None], axis=1) - 1
+        ranks[start : start + len(part)] = 1.0 + above + weight * ties
+    return ranking.RankingReport(
+        mrr=float(np.mean(1.0 / ranks)),
+        hits={k: float(np.mean(ranks <= k)) for k in ks},
+        n_queries=len(test),
+        per_query_ranks=ranks if keep_ranks else None,
+    )

@@ -48,6 +48,20 @@ def write_config(path, data_dir, out_dir, **overrides):
     return path
 
 
+def config_with_empty_valid(tmp_path, data_dir, **overrides):
+    """A config with ``eval_every`` 0 whose ``data.valid`` is an empty file."""
+    cfg = write_config(tmp_path / "cfg.json", data_dir, tmp_path / "run", **overrides)
+    doc = json.loads(cfg.read_text())
+    doc["data"]["valid"] = str(tmp_path / "valid.txt")
+    (tmp_path / "valid.txt").write_text("")
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+def training_started(*args, **kwargs):
+    raise AssertionError("training started on a config that cannot train")
+
+
 class TestSynth:
     def test_documented_line_counts(self, synth_dir):
         train = (synth_dir / "train.txt").read_text().splitlines()
@@ -245,6 +259,16 @@ class TestTrain:
         cfg.write_text(json.dumps(doc))
         assert run_cli("train", "--config", str(cfg)) == 2
         assert "non-empty validation split" in capsys.readouterr().err
+
+    def test_empty_valid_split_exits_2_before_training(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        """Without ``eval_every`` the split is still ranked after training."""
+        cfg = config_with_empty_valid(tmp_path, synth_dir)
+        monkeypatch.setattr(cli, "train", training_started)
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "data.valid" in capsys.readouterr().err
+        assert list((tmp_path / "run").iterdir()) == []
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -499,6 +523,16 @@ class TestGridsearch:
             assert run_cli("gridsearch", "--config", str(cfg)) == 2
             assert "grid.learning_rate" in capsys.readouterr().err
 
+    def test_empty_valid_split_exits_2_before_training(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        cfg = config_with_empty_valid(tmp_path, synth_dir,
+                                      grid={"learning_rate": [0.1, 0.05], "lambda": [0.05]})
+        monkeypatch.setattr(cli, "train", training_started)
+        assert run_cli("gridsearch", "--config", str(cfg)) == 2
+        assert "data.valid" in capsys.readouterr().err
+        assert list((tmp_path / "run").iterdir()) == []
+
     def test_filter_index_built_once(self, synth_dir, tmp_path, monkeypatch):
         cfg = write_config(
             tmp_path / "cfg.json", synth_dir, tmp_path / "grid",
@@ -591,10 +625,6 @@ def test_untrainable_config_exits_2_before_training(
     doc["train"].update(train_keys)
     doc["regularizer"].update(reg_keys)
     cfg.write_text(json.dumps(doc))
-
-    def training_started(*args, **kwargs):
-        raise AssertionError("training started on a config that cannot train")
-
     monkeypatch.setattr(cli, "train", training_started)
     assert run_cli(command, "--config", str(cfg)) == 2
     assert message in capsys.readouterr().err

@@ -1,12 +1,19 @@
+import hashlib
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import oracles
+from erkg import ranking
 from erkg.data import (
-    KeyedCSR, TripleStore, Vocab, add_reciprocals, build_filter_index, pair_key,
+    KeyedCSR, TripleStore, Vocab, add_reciprocals, build_filter_index, generate_synthetic,
+    pair_key,
 )
 from erkg.errors import ConfigError
 from erkg.models import ModelKind, init_params
-from erkg.ranking import RankingReport, evaluate
+from erkg.ranking import TIE_POLICIES, RankingReport, evaluate
 from oracles import score
 
 
@@ -263,3 +270,120 @@ class TestQueryIds:
     def test_every_valid_id_accepted(self):
         test = np.array([[0, 0, 0], [4, 1, 4]], dtype=np.int64)
         assert evaluate(self.params, test, self.filter).n_queries == 2
+
+
+# Every chunk size below puts query 1, 3, 7, 128 or 256 in chunk 1, which
+# the worker ranks, while query 0 is in chunk 0, which the calling thread
+# ranks; 302 queries leave a partial last chunk at every size but 1.
+THREAD_CHUNKS = (1, 3, 7, 128, 256)
+REPEATS = [1, 3, 7, 128, 256]
+
+
+def tied_problem(kind):
+    """302 queries over 16 entities, three candidates with equal tail rows
+    and query 0 repeated where the worker ranks it."""
+    store = add_reciprocals(random_store(seed=21, n_ent=16, n_rel=3, n_train=60, n_test=151))
+    params = init_params(kind, 16, 6, 4, seed=22)
+    params.tail_table[5] = params.tail_table[1]
+    params.tail_table[9] = params.tail_table[1]
+    test = store.test.copy()
+    test[REPEATS] = test[0]
+    return params, test, build_filter_index(store)
+
+
+def report_bytes(report):
+    return (repr(report.mrr), repr(report.hits), report.n_queries,
+            report.per_query_ranks.tobytes())
+
+
+class ChunkFailed(Exception):
+    pass
+
+
+class TestThreadedChunks:
+    """``evaluate`` ranks odd chunks on a worker thread and even ones on the
+    calling thread; ``oracles.evaluate`` ranks them one after another.
+    Reports and ranks must agree bit for bit at the same ``chunk``."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("chunk", THREAD_CHUNKS)
+    def test_matches_sequential_oracle(self, kind, chunk):
+        params, test, filter_index = tied_problem(kind)
+        for tie in TIE_POLICIES:
+            got = evaluate(params, test, filter_index, tie=tie, keep_ranks=True, chunk=chunk)
+            want = oracles.evaluate(params, test, filter_index, tie=tie, keep_ranks=True,
+                                    chunk=chunk)
+            assert report_bytes(got) == report_bytes(want)
+            assert np.all(got.per_query_ranks[REPEATS] == got.per_query_ranks[0])
+
+    def test_tied_candidates_count_as_ties(self):
+        """The duplicated tail rows do tie: the tie policies disagree."""
+        params, test, filter_index = tied_problem(ModelKind.DISTMULT)
+        ranks = {tie: evaluate(params, test, filter_index, tie=tie, keep_ranks=True,
+                               chunk=7).per_query_ranks for tie in TIE_POLICIES}
+        assert np.any(ranks["optimistic"] < ranks["pessimistic"])
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a worker was started")
+
+        params, test, filter_index = tied_problem(ModelKind.COMPLEX)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        for chunk in (302, 303, 1000):
+            got = evaluate(params, test, filter_index, keep_ranks=True, chunk=chunk)
+            want = oracles.evaluate(params, test, filter_index, keep_ranks=True, chunk=chunk)
+            assert report_bytes(got) == report_bytes(want)
+
+    def test_leaves_no_thread_running(self, monkeypatch):
+        params, test, filter_index = tied_problem(ModelKind.COMPLEX)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        before = set(threading.enumerate())
+        evaluate(params, test, filter_index, chunk=7)
+        assert len(started) == 1
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("failing", ["calling", "worker"])
+    def test_failure_waits_for_the_other_thread(self, failing, monkeypatch):
+        """302 queries in chunks of 64: the calling thread ranks chunks 0, 2
+        and 4, the worker 1 and 3.  A failure in one thread's first chunk
+        leaves after every chunk of the other has been ranked."""
+        params, test, filter_index = tied_problem(ModelKind.COMPLEX)
+        forward = ranking.forward_all_tails
+        calling = threading.current_thread()
+        finished = []
+
+        def flaky(*args, **kwargs):
+            if (threading.current_thread() is calling) == (failing == "calling"):
+                raise ChunkFailed("chunk failed on purpose")
+            time.sleep(0.1)
+            result = forward(*args, **kwargs)
+            finished.append(True)
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ranking, "forward_all_tails", flaky)
+            with pytest.raises(ChunkFailed, match="^chunk failed on purpose$"):
+                evaluate(params, test, filter_index, chunk=64)
+            assert len(finished) == (2 if failing == "calling" else 3)
+        got = evaluate(params, test, filter_index, keep_ranks=True, chunk=64)
+        want = oracles.evaluate(params, test, filter_index, keep_ranks=True, chunk=64)
+        assert report_bytes(got) == report_bytes(want)
+
+
+def test_default_chunk_reproduces_the_chunk_256_report():
+    """The report and ranks of 1,000 ComplEx queries over 2,000 entities,
+    recorded at ``chunk`` 256 on one thread before the default became 128
+    on two threads.  GEMMs of 128 and 256 rows round some scores
+    differently in their last bits, which moves no rank here."""
+    store, _ = generate_synthetic(2000, 8, 20, 250, 0.05, 5)
+    store = add_reciprocals(store)
+    params = init_params("complex", store.vocab.n_entities, store.vocab.n_relations, 128, seed=5)
+    report = evaluate(params, store.test, build_filter_index(store), keep_ranks=True)
+    assert report.n_queries == 1000
+    assert repr(report.mrr) == "0.003337571320040517"
+    assert repr(report.hits) == "{1: 0.0, 10: 0.003}"
+    digest = hashlib.sha1(report.per_query_ranks.tobytes()).hexdigest()
+    assert digest == "64f2d7a7039d8bc4ba68c6f0c47c4cc3cd3053aa"
