@@ -14,31 +14,16 @@ does an output path that cannot be created; both are found before any
 training, ranking or checking starts.  A size whose arrays cannot be
 allocated (``dim``, ``synth``'s counts, ``--dims``) exits 2 naming it.
 
-Run ``verify-theorems`` with ``OPENBLAS_NUM_THREADS=1``: its many tiny
-objective calls gain nothing from BLAS threads.  On a 2-core host,
-``--seeds 1 --restarts 10`` took 4.1 s wall and 7.8 s CPU at default
-threading, and 3.7 s wall and 3.7 s CPU with one thread (medians of
-five runs each).
-
-``train`` with a penalty already runs two threads, the loss beside the
-penalty (see ``training``), so it gains little from BLAS threads either.
-On the same host, five epochs of complex + ER (joint, dim 128, batch
-500) on ``synth --entities 2000 --categories 8 --relations 20
---triples-per-relation 250 --noise 0.05 --seed 5`` with reciprocals took
-4.1 s wall and 7.8 s CPU at default threading, and 4.0 s wall and 4.8 s
-CPU with ``OPENBLAS_NUM_THREADS=1`` (medians of three runs each, start-up
-and validation included); the checkpoints were byte-identical.
-
-``evaluate`` (and the ranking that ends ``train`` and each ``gridsearch``
-cell) ranks its chunks on two threads (see ``ranking``), so run it with
-one BLAS thread too: at default threading the two threads and OpenBLAS's
-own compete for the cores.  On the same host, ``evaluate --split test``
-of a ComplEx dim-128 checkpoint on a 14.5k-entity, 270k-triple synthetic
-graph (54,036 test queries with reciprocals) took 7.1 s wall and 12.5 s
-CPU at default threading, against 6.0 s and 11.0 s when ranking ran on
-one thread, and 4.9 s wall and 8.4 s CPU with ``OPENBLAS_NUM_THREADS=1``,
-against 8.0 s and 8.0 s on one thread (medians of three runs each,
-start-up and loading included); the reports were identical.
+erkg holds OpenBLAS to one thread while its own two threads run and
+while ``verify-theorems`` checks (see ``lanes``), so default BLAS
+threading needs no setting.  On a 2-core host at default threading
+(medians of five runs, start-up included): five epochs of complex + ER
+(joint, dim 128, batch 500) on ``synth --entities 2000 --categories 8
+--relations 20 --triples-per-relation 250 --noise 0.05 --seed 5`` with
+reciprocals took 2.9 s wall and 4.3 s CPU; ``evaluate --split test`` of
+a ComplEx dim-128 checkpoint on a 14.5k-entity, 270k-triple synthetic
+graph (54,036 queries) 4.8 s wall and 8.9 s CPU; ``verify-theorems
+--seeds 1 --restarts 10`` 2.4 s wall and 2.7 s CPU.
 """
 
 from __future__ import annotations
@@ -170,7 +155,8 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
     _check_keys(doc, top, "")
     if "threads" in doc:
         logger.warning(
-            "config key 'threads' is deprecated and ignored; set OPENBLAS_NUM_THREADS instead"
+            "config key 'threads' is deprecated and ignored: erkg sets its own threads "
+            "and holds OpenBLAS to one thread while they run"
         )
 
     model = doc.get("model")

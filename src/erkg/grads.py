@@ -6,11 +6,11 @@ gradient row per index, indices may repeat, and contributions scatter-add.
 The accumulator collects such parts per block and merges them into one
 canonical set, keeping row-sparsity whenever no dense contribution was
 seen.  A training batch is merged once, and ``finalize`` is the only
-merge: the loss (``models.backward_all_tails``: the tail table dense,
-head and relation rows) and every penalty add their parts, already
-scaled by their coefficients, to an accumulator of their own, and
-``training.batch_objective`` appends the penalty's parts after the
-loss's (``extend``) before it merges them.
+merge: each row part of the loss (``models.backward_all_tails``: the
+tail table dense, head and relation rows) and every penalty add their
+parts, already scaled by their coefficients, to an accumulator of their
+own, and ``training.batch_objective`` appends them in a fixed order,
+the loss parts' first (``extend``), before it merges them.
 
 Rows sharing an index are summed by ``merge_rows``: it takes the sorted
 unique indices of all sparse parts and the inverse once, then adds each

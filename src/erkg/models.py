@@ -56,8 +56,8 @@ as tail of each query, and ``backward_all_tails`` adds the gradient
 parts of its tables to the batch's ``GradAccumulator``, as every penalty
 does, so a batch is merged once.  Both work in place on their B x |E|
 arrays: ``forward_all_tails`` writes the scores into a caller's ``out``
-array if given one (``training.batch_objective`` allocates it on the
-calling thread and scores on a worker), and ``backward_all_tails``
+array if given one (the calling thread allocates it for the lanes of
+``training`` and ``ranking``, see ``lanes``), and ``backward_all_tails``
 consumes its upstream gradient ``G`` (the distance kinds overwrite it
 with ``C = G / D`` and clamp ``ctx["D"]``), so a caller that needs
 ``G`` afterwards passes a copy.

@@ -50,6 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import lanes
 from .errors import ConfigError, InfeasibleError, check_seed
 
 FEASIBILITY_TARGET = 1e-8
@@ -390,10 +391,13 @@ def check_instance(instance: FactorInstance, variant: str, restarts: int) -> Che
 
     The balancedness residual is evaluated at the variant's incumbent
     factorization.  ``flagged`` marks a ratio outside the variant's band
-    (for amgm4 also a residual above 0.05).
+    (for amgm4 also a residual above 0.05).  The OpenBLAS of numpy and of
+    scipy (which L-BFGS-B calls) run on one thread meanwhile
+    (``lanes.pinned``): their threads only burn CPU on these tiny calls.
     """
-    obj = _variant_opt(instance, variant, restarts)
-    nuc = _nuclear_opt(instance, restarts)
+    with lanes.pinned("numpy", "scipy"):
+        obj = _variant_opt(instance, variant, restarts)
+        nuc = _nuclear_opt(instance, restarts)
     if abs(nuc.value) < 1e-12 and abs(obj.value) < 1e-12:
         ratio = 1.0
     else:

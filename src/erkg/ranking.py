@@ -8,20 +8,14 @@ masked write and two row counts per chunk.  Ties resolve to the mean
 rank by default; head queries are expected to arrive as tail queries on
 inverse relations of a reciprocal-augmented store.
 
-A query set of more than one chunk is ranked on two threads: the calling
-thread ranks chunks 0, 2, 4, ... and one worker thread, started per
-call, ranks chunks 1, 3, 5, ...  The score GEMM and the row counts
-release the GIL, so on two cores the chunks overlap.  Each chunk runs
-the same code whichever thread ranks it and writes only its own slice
-of the ranks, so the ranks are bitwise those of ranking the chunks one
-after another.  The calling thread allocates one ``chunk`` x |E| score
-buffer per thread and each thread scores into its own
-(``forward_all_tails(..., out=...)``), which keeps the worker's malloc
-arena small.  The scores in flight are ``2 x chunk x |E| x 8`` bytes,
-plus one ``chunk`` x |E| boolean mask per thread at a time; the default
-``chunk`` of 128 keeps that at what one thread ranking 256 rows held
-(30 MB of scores at 14.5k entities).  A one-chunk call starts no
-thread.
+A query set of more than one chunk is ranked on two threads (``lanes``)
+whose GEMMs and row counts overlap; each chunk runs the same code on
+either thread and writes only its slice of the ranks, so the ranks are
+bitwise those of a sequential run.  Each thread scores into its own
+``chunk`` x |E| buffer, allocated by the calling thread to keep the
+worker's malloc arena small; the default ``chunk`` of 128 keeps the
+scores in flight at what one thread ranking 256 rows held (30 MB at
+14.5k entities).
 """
 
 from __future__ import annotations
@@ -30,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lanes
 from .data import KeyedCSR, pair_key
 from .errors import ConfigError, typed
 from .models import ModelParams, check_triples, forward_all_tails
@@ -66,10 +61,8 @@ def evaluate(
     """Aggregate filtered ranks over a query set into MRR and Hits@k.
 
     ``ConfigError`` for an empty query set, a query id outside the
-    model's tables or a ``chunk`` that is not an integer >= 1.  With
-    more than one chunk, an exception from either thread is raised only
-    after both threads have finished; if both raise, the calling
-    thread's is.
+    model's tables or a ``chunk`` that is not an integer >= 1.  Errors
+    from the chunks are raised as ``lanes.run`` raises them.
     """
     if tie not in TIE_POLICIES:
         raise ConfigError(f"unknown tie policy {tie!r}")
@@ -78,34 +71,12 @@ def evaluate(
     test = check_triples(params, test, "evaluation set")
     weight = _TIE_WEIGHT[tie]
     ranks = np.empty(len(test))
-    threads = 1 if len(test) <= chunk else 2
-    scores = np.empty((threads, min(chunk, len(test)), params.n_entities))
-    args = (params, test, filter_index, weight, chunk, threads, ranks)
-    if threads == 1:
-        _rank_chunks(*args, 0, scores[0])
-    else:
-        # imported here, so processes that rank one chunk never load it
-        from concurrent.futures import ThreadPoolExecutor
+    scores = np.empty((1 if len(test) <= chunk else 2, min(chunk, len(test)), params.n_entities))
 
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            odd = worker.submit(_rank_chunks, *args, 1, scores[1])
-            _rank_chunks(*args, 0, scores[0])
-        odd.result()
-    return RankingReport(
-        mrr=float(np.mean(1.0 / ranks)),
-        hits={k: float(np.mean(ranks <= k)) for k in ks},
-        n_queries=len(test),
-        per_query_ranks=ranks if keep_ranks else None,
-    )
-
-
-def _rank_chunks(params, test, filter_index, weight, chunk, step, ranks, first, scores):
-    """Rank chunks ``first``, ``first + step``, ... of ``test`` into their
-    slices of ``ranks``, scoring each into ``scores``."""
-    for start in range(first * chunk, len(test), step * chunk):
+    def rank(start, lane):
         part = test[start : start + chunk]
         rows, targets = np.arange(len(part)), part[:, 2]
-        S, _ = forward_all_tails(params, part[:, 0], part[:, 1], out=scores[: len(part)])
+        S, _ = forward_all_tails(params, part[:, 0], part[:, 1], out=scores[lane, : len(part)])
         st = S[rows, targets]
         src, tails = filter_index.lookup(pair_key(part[:, 0], part[:, 1]))
         S[src, tails] = -np.inf
@@ -113,3 +84,11 @@ def _rank_chunks(params, test, filter_index, weight, chunk, step, ranks, first, 
         above = np.count_nonzero(S > st[:, None], axis=1)
         ties = np.count_nonzero(S == st[:, None], axis=1) - 1
         ranks[start : start + len(part)] = 1.0 + above + weight * ties
+
+    lanes.run(rank, range(0, len(test), chunk))
+    return RankingReport(
+        mrr=float(np.mean(1.0 / ranks)),
+        hits={k: float(np.mean(ranks <= k)) for k in ks},
+        n_queries=len(test),
+        per_query_ranks=ranks if keep_ranks else None,
+    )

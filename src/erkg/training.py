@@ -7,19 +7,12 @@ step per batch touches exactly the parameter rows that received
 gradient; rotation relations are reprojected to unit modulus after each
 step.
 
-Given one batch's parameters the loss and the penalty are independent,
-so ``batch_objective`` runs the loss (``_batch_ce``, bound by its GEMMs,
-which release the GIL) on a worker thread started for the batch, while
-the calling thread computes the penalty (bound by the interpreter).
-Neither side writes what the other reads: both only read the parameter
-blocks, the penalty alone updates the thresholds, and each adds its
-gradient parts to its own ``GradAccumulator``.  The penalty's parts are
-then appended after the loss's, so the one merge sums every part in the
-order a sequential run adds them, and runs are bitwise deterministic
-given the config seed, whatever the thread timing.  The loss's B x |E|
-score buffer is allocated by the calling thread, which keeps the
-worker's malloc arena small.  With no penalty (``"none"`` or
-``lambda`` 0) no thread starts.
+With a penalty, ``batch_objective`` cuts the loss (``_batch_ce``, bound
+by GEMMs that release the GIL) into two row parts, 3/5 of the batch and
+the rest, and runs them beside the penalty (bound by the interpreter) on
+two threads (``lanes``).  Their gradient parts merge in a fixed order,
+the loss parts first, so runs are bitwise deterministic given the config
+seed, whatever the timing.  With no penalty one thread runs the batch.
 """
 
 from __future__ import annotations
@@ -32,6 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import lanes
 from .data import CategoryMap, TripleStore
 from .errors import (
     CheckpointError, ConfigError, NumericError, check_fields, check_memory, check_seed,
@@ -157,16 +151,19 @@ def _check_finite_state(params: ModelParams, accs: dict, epoch: int) -> None:
                 raise NumericError(f"non-finite {what} {name!r} after epoch {epoch}")
 
 
-def _batch_ce(params: ModelParams, batch: np.ndarray, out: np.ndarray | None = None):
-    """Mean cross entropy over a batch, and a ``GradAccumulator`` holding
-    its gradient parts: ``(loss, acc)``.
+def _batch_ce(params: ModelParams, batch: np.ndarray, out: np.ndarray | None = None,
+              n: int | None = None):
+    """Cross entropy summed over ``batch`` and divided by ``n`` (default
+    ``len(batch)``: the mean, and for a row part the full batch size), and
+    a ``GradAccumulator`` holding its gradient parts: ``(loss, acc)``.
 
     The score matrix of ``forward_all_tails`` becomes the gradient in
     place (shift by the row max, ``exp``, normalize, subtract the
-    targets, divide by the batch size), and ``backward_all_tails``
-    consumes it: one B x |E| buffer from scores to gradient, ``out`` if
-    given (see ``forward_all_tails``).
+    targets, divide by ``n``), and ``backward_all_tails`` consumes it:
+    one B x |E| buffer from scores to gradient, ``out`` if given (see
+    ``forward_all_tails``).
     """
+    n = len(batch) if n is None else n
     heads, rels, tails = batch[:, 0], batch[:, 1], batch[:, 2]
     S, ctx = forward_all_tails(params, heads, rels, out=out)
     b_idx = np.arange(len(batch))
@@ -175,10 +172,10 @@ def _batch_ce(params: ModelParams, batch: np.ndarray, out: np.ndarray | None = N
     G = np.subtract(S, m, out=S)
     np.exp(G, out=G)
     z = G.sum(axis=1)
-    loss = float(np.mean(m[:, 0] + np.log(z) - target))
+    loss = float(np.sum(m[:, 0] + np.log(z) - target) / n)
     G /= z[:, None]
     G[b_idx, tails] -= 1.0
-    G /= len(batch)
+    G /= n
     acc = GradAccumulator()
     backward_all_tails(params, ctx, G, acc)
     return loss, acc
@@ -217,32 +214,33 @@ def batch_objective(
     """Loss plus scaled penalty for one batch: (total, loss, reg, grads).
 
     The gradient set covers every parameter block and, for joint-mode
-    pair labels, the ``"eps"`` thresholds.  With a penalty, the loss runs
-    on a worker thread while this thread computes the penalty (see the
-    module docstring); the penalty's gradient parts follow the loss's in
-    one accumulator, merged once.  An exception from either side is
-    raised only after both sides have finished; if both raise, the
-    penalty's is.  Used by
-    the training loop and by finite-difference checks.  An empty batch,
-    or an id outside the model's tables, raises ``ConfigError``.
+    pair labels, the ``"eps"`` thresholds, merged once.  With a penalty
+    the batch runs on two lanes (see the module docstring), and an
+    exception is raised as ``lanes.run`` raises it.  Used by the training
+    loop and by finite-difference checks.  An empty batch, or an id
+    outside the model's tables, raises ``ConfigError``.
     """
     batch = check_triples(params, batch, "batch")
-    reg_value = 0.0
-    if spec.kind != "none" and spec.lam > 0.0:
-        # imported here, so processes that train no penalty never load it
-        from concurrent.futures import ThreadPoolExecutor
-
-        scores = np.empty((len(batch), params.n_entities))
-        reg_acc = GradAccumulator()
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            ce = worker.submit(_batch_ce, params, batch, scores)
-            reg_value = _penalty(
-                params, batch, spec, categories, eps, store, pair_seed, path_seed, reg_acc
-            )
-        loss, acc = ce.result()
-        acc.extend(reg_acc)
-    else:
+    if spec.kind == "none" or spec.lam <= 0.0:
         loss, acc = _batch_ce(params, batch)
+        return loss, loss, 0.0, acc.finalize(params.grad_shapes())
+    n = len(batch)
+    # the worker takes part 0, 3/5 of the rows (at most n - 1): on a uniform
+    # graph the penalty and the other 2/5 take about as long
+    cuts = sorted({0, min(-(-3 * n // 5), n - 1), n})
+    scores = np.empty((n, params.n_entities))
+    reg_acc = GradAccumulator()
+    parts, reg_value = lanes.run(
+        lambda rows, _lane: _batch_ce(params, batch[rows], scores[rows], n),
+        [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])],
+        lambda: _penalty(params, batch, spec, categories, eps, store, pair_seed, path_seed,
+                         reg_acc),
+    )
+    loss, acc = 0.0, GradAccumulator()
+    for part_loss, part_acc in parts:
+        loss += part_loss
+        acc.extend(part_acc)
+    acc.extend(reg_acc)
     return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())
 
 

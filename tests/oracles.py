@@ -6,12 +6,14 @@ operator takes ``R = table[rels]``, one relation row per input row, and
 its ``vjp`` returns one relation-gradient row per input row, RESCAL's
 through ``einsum``.  ``tests/penalty_oracle.py`` is written on it."""
 
+import contextlib
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from erkg import models, ranking, training
+from erkg import lanes, models, ranking, training
 from erkg.data import pair_key
 from erkg.errors import ConfigError, NumericError
 from erkg.grads import GradAccumulator
@@ -306,21 +308,24 @@ def backward_all_tails(params: ModelParams, ctx, G: np.ndarray, acc) -> None:
     acc.add("rel", rel_ids, GR)
 
 
-def batch_ce(params: ModelParams, batch: np.ndarray, out=None):
+def batch_ce(params: ModelParams, batch: np.ndarray, out=None, n=None):
     """``training._batch_ce`` on the allocating kernels above, with
     ``S - m``, its ``exp`` and ``G`` as three fresh B x |E| arrays:
-    ``(loss, acc)``.  ``out`` is taken and left unused, so the oracle can
-    stand in for ``_batch_ce`` under ``training.batch_objective``."""
+    ``(loss, acc)``, the loss summed over ``batch`` and divided by ``n``
+    (default ``len(batch)``).  ``out`` is taken and left unused, so the
+    oracle can stand in for ``_batch_ce`` under
+    ``training.batch_objective``."""
+    n = len(batch) if n is None else n
     heads, rels, tails = batch[:, 0], batch[:, 1], batch[:, 2]
     S, ctx = forward_all_tails(params, heads, rels)
     m = S.max(axis=1, keepdims=True)
     ex = np.exp(S - m)
     z = ex.sum(axis=1)
     b_idx = np.arange(len(batch))
-    loss = float(np.mean(m[:, 0] + np.log(z) - S[b_idx, tails]))
+    loss = float(np.sum(m[:, 0] + np.log(z) - S[b_idx, tails]) / n)
     G = ex / z[:, None]
     G[b_idx, tails] -= 1.0
-    G /= len(batch)
+    G /= n
     acc = GradAccumulator()
     backward_all_tails(params, ctx, G, acc)
     return loss, acc
@@ -328,8 +333,36 @@ def batch_ce(params: ModelParams, batch: np.ndarray, out=None):
 
 def batch_objective(params, batch, spec, categories=None, eps=None, store=None,
                     pair_seed=0, path_seed=1):
-    """``training.batch_objective`` on one thread: the loss, then the
-    penalty adding its parts to the loss's accumulator, merged once."""
+    """``training.batch_objective`` on one thread.  With a penalty: the
+    loss over the first ``ceil(3B/5)`` rows (at most ``B - 1``), then over
+    the rest, each divided by the batch size ``B``, then the penalty, all
+    adding their parts to one accumulator in that order, merged once.
+    OpenBLAS is held to one thread meanwhile, as the program's lanes hold
+    it: some GEMMs round differently on more threads."""
+    batch = check_triples(params, batch, "batch")
+    if spec.kind == "none" or spec.lam <= 0.0:
+        return batch_objective_whole(params, batch, spec)
+    n = len(batch)
+    cut = min(math.ceil(3 * n / 5), n - 1)
+    loss, acc = 0.0, GradAccumulator()
+    with lanes.pinned("numpy"):
+        for rows in (batch[:cut], batch[cut:]):
+            if len(rows):
+                part_loss, part_acc = training._batch_ce(params, rows, n=n)
+                loss += part_loss
+                acc.extend(part_acc)
+        reg_value = training._penalty(
+            params, batch, spec, categories, eps, store, pair_seed, path_seed, acc
+        )
+    return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())
+
+
+def batch_objective_whole(params, batch, spec, categories=None, eps=None, store=None,
+                          pair_seed=0, path_seed=1):
+    """The batch objective with the loss over the whole batch at once,
+    then the penalty adding its parts to the loss's accumulator, merged
+    once: ``training.batch_objective`` before it cut the loss into two
+    row parts.  The two agree up to the rounding of the sums."""
     batch = check_triples(params, batch, "batch")
     loss, acc = training._batch_ce(params, batch)
     reg_value = 0.0
@@ -342,21 +375,24 @@ def batch_objective(params, batch, spec, categories=None, eps=None, store=None,
 
 def evaluate(params, test, filter_index, ks=(1, 10), tie="mean", keep_ranks=False, chunk=256):
     """``ranking.evaluate`` one chunk after another on the calling thread,
-    each chunk's scores in a fresh array from ``models.forward_all_tails``."""
+    each chunk's scores in a fresh array from ``models.forward_all_tails``.
+    Over more than one chunk OpenBLAS is held to one thread, as the
+    program's lanes hold it."""
     test = check_triples(params, test, "evaluation set")
     weight = {"mean": 0.5, "optimistic": 0.0, "pessimistic": 1.0}[tie]
     ranks = np.empty(len(test))
-    for start in range(0, len(test), chunk):
-        part = test[start : start + chunk]
-        rows, targets = np.arange(len(part)), part[:, 2]
-        S, _ = models.forward_all_tails(params, part[:, 0], part[:, 1])
-        st = S[rows, targets]
-        src, tails = filter_index.lookup(pair_key(part[:, 0], part[:, 1]))
-        S[src, tails] = -np.inf
-        S[rows, targets] = st
-        above = np.count_nonzero(S > st[:, None], axis=1)
-        ties = np.count_nonzero(S == st[:, None], axis=1) - 1
-        ranks[start : start + len(part)] = 1.0 + above + weight * ties
+    with lanes.pinned("numpy") if len(test) > chunk else contextlib.nullcontext():
+        for start in range(0, len(test), chunk):
+            part = test[start : start + chunk]
+            rows, targets = np.arange(len(part)), part[:, 2]
+            S, _ = models.forward_all_tails(params, part[:, 0], part[:, 1])
+            st = S[rows, targets]
+            src, tails = filter_index.lookup(pair_key(part[:, 0], part[:, 1]))
+            S[src, tails] = -np.inf
+            S[rows, targets] = st
+            above = np.count_nonzero(S > st[:, None], axis=1)
+            ties = np.count_nonzero(S == st[:, None], axis=1) - 1
+            ranks[start : start + len(part)] = 1.0 + above + weight * ties
     return ranking.RankingReport(
         mrr=float(np.mean(1.0 / ranks)),
         hits={k: float(np.mean(ranks <= k)) for k in ks},

@@ -1,8 +1,10 @@
-"""``training.batch_objective`` runs the loss on a worker thread beside the
-penalty; ``oracles.batch_objective`` runs the two one after the other.
-Every total, loss, regularizer value, gradient block and threshold state
-must equal the oracle's bit for bit, and an exception from either side
-must leave only after both sides have finished."""
+"""``training.batch_objective`` runs the loss's two row parts and the
+penalty on two threads; ``oracles.batch_objective`` runs them one after
+the other.  Every total, loss, regularizer value, gradient block and
+threshold state must equal the oracle's bit for bit, and an exception
+from either side must leave only after both sides have finished.  The
+two row parts agree with the loss over the whole batch
+(``oracles.batch_objective_whole``) up to rounding."""
 
 import os
 import subprocess
@@ -143,3 +145,23 @@ def test_import_starts_no_thread():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "kind,reg,mode,order,second", supported_combos(), ids=lambda v: str(v)
+)
+def test_two_row_parts_match_the_whole_batch(kind, reg, mode, order, second):
+    """The loss over two row parts, each divided by the batch size, is the
+    loss over the whole batch up to the rounding of the sums."""
+    params, eps, batch, spec, categories, store = build_problem(kind, reg, mode, order, second)
+    eps_p, eps_w = eps.copy(), eps.copy()
+    parts = oracles.batch_objective(params, batch, spec, categories, eps_p, store, 17, 29)
+    whole = oracles.batch_objective_whole(params, batch, spec, categories, eps_w, store, 17, 29)
+    for got, want in zip(parts[:3], whole[:3]):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert parts[3].keys() == whole[3].keys()
+    for name, (idx, arr) in whole[3].items():
+        got_idx, got_arr = parts[3][name]
+        assert got_idx is idx is None or np.array_equal(got_idx, idx), name
+        np.testing.assert_allclose(got_arr, arr, rtol=1e-9, atol=1e-15, err_msg=name)
+    np.testing.assert_allclose(eps_p.epsilon, eps_w.epsilon, rtol=1e-12)

@@ -131,7 +131,8 @@ def test_merge_memory_is_bounded_by_its_output():
 
 @pytest.mark.parametrize("kind", ["cp", "complex", "rescal"])
 def test_backward_all_tails_matches_add_at(kind, monkeypatch):
-    """The loss adds its parts, unmerged, to the batch's accumulator (the
+    """Each of the loss's two row parts (the first 3 of the 5 rows, then
+    the rest) adds its parts, unmerged, to the batch's accumulator (the
     tail table dense, head and relation rows), then the penalty adds its
     own; ``finalize``, the only merge, equals the ``np.add.at`` merge of
     them all, and a table shared by heads and tails comes back dense."""
@@ -145,9 +146,14 @@ def test_backward_all_tails_matches_add_at(kind, monkeypatch):
     monkeypatch.setattr(GradAccumulator, "finalize", recording)
     grads = batch_objective(params, batch, spec, categories, eps, store, 17, 29)[3]
     (parts,) = seen
-    loss = _batch_ce(params, batch)[1]._parts
-    added = [(name, idx is None) for name, block in loss.items() for idx, _ in block]
-    assert added == [(params.tail_key, True), (params.head_key, False), ("rel", False)]
+    assert len(batch) == 5
+    loss = {}
+    for rows in (batch[:3], batch[3:]):
+        part = _batch_ce(params, rows, n=5)[1]._parts
+        added = [(name, idx is None) for name, block in part.items() for idx, _ in block]
+        assert added == [(params.tail_key, True), (params.head_key, False), ("rel", False)]
+        for name, block in part.items():
+            loss.setdefault(name, []).extend(block)
     for name, block in loss.items():
         for (idx, arr), (got_idx, got_arr) in zip(block, parts[name]):
             assert got_idx is idx is None or np.array_equal(got_idx, idx), name
