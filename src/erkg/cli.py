@@ -23,7 +23,7 @@ threading needs no setting.  On a 2-core host at default threading
 reciprocals took 2.9 s wall and 4.3 s CPU; ``evaluate --split test`` of
 a ComplEx dim-128 checkpoint on a 14.5k-entity, 270k-triple synthetic
 graph (54,036 queries) 4.8 s wall and 8.9 s CPU; ``verify-theorems
---seeds 1 --restarts 10`` 2.4 s wall and 2.7 s CPU.
+--seeds 1 --restarts 10`` 1.3 s wall and 1.3 s CPU (median of seven).
 """
 
 from __future__ import annotations

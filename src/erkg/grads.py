@@ -25,7 +25,6 @@ to the running total.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
 
 GradSet = dict[str, tuple[np.ndarray | None, np.ndarray]]
 
@@ -37,6 +36,7 @@ def merge_rows(parts, out: np.ndarray | None = None):
     sums are added into those rows of ``out`` instead, and ``(None, out)``
     comes back.
     """
+    import scipy.sparse  # loaded on the first merge, not by ``import erkg``
     uniq, inverse = np.unique(
         np.concatenate([idx for idx, _ in parts]), return_inverse=True
     )

@@ -29,12 +29,17 @@ gradient descent cannot traverse the scaling-degenerate CP valleys to
 1e-8 in practical time.)  The best feasible restart is reported; no
 value is reported from an infeasible restart.
 
-The stages run on the lab's own L-BFGS-B loop, ``minimize``, around
+The stages run on the lab's own L-BFGS-B loop, ``_lbfgsb``, around
 scipy's compiled core (Byrd, Lu, Nocedal and Zhu 1995).  It makes the
 calls ``scipy.optimize.minimize`` makes, so iterates are bitwise the
 same, without the wrappers, which cost about as much per call as the
 objective on a few dozen numbers; ``scipy.optimize`` is imported by the
 first stage, not by ``import erkg``.
+
+A check runs all its restarts, the variant's and the nuclear norm's, in
+lockstep: the core works by reverse communication, so each restart is a
+generator with its own core state, mu and stage, and one
+``_stage_objective`` call per round evaluates every asked-for point.
 
 The penalty runs on the (I*J) x K unfolding of the target: with PR the
 rows p_i * r_j, the residual is E = PR Q^T - X, its Q-gradient E^T PR,
@@ -45,7 +50,10 @@ and its P- and R-gradients the sums over j and over i of (E Q) * R and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
@@ -139,8 +147,13 @@ def make_instance(
 
 
 # ---------------------------------------------------------------------------
-# Objective values and gradients on (P, R, Q), in few numpy calls each: an
-# L-BFGS-B restart makes thousands of calls on a few dozen numbers.
+# Objective values and gradients on (P, R, Q), one restart's or stacked per
+# row, in few numpy calls each: a check makes thousands of rounds of them.
+
+
+def _dots(a, b):
+    """``np.vdot`` per row (trailing two axes), by one BLAS dot each."""
+    return (a.reshape(*a.shape[:-2], 1, -1) @ b.reshape(*b.shape[:-2], -1, 1))[..., 0, 0]
 
 
 def _nuclear_grads(P, R, Q, t):
@@ -152,52 +165,76 @@ def _nuclear_grads(P, R, Q, t):
     # m * M sums over a column to ||.||_t^t
     mP, mR, mQ = (P, R, Q) if t == 2 else (np.abs(P) * P, np.abs(R) * R, np.abs(Q) * Q)
     root = np.sqrt if t == 2 else np.cbrt
-    nP = root(np.add.reduce(mP * P, 0))
-    nR = root(np.add.reduce(mR * R, 0))
-    nQ = root(np.add.reduce(mQ * Q, 0))
-    dP, dR, dQ = (nP, nR, nQ) if t == 2 else (nP * nP, nR * nR, nQ * nQ)
+    N = root(np.concatenate([np.add.reduce(m * M, -2, keepdims=True)
+                             for m, M in ((mP, P), (mR, R), (mQ, Q))], -2))
+    nP, nR, nQ = N[..., 0:1, :], N[..., 1:2, :], N[..., 2:3, :]
     nPR = nP * nR
-    val = float(nPR @ nQ)
-    D = len(nP)
-    fP = np.divide(nR * nQ, dP, out=np.zeros(D), where=nP > 1e-150)
-    fR = np.divide(nP * nQ, dR, out=np.zeros(D), where=nR > 1e-150)
-    fQ = np.divide(nPR, dQ, out=np.zeros(D), where=nQ > 1e-150)
-    return val, mP * fP, mR * fR, mQ * fQ
+    val = _dots(nPR, nQ)
+    f = np.divide(np.concatenate((nR * nQ, nP * nQ, nPR), -2), N if t == 2 else N * N,
+                  out=np.zeros(N.shape), where=N > 1e-150)
+    return val, mP * f[..., 0:1, :], mR * f[..., 1:2, :], mQ * f[..., 2:3, :]
 
 
 def _variant_grads(P, R, Q, name):
     var = VARIANTS[name]
-    I, J, K = len(P), len(R), len(Q)
+    I, J, K = P.shape[-2], R.shape[-2], Q.shape[-2]
     pref = 1.0 / (var.pref_denom * math.sqrt(J))
     if name == "amgm4":
-        rho2 = np.add.reduce(R * R, 0)
-        p2 = np.add.reduce(P * P, 0)
-        val = pref * (float(p2 @ rho2) + J * float(np.vdot(Q, Q)))
+        rho2 = np.add.reduce(R * R, -2, keepdims=True)
+        p2 = np.add.reduce(P * P, -2, keepdims=True)
+        val = pref * (_dots(p2, rho2) + J * _dots(Q, Q))
         return val, P * (2.0 * pref * rho2), R * (2.0 * pref * p2), (2.0 * pref * J) * Q
     s = var.sign
     if var.norm_order == 2:
-        rho = np.add.reduce(R * R, 0)
-        sp, sq = np.add.reduce(P, 0), np.add.reduce(Q, 0)
-        c = K * np.add.reduce(P * P, 0) + I * np.add.reduce(Q * Q, 0) + (2.0 * s) * (sp * sq)
-        val = pref * (J * K * float(np.vdot(P, P)) + I * J * float(np.vdot(Q, Q)) + float(rho @ c))
+        rho = np.add.reduce(R * R, -2, keepdims=True)
+        sp, sq = np.add.reduce(P, -2, keepdims=True), np.add.reduce(Q, -2, keepdims=True)
+        c = (K * np.add.reduce(P * P, -2, keepdims=True)
+             + I * np.add.reduce(Q * Q, -2, keepdims=True) + (2.0 * s) * (sp * sq))
+        val = pref * (J * K * _dots(P, P) + I * J * _dots(Q, Q) + _dots(rho, c))
         c2 = 2.0 * pref
         gP = P * (c2 * (J * K + K * rho)) + (c2 * s) * (rho * sq)
         gQ = Q * (c2 * (I * J + I * rho)) + (c2 * s) * (rho * sp)
         return val, gP, R * (c2 * c), gQ
     mP, mR, mQ = np.abs(P) * P, np.abs(R) * R, np.abs(Q) * Q
-    rho = np.add.reduce(mR * R, 0)
-    E = P[:, None, :] + s * Q
+    rho = np.add.reduce(mR * R, -2, keepdims=True)
+    E = P[..., None, :] + s * Q[..., None, :, :]  # e_ik = p_i + s q_k
     mE = np.abs(E) * E
-    e3 = np.add.reduce(mE * E, (0, 1))
-    val = pref * (J * K * float(np.vdot(mP, P)) + I * J * float(np.vdot(mQ, Q)) + float(rho @ e3))
+    e3 = np.add.reduce(mE * E, (-3, -2))[..., None, :]
+    val = pref * (J * K * _dots(mP, P) + I * J * _dots(mQ, Q) + _dots(rho, e3))
     c3 = 3.0 * pref
-    gP = (c3 * J * K) * mP + (c3 * rho) * np.add.reduce(mE, 1)
-    gQ = (c3 * I * J) * mQ + (c3 * s * rho) * np.add.reduce(mE, 0)
+    gP = (c3 * J * K) * mP + (c3 * rho) * np.add.reduce(mE, -2)
+    gQ = (c3 * I * J) * mQ + (c3 * s * rho) * np.add.reduce(mE, -3)
     return val, gP, mR * (c3 * e3), gQ
 
 
+def _stage_objective(T, scale, X, groups):
+    """Values and gradients at the rows of ``T`` (B x (I+J+K) x D, blocks
+    P, R, Q): raw value plus ``scale[b] ||CP(P, R, Q) - X||^2``, the raw
+    terms by each ``(rows, raw_grads)`` of ``groups`` in row order."""
+    (I, J, K), B = X.shape, len(T)
+    # contiguous blocks: numpy calls on these tiny arrays cost less so
+    P, R, Q = T[:, :I].copy(), T[:, I:I + J].copy(), T[:, I + J:].copy()
+    PR = (P[:, :, None] * R[:, None]).reshape(B, I * J, -1)
+    E = PR @ Q.transpose(0, 2, 1)
+    E -= X.reshape(I * J, K)
+    val = scale * _dots(E, E)
+    E *= (2.0 * scale)[:, None, None]
+    G = (E @ Q).reshape(B, I, J, -1)  # sum_k E_ijk q_kd
+    grads = (np.add.reduce(G * R[:, None], 2), np.add.reduce(G * P[:, :, None], 1),
+             E.transpose(0, 2, 1) @ PR)
+    hi = 0
+    for rows, raw_grads in groups:
+        lo, hi = hi, hi + rows
+        if rows:
+            raw, *raws = raw_grads(P[lo:hi], R[lo:hi], Q[lo:hi])
+            val[lo:hi] += raw
+            for g, r in zip(grads, raws):
+                g[lo:hi] += r
+    return val, np.concatenate(grads, 1)
+
+
 # ---------------------------------------------------------------------------
-# Penalty-method minimization.
+# Penalty-method minimization, every restart of a check in lockstep.
 
 
 class StageResult(NamedTuple):
@@ -205,24 +242,35 @@ class StageResult(NamedTuple):
     nit: int
 
 
-def minimize(fun, x0) -> StageResult:
-    """Unbounded L-BFGS-B from ``x0`` on ``fun(x) -> (value, gradient)``.
-
-    The reverse-communication loop of scipy's ``_minimize_lbfgsb`` around
-    its compiled core ``setulb``, with its evaluation caching: ``fun`` runs
-    once at ``x0``, then on a copy of each point the core asks for unless
-    that point equals the last one (so ``fun`` must not write to it).  A
-    stage ends after ``STAGE_ITERS`` iterations, after the iteration in
-    which the evaluations exceed ``STAGE_MAXFUN``, or when the core stops.
-    """
+def _setulb():
+    """scipy's compiled L-BFGS-B core.  Its extension module is loaded on its
+    own unless already imported: importing it by name would first import
+    ``scipy.optimize``, about 0.6 s and 50 MB, more than a short check."""
+    name = "scipy.optimize._lbfgsb"
     try:
-        from scipy.optimize._lbfgsb import setulb
-    except ImportError as exc:
+        if name not in sys.modules:
+            import scipy
+
+            spec = PathFinder.find_spec(name, [f"{scipy.__path__[0]}/optimize"])
+            sys.modules[name] = module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[name])
+        return sys.modules[name].setulb
+    except (ImportError, AttributeError) as exc:
         raise ConfigError(f"the nuclear lab needs scipy >= 1.15: {exc}") from exc
+
+
+def _lbfgsb(x0, mu=None):
+    """One unbounded L-BFGS-B stage from ``x0``, the loop of scipy's
+    ``_minimize_lbfgsb`` around ``setulb``: yields ``(x, mu)`` at x0 and at
+    a copy of each new point the core asks for (not to be written to),
+    takes back ``(value, gradient)``, and returns a ``StageResult`` after
+    ``STAGE_ITERS`` iterations, after the iteration in which the
+    evaluations exceed ``STAGE_MAXFUN``, or when the core stops."""
+    setulb = _setulb()
     x = np.array(x0, dtype=np.float64).ravel()
     m, n = STAGE_MEMORY, x.size
     last_x = x.copy()
-    fx, gx = fun(last_x)
+    fx, gx = yield last_x, mu
     nfev = 1
     bound = np.zeros(n)  # never read: nbd 0 leaves every variable unbounded
     nbd = np.zeros(n, np.int32)
@@ -240,9 +288,9 @@ def minimize(fun, x0) -> StageResult:
         except TypeError as exc:
             raise ConfigError(f"the nuclear lab needs scipy >= 1.15: {exc}") from exc
         if task[0] == 3:  # the core wants f and g at x
-            if not np.array_equal(x, last_x):
+            if not (x == last_x).all():
                 last_x = x.copy()
-                fx, gx = fun(last_x)
+                fx, gx = yield last_x, mu
                 nfev += 1
             f, g = fx, gx
         elif task[0] == 1:  # a new iteration
@@ -255,8 +303,30 @@ def minimize(fun, x0) -> StageResult:
             return StageResult(x, nit)
 
 
-@dataclass
-class _OptResult:
+def minimize(fun, x0) -> StageResult:
+    """``_lbfgsb`` from ``x0`` on ``fun(x) -> (value, gradient)``."""
+    stage, reply = _lbfgsb(x0), None
+    try:
+        while True:
+            reply = fun(stage.send(reply)[0])
+    except StopIteration as stop:
+        return stop.value
+
+
+def _restart(theta, relres):
+    """One restart's stages from ``theta``, yielding their asks; returns
+    the last iterate and its relative residual ``relres(theta)``."""
+    mu = MU0
+    for _stage in range(MAX_STAGES):
+        theta = (yield from _lbfgsb(theta, mu)).x
+        resid = relres(theta)
+        if resid < FEASIBILITY_TARGET:
+            break
+        mu *= MU_GROWTH
+    return theta, resid
+
+
+class _OptResult(NamedTuple):
     value: float
     P: np.ndarray
     R: np.ndarray
@@ -265,71 +335,63 @@ class _OptResult:
     n_feasible: int
 
 
-def _multi_restart(instance, raw_grads, restarts, salt):
-    """Best feasible restart; ``raw_grads(P, R, Q)`` returns (value, gP, gR, gQ)."""
+def _raw_set(instance: FactorInstance, name: str):
+    """``(raw_grads, salt)`` of a variant, or of the nuclear norm."""
+    if name == "nuclear":
+        return lambda P, R, Q, t=instance.norm_order: _nuclear_grads(P, R, Q, t), 0
+    check_pairing(name, instance.mechanism, instance.norm_order)
+    return lambda P, R, Q: _variant_grads(P, R, Q, name), 1 + list(VARIANTS).index(name)
+
+
+def _optimize(instance: FactorInstance, names, restarts: int) -> list[_OptResult]:
+    """The best feasible restart of each of ``names`` (see ``_raw_set``), all
+    in lockstep; the first set with none feasible raises ``InfeasibleError``."""
+    raws, salts = zip(*(_raw_set(instance, name) for name in names))
     if restarts < 1:
         raise ConfigError("restarts must be >= 1")
     X = instance.target
     (I, J, K), D = X.shape, instance.rank
     denom = float(np.linalg.norm(X)) or 1.0
 
-    X2 = X.reshape(I * J, K)
-    IJ = I + J
-
-    def unpack(theta):
-        # P, R, Q are the row blocks of theta as an (I + J + K) x D matrix
-        T = theta.reshape(-1, D)
-        return T[:I], T[I:IJ], T[IJ:]
-
-    def residual(P, R, Q):
-        # CP(P, R, Q) - X on the (I*J) x K unfolding, whose rows are
-        # (p_i * r_j) Q^T; also returns the (I*J) x D rows p_i * r_j
-        PR = (P[:, None, :] * R).reshape(I * J, D)
-        return PR, PR @ Q.T - X2
-
-    def objective(theta):
-        # raw value plus mu ||CP(P, R, Q) - X||^2 / ||X||^2 at the current stage's mu
-        scale = mu / (denom * denom)
-        P, R, Q = unpack(theta)
-        val, gP, gR, gQ = raw_grads(P, R, Q)
-        PR, E = residual(P, R, Q)
-        val += scale * float(np.vdot(E, E))
-        E *= 2.0 * scale
-        G = (E @ Q).reshape(I, J, D)  # sum_k E_ijk q_kd
-        grad = np.empty((IJ + K, D))
-        np.add(gP, np.add.reduce(G * R, 1), out=grad[:I])
-        np.add(gR, np.add.reduce(G * P[:, None, :], 0), out=grad[I:IJ])
-        np.add(gQ, E.T @ PR, out=grad[IJ:])
-        return val, grad.ravel()
+    def relres(theta):
+        P, R, Q = np.split(theta.reshape(-1, D), (I, I + J))
+        E = (P[:, None, :] * R).reshape(I * J, D) @ Q.T - X.reshape(I * J, K)
+        return float(np.linalg.norm(E)) / denom
 
     init_scale = max((denom / np.sqrt(X.size) / D) ** (1.0 / 3.0), 0.1)
-    best = None
-    n_feasible = 0
-    best_resid = np.inf
-    for k in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([instance.seed, salt, k]))
-        theta = rng.normal(0.0, init_scale, size=(I + J + K) * D)
-        mu = MU0
-        for _stage in range(MAX_STAGES):
-            theta = minimize(objective, theta).x
-            P, R, Q = unpack(theta)
-            resid = float(np.linalg.norm(residual(P, R, Q)[1])) / denom
-            if resid < FEASIBILITY_TARGET:
-                break
-            mu *= MU_GROWTH
-        best_resid = min(best_resid, resid)
-        if not resid < FEASIBILITY_TARGET:
-            continue
-        n_feasible += 1
-        value = float(raw_grads(P, R, Q)[0])
-        if best is None or value < best[0]:
-            best = (value, P.copy(), R.copy(), Q.copy(), resid)
-    if best is None:
-        raise InfeasibleError(
-            f"no restart reached relative residual {FEASIBILITY_TARGET:g} "
-            f"(best {best_resid:.3g} over {restarts} restarts)"
-        )
-    return _OptResult(*best, n_feasible)
+    runs = [_restart(np.random.default_rng(np.random.SeedSequence([instance.seed, salt, k]))
+                     .normal(0.0, init_scale, size=(I + J + K) * D), relres)
+            for salt in salts for k in range(restarts)]
+    asks = {i: next(run) for i, run in enumerate(runs)}  # stays in restart order
+    live, ends = [restarts] * len(raws), [None] * len(runs)  # live: restarts asking, per set
+    T, mu = np.empty((len(runs), I + J + K, D)), np.empty(len(runs))
+    while asks:
+        n = len(asks)
+        for row, (x, x_mu) in enumerate(asks.values()):
+            T[row].flat, mu[row] = x, x_mu
+        val, grad = _stage_objective(T[:n], mu[:n] / (denom * denom), X, zip(live, raws))
+        for i, f, g in zip(list(asks), val.tolist(), grad.reshape(n, -1)):
+            try:
+                asks[i] = runs[i].send((f, g))
+            except StopIteration as stop:
+                del asks[i]
+                live[i // restarts] -= 1
+                ends[i] = stop.value
+
+    results = []
+    for s, raw_grads in enumerate(raws):
+        mine = ends[s * restarts:(s + 1) * restarts]
+        feasible = [(*np.split(theta.reshape(-1, D), (I, I + J)), resid)
+                    for theta, resid in mine if resid < FEASIBILITY_TARGET]
+        if not feasible:
+            raise InfeasibleError(
+                f"no restart reached relative residual {FEASIBILITY_TARGET:g} (best "
+                f"{min([np.inf] + [r for _theta, r in mine]):.3g} over {restarts} restarts)")
+        values = [float(raw_grads(P, R, Q)[0]) for P, R, Q, _resid in feasible]
+        k = values.index(min(values))  # the first best, in restart order
+        P, R, Q, resid = feasible[k]
+        results.append(_OptResult(values[k], P.copy(), R.copy(), Q.copy(), resid, len(feasible)))
+    return results
 
 
 def check_pairing(variant: str, mechanism: str, norm_order: int | None = None) -> VariantDef:
@@ -351,21 +413,6 @@ def check_pairing(variant: str, mechanism: str, norm_order: int | None = None) -
             f"instance has {norm_order}"
         )
     return var
-
-
-def _nuclear_opt(instance: FactorInstance, restarts: int) -> _OptResult:
-    t = instance.norm_order
-    return _multi_restart(instance, lambda P, R, Q: _nuclear_grads(P, R, Q, t), restarts, salt=0)
-
-
-def _variant_opt(instance: FactorInstance, variant: str, restarts: int) -> _OptResult:
-    check_pairing(variant, instance.mechanism, instance.norm_order)
-    return _multi_restart(
-        instance,
-        lambda P, R, Q: _variant_grads(P, R, Q, variant),
-        restarts,
-        salt=1 + list(VARIANTS).index(variant),
-    )
 
 
 def _balancedness_residual(P, R, Q, t):
@@ -396,8 +443,7 @@ def check_instance(instance: FactorInstance, variant: str, restarts: int) -> Che
     (``lanes.pinned``): their threads only burn CPU on these tiny calls.
     """
     with lanes.pinned("numpy", "scipy"):
-        obj = _variant_opt(instance, variant, restarts)
-        nuc = _nuclear_opt(instance, restarts)
+        obj, nuc = _optimize(instance, [variant, "nuclear"], restarts)
     if abs(nuc.value) < 1e-12 and abs(obj.value) < 1e-12:
         ratio = 1.0
     else:

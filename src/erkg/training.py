@@ -7,12 +7,12 @@ step per batch touches exactly the parameter rows that received
 gradient; rotation relations are reprojected to unit modulus after each
 step.
 
-With a penalty, ``batch_objective`` cuts the loss (``_batch_ce``, bound
-by GEMMs that release the GIL) into two row parts, 3/5 of the batch and
-the rest, and runs them beside the penalty (bound by the interpreter) on
-two threads (``lanes``).  Their gradient parts merge in a fixed order,
-the loss parts first, so runs are bitwise deterministic given the config
-seed, whatever the timing.  With no penalty one thread runs the batch.
+``batch_objective`` cuts the loss (``_batch_ce``, bound by GEMMs that
+release the GIL) into two row parts, 3/5 of the batch and the rest, and
+runs them on two threads (``lanes``), beside the penalty (bound by the
+interpreter) if there is one.  Their gradient parts merge in a fixed
+order, the loss parts first, so runs are bitwise deterministic given the
+config seed, whatever the timing and the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -214,33 +214,32 @@ def batch_objective(
     """Loss plus scaled penalty for one batch: (total, loss, reg, grads).
 
     The gradient set covers every parameter block and, for joint-mode
-    pair labels, the ``"eps"`` thresholds, merged once.  With a penalty
-    the batch runs on two lanes (see the module docstring), and an
-    exception is raised as ``lanes.run`` raises it.  Used by the training
+    pair labels, the ``"eps"`` thresholds, merged once.  The batch runs
+    on two lanes (see the module docstring), and an exception is raised
+    as ``lanes.run`` raises it.  Used by the training
     loop and by finite-difference checks.  An empty batch, or an id
     outside the model's tables, raises ``ConfigError``.
     """
     batch = check_triples(params, batch, "batch")
-    if spec.kind == "none" or spec.lam <= 0.0:
-        loss, acc = _batch_ce(params, batch)
-        return loss, loss, 0.0, acc.finalize(params.grad_shapes())
     n = len(batch)
     # the worker takes part 0, 3/5 of the rows (at most n - 1): on a uniform
     # graph the penalty and the other 2/5 take about as long
     cuts = sorted({0, min(-(-3 * n // 5), n - 1), n})
     scores = np.empty((n, params.n_entities))
     reg_acc = GradAccumulator()
+    penalized = spec.kind != "none" and spec.lam > 0.0
     parts, reg_value = lanes.run(
         lambda rows, _lane: _batch_ce(params, batch[rows], scores[rows], n),
         [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])],
-        lambda: _penalty(params, batch, spec, categories, eps, store, pair_seed, path_seed,
-                         reg_acc),
+        (lambda: _penalty(params, batch, spec, categories, eps, store, pair_seed, path_seed,
+                          reg_acc)) if penalized else None,
     )
     loss, acc = 0.0, GradAccumulator()
     for part_loss, part_acc in parts:
         loss += part_loss
         acc.extend(part_acc)
     acc.extend(reg_acc)
+    reg_value = reg_value if penalized else 0.0
     return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())
 
 
@@ -261,6 +260,9 @@ def train(
     ``NumericError``.
     """
     config.validate()
+    # the gradient merge's scipy.sparse, loaded before any batch array exists so that
+    # its import's transient memory does not add to a batch's peak
+    import scipy.sparse  # noqa: F401
     kind = ModelKind(config.model)
     spec = config.regularizer
     if spec.kind == "er" and spec.er_mode != "joint" and categories is None:

@@ -333,27 +333,26 @@ def batch_ce(params: ModelParams, batch: np.ndarray, out=None, n=None):
 
 def batch_objective(params, batch, spec, categories=None, eps=None, store=None,
                     pair_seed=0, path_seed=1):
-    """``training.batch_objective`` on one thread.  With a penalty: the
-    loss over the first ``ceil(3B/5)`` rows (at most ``B - 1``), then over
-    the rest, each divided by the batch size ``B``, then the penalty, all
+    """``training.batch_objective`` on one thread: the loss over the first
+    ``ceil(3B/5)`` rows (at most ``B - 1``), then over the rest, each
+    divided by the batch size ``B``, then the penalty if there is one, all
     adding their parts to one accumulator in that order, merged once.
     OpenBLAS is held to one thread meanwhile, as the program's lanes hold
     it: some GEMMs round differently on more threads."""
     batch = check_triples(params, batch, "batch")
-    if spec.kind == "none" or spec.lam <= 0.0:
-        return batch_objective_whole(params, batch, spec)
     n = len(batch)
     cut = min(math.ceil(3 * n / 5), n - 1)
-    loss, acc = 0.0, GradAccumulator()
+    loss, acc, reg_value = 0.0, GradAccumulator(), 0.0
     with lanes.pinned("numpy"):
         for rows in (batch[:cut], batch[cut:]):
             if len(rows):
                 part_loss, part_acc = training._batch_ce(params, rows, n=n)
                 loss += part_loss
                 acc.extend(part_acc)
-        reg_value = training._penalty(
-            params, batch, spec, categories, eps, store, pair_seed, path_seed, acc
-        )
+        if spec.kind != "none" and spec.lam > 0.0:
+            reg_value = training._penalty(
+                params, batch, spec, categories, eps, store, pair_seed, path_seed, acc
+            )
     return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())
 
 
@@ -362,7 +361,8 @@ def batch_objective_whole(params, batch, spec, categories=None, eps=None, store=
     """The batch objective with the loss over the whole batch at once,
     then the penalty adding its parts to the loss's accumulator, merged
     once: ``training.batch_objective`` before it cut the loss into two
-    row parts.  The two agree up to the rounding of the sums."""
+    row parts (without a penalty, before it ran the loss on two lanes).
+    The two agree up to the rounding of the sums."""
     batch = check_triples(params, batch, "batch")
     loss, acc = training._batch_ce(params, batch)
     reg_value = 0.0

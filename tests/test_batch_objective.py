@@ -1,5 +1,5 @@
 """``training.batch_objective`` runs the loss's two row parts and the
-penalty on two threads; ``oracles.batch_objective`` runs them one after
+penalty, if there is one, on two threads; ``oracles.batch_objective`` runs them one after
 the other.  Every total, loss, regularizer value, gradient block and
 threshold state must equal the oracle's bit for bit, and an exception
 from either side must leave only after both sides have finished.  The
@@ -82,14 +82,23 @@ def test_threaded_matches_oracle_on_a_full_batch(graph, model, dim, reg):
         sys.setswitchinterval(interval)
 
 
-def test_no_penalty_starts_no_thread(monkeypatch):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a worker was started")
+def test_no_penalty_runs_the_loss_parts_on_two_lanes(monkeypatch):
+    """Without a penalty the worker takes the loss's first row part and the
+    calling thread the second, and no penalty runs."""
+    batch_ce, calling, seen = training._batch_ce, threading.current_thread(), []
 
-    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    def recorded(params, batch, *args):
+        seen.append((len(batch), threading.current_thread() is calling))
+        return batch_ce(params, batch, *args)
+
+    monkeypatch.setattr(training, "_batch_ce", recorded)
+    monkeypatch.setattr(training, "_penalty", fail)
     params, eps, batch, _spec, categories, store = build_problem("complex", "er")
+    cut = min(-(-3 * len(batch) // 5), len(batch) - 1)
     for spec in (RegularizerSpec(kind="none"), RegularizerSpec(kind="er", lam=0.0)):
+        seen.clear()
         batch_objective(params, batch, spec, categories, eps, store, 17, 29)
+        assert sorted(seen) == sorted([(cut, False), (len(batch) - cut, True)])
 
 
 def test_strict_labels_error_keeps_its_type_and_message():

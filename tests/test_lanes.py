@@ -200,7 +200,7 @@ def test_program_restores_the_blas_thread_count(graph, two_blas_threads, monkeyp
     params, batch, spec, categories, eps, store = full_batch(graph)
     during = []
     for owner, name in ((training, "forward_all_tails"), (ranking, "forward_all_tails"),
-                        (nuclear, "minimize")):
+                        (nuclear, "_stage_objective")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, fn=fn, name=name, **k: during.append(
             (name, blas_threads())) or fn(*a, **k))
@@ -211,7 +211,7 @@ def test_program_restores_the_blas_thread_count(graph, two_blas_threads, monkeyp
     nuclear.check_instance(nuclear.make_instance(3, 2, 3, 2, 2, "bilinear", seed=1),
                            "amgm4", restarts=1)
     assert blas_threads() == (2, 2)
-    assert set(during) == {("forward_all_tails", (1, 2)), ("minimize", (1, 1))}
+    assert set(during) == {("forward_all_tails", (1, 2)), ("_stage_objective", (1, 1))}
 
 
 @pytest.mark.parametrize("missing", ["library", "symbol"])
@@ -232,6 +232,37 @@ def test_missing_library_or_symbol_pins_nothing(graph, missing, monkeypatch, two
     got = evaluate(params, store.test, filter_index, keep_ranks=True, chunk=64)
     want = oracles.evaluate(params, store.test, filter_index, keep_ranks=True, chunk=64)
     assert np.array_equal(got.per_query_ranks, want.per_query_ranks)
+
+
+CHECKPOINT_SHA1 = """
+import hashlib, sys
+from erkg.data import add_reciprocals, generate_synthetic
+from erkg.regularizers import RegularizerSpec
+from erkg.training import TrainConfig, save_checkpoint, train
+store = add_reciprocals(generate_synthetic(600, 4, 10, 150, 0.05, seed=5)[0])
+config = TrainConfig(model="complex", dim=64, batch_size=500, epochs=1,
+                     regularizer=RegularizerSpec(kind="none"))
+params, eps, _history = train(config, store)
+save_checkpoint(params, eps, sys.argv[1])
+print(hashlib.sha1(open(sys.argv[1], "rb").read()).hexdigest())
+"""
+
+
+def test_penalty_free_checkpoint_ignores_the_blas_thread_count(tmp_path):
+    """One penalty-free epoch writes the same checkpoint bytes at default
+    OpenBLAS threading and at one thread: its loss runs on the lanes,
+    which pin the library (some of its GEMM shapes round differently on
+    two threads)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    digests = [
+        subprocess.run([sys.executable, "-c", CHECKPOINT_SHA1, str(tmp_path / name)],
+                       env={**env, **threads}, capture_output=True, text=True, check=True,
+                       timeout=300).stdout.strip()
+        for name, threads in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"}))
+    ]
+    assert digests[0] == digests[1]
 
 
 def test_import_looks_up_no_blas():

@@ -6,12 +6,20 @@ import pytest
 
 from erkg import nuclear
 from erkg.errors import ConfigError, InfeasibleError
-from erkg.nuclear import VARIANTS, _nuclear_opt, _variant_opt, check_instance, make_instance
+from erkg.nuclear import VARIANTS, check_instance, make_instance
 
 # frozen outputs of the 50-restart optimization oracle on the seed-0
 # (3, 2, 3, D=2, t=2, bilinear) instance
 PINNED_NUCLEAR_SEED0 = 2.2879580407246425
 PINNED_THM1_SEED0 = 24.168141034546654
+
+
+def _nuclear_opt(instance, restarts):
+    return nuclear._optimize(instance, ["nuclear"], restarts)[0]
+
+
+def _variant_opt(instance, variant, restarts):
+    return nuclear._optimize(instance, [variant], restarts)[0]
 
 
 def test_scipy_is_a_declared_dependency():

@@ -3,9 +3,9 @@
 Each raw gradient (the five variants and the nuclear t-norm) and the
 penalized stage objective that L-BFGS-B minimizes are checked entry by
 entry against central differences, and against ``nuclear_oracle`` to
-1e-12 relative at seeded random points.  The stage objective is taken
-from ``_multi_restart`` by replacing ``nuclear.minimize`` with a stub
-that hands back the objective and start point of the first stage.
+1e-12 relative at seeded random points.  The stage objective is the
+driver's ``nuclear._stage_objective`` on the arguments of its first
+round, which a stub hands back with the restart's start point.
 """
 
 import numpy as np
@@ -73,23 +73,28 @@ def _raw_fd(raw, blocks):
 
 
 class _Stage(Exception):
-    """Carries the first stage's objective and start point out of a restart."""
+    """Carries the first round's stage-objective arguments out of a check."""
 
 
 def _stage(monkeypatch, name, t, mechanism, shape, seed):
-    def stub(fun, x0, **kwargs):
-        raise _Stage(fun, x0)
+    """The stage objective of one restart's first stage, as the driver
+    evaluates it, and the restart's start point."""
+    def stub(T, scale, X, groups):
+        raise _Stage(T.copy(), scale, X, list(groups))
 
     I, J, K, D = shape
     inst = make_instance(I, J, K, D, t, mechanism, seed)
-    monkeypatch.setattr(nuclear, "minimize", stub)
+    objective = nuclear._stage_objective
+    monkeypatch.setattr(nuclear, "_stage_objective", stub)
     with pytest.raises(_Stage) as info:
-        if name == "nuclear":
-            nuclear._nuclear_opt(inst, 1)
-        else:
-            nuclear._variant_opt(inst, name, 1)
-    fun, x0 = info.value.args
-    return inst, fun, x0
+        nuclear._optimize(inst, [name], 1)
+    T, scale, X, groups = info.value.args
+
+    def fun(theta):
+        val, grad = objective(theta.reshape(T.shape), scale, X, groups)
+        return val[0], grad.ravel()
+
+    return inst, fun, T.ravel()
 
 
 @pytest.mark.parametrize("shape", SHAPES)

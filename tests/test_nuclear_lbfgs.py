@@ -2,8 +2,10 @@
 
 ``nuclear.minimize`` drives scipy's compiled L-BFGS-B core directly; the
 oracle (``tests/nuclear_oracle.py::scipy_minimize``) runs the same stage
-through scipy's wrapper.  Whole checks, the iteration and evaluation
-limits and non-finite objectives must go exactly the same way on both.
+through scipy's wrapper.  The iteration and evaluation limits and
+non-finite objectives must go exactly the same way on both, and whole
+checks by the lockstep driver exactly as by the sequential oracle driver
+with scipy's wrapper running each stage.
 """
 
 import os
@@ -19,7 +21,7 @@ import pytest
 from erkg import cli, nuclear
 from erkg.errors import ConfigError, InfeasibleError
 from erkg.nuclear import VARIANTS, check_instance, make_instance
-from nuclear_oracle import scipy_minimize
+from nuclear_oracle import lockstep_records, scipy_minimize, sequential
 
 DRIVER = nuclear.minimize
 
@@ -43,26 +45,38 @@ def _bits(value):
     return value.hex() if isinstance(value, float) else value
 
 
-def _check(monkeypatch, minimizer, variant, shape, seed):
+def _outcome(variant, shape, seed, restarts=3):
     """Every field of the check's report (floats by their bits), or the
-    infeasibility message, plus the objective calls and iterations."""
-    tally = {"calls": 0, "nit": 0}
-    monkeypatch.setattr(nuclear, "minimize", _counting(minimizer, tally))
+    infeasibility message."""
     var = VARIANTS[variant]
     inst = make_instance(*shape, var.norm_order, var.mechanism, seed)
     try:
-        outcome = tuple(_bits(v) for v in astuple(check_instance(inst, variant, 3)))
+        return tuple(_bits(v) for v in astuple(check_instance(inst, variant, restarts)))
     except InfeasibleError as exc:
-        outcome = str(exc)
+        return str(exc)
+
+
+def _check(minimizer, variant, shape, seed):
+    """The check's outcome, plus the objective calls and iterations: by
+    the lockstep driver for ``DRIVER``, else by the sequential oracle
+    driver with ``minimizer`` running each stage."""
+    if minimizer is DRIVER:
+        with lockstep_records() as record:
+            outcome = _outcome(variant, shape, seed)
+        return outcome, {"calls": sum(r["calls"] for r in record),
+                         "nit": sum(r["nit"] for r in record)}
+    tally = {"calls": 0, "nit": 0}
+    with sequential(_counting(minimizer, tally)):
+        outcome = _outcome(variant, shape, seed)
     return outcome, tally
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
-def test_checks_equal_scipy_bitwise(monkeypatch, variant):
+def test_checks_equal_scipy_bitwise(variant):
     for shape in ((3, 2, 3, 2), (2, 2, 2, 1)):
         for seed in range(3):
-            ours = _check(monkeypatch, DRIVER, variant, shape, seed)
-            ref = _check(monkeypatch, scipy_minimize, variant, shape, seed)
+            ours = _check(DRIVER, variant, shape, seed)
+            ref = _check(scipy_minimize, variant, shape, seed)
             assert ours == ref, (shape, seed)
 
 
@@ -178,3 +192,14 @@ def test_import_erkg_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_import_erkg_leaves_scipy_unloaded():
+    """``scipy.sparse`` waits for the first gradient merge and the L-BFGS-B
+    core for the first stage, so ``import erkg`` loads no scipy at all."""
+    src = Path(nuclear.__file__).resolve().parents[1]
+    code = "import sys, erkg; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
