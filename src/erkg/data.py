@@ -17,8 +17,13 @@ one per split; entity categories in an optional sidecar TSV of
   entity's last label wins; both are counted and logged.
 
 Rows are sorted and grouped by key in one place, :func:`sorted_runs`:
-the duplicate counts, the filter index, RESCAL's relation groups and
-ER's distinct pair keys all use it.
+the duplicate counts, the filter index, RESCAL's relation groups, ER's
+pair groups and distinct pair keys, and the gradient merge all use it.
+It packs each row into one int64: every key takes a bit field, stored as
+key - min with the last key most significant, and the row number fills
+the lowest bits.  The values are then unique, so one ``ndarray.sort``
+gives ``np.lexsort``'s stable order.  Keys whose fields need more than
+63 bits go through ``np.lexsort`` itself.
 
 Triples are indexed by one type, :class:`KeyedCSR`: values grouped by an
 int64 key with one vectorized ``lookup``.  The training edges keyed by
@@ -78,12 +83,61 @@ def pair_key(a, b) -> np.ndarray:
     return np.left_shift(np.asarray(a, dtype=np.int64), 32) | np.asarray(b, dtype=np.int64)
 
 
+def _pack(keys):
+    """The key tuples sorted as packed int64 values: ``(order, values, new,
+    fields)``, or None when the fields need more than 63 bits.
+
+    Key i is stored as ``key - low`` in ``width`` bits from bit ``shift``
+    (``fields[i] = (low, shift, width)``), the last key highest, and the
+    row number fills the bits below them.  After the sort, ``order`` holds
+    the row numbers, ``values`` the key fields, and ``new`` marks the rows
+    whose fields differ from the row before.
+    """
+    n = len(keys[0])
+    row_bits = max(n - 1, 0).bit_length()
+    fields, bits = [], 0
+    for key in keys:
+        low, high = (int(key.min()), int(key.max())) if n else (0, 0)
+        fields.append((low, bits, (high - low).bit_length()))
+        bits += fields[-1][2]
+    if row_bits + bits > 63:
+        return None
+    values = np.arange(n, dtype=np.int64)
+    for key, (low, shift, width) in zip(keys, fields):
+        if width:
+            part = np.subtract(key, low, dtype=np.int64)
+            part <<= row_bits + shift
+            values |= part
+    values.sort()
+    order = values & ((1 << row_bits) - 1)
+    values >>= row_bits
+    return order, values, _run_heads(values), fields
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the sorted ``values`` that differ from the one before."""
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return new
+
+
 def sorted_runs(keys) -> tuple[np.ndarray, np.ndarray]:
     """The stable sort order of the key tuples (equal-length integer
     arrays, last key primary, as ``np.lexsort`` takes them), and where in
     it each run of equal tuples starts: ``order[starts]`` is the first row
     of each distinct tuple, ascending, and ``np.diff(np.append(starts,
-    len(order)))`` how often each occurs."""
+    len(order)))`` how often each occurs.
+
+    The rows are packed into int64 values and sorted (``_pack``).  The
+    row number in their lowest bits makes them unique, so their order is
+    ``np.lexsort``'s stable order.  Keys whose fields need more than 63
+    bits go through ``np.lexsort`` itself.
+    """
+    keys = [np.asarray(key) for key in keys]
+    packed = _pack(keys)
+    if packed is not None:
+        return packed[0], np.flatnonzero(packed[2])
     order = np.lexsort(keys)
     new = np.zeros(len(order), dtype=bool)
     new[:1] = True
@@ -91,6 +145,29 @@ def sorted_runs(keys) -> tuple[np.ndarray, np.ndarray]:
         k = key[order]
         new[1:] |= k[1:] != k[:-1]
     return order, np.flatnonzero(new)
+
+
+def run_ids(order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The run of each row, given :func:`sorted_runs`' result: the
+    ``return_inverse`` of ``np.unique``."""
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(order))))
+    return ids
+
+
+def distinct_rows(keys) -> list[np.ndarray]:
+    """Each distinct key tuple once, in :func:`sorted_runs`' order: one
+    array per key.  Packed tuples are decoded from the sorted values, so
+    no row is gathered."""
+    keys = [np.asarray(key) for key in keys]
+    packed = _pack(keys)
+    if packed is None:
+        order, starts = sorted_runs(keys)
+        return [key[order[starts]] for key in keys]
+    values, new, fields = packed[1:]
+    del packed  # frees the row order before the decode allocates: less heap left in holes
+    values = values[new]
+    return [((values >> shift) & ((1 << width) - 1)) + low for low, shift, width in fields]
 
 
 class KeyedCSR(NamedTuple):
@@ -212,7 +289,7 @@ def load_dataset(train_path, valid_path, test_path) -> TripleStore:
         for h, r, t in _rows(path, 3, "triple"):
             ids.extend((ent(h, len(entities)), rel(r, len(relations)), ent(t, len(entities))))
         arr = splits[name] = np.array(ids, dtype=np.int64).reshape(-1, 3)
-        _, starts = sorted_runs((arr[:, 2], pair_key(arr[:, 0], arr[:, 1])))
+        _, starts = sorted_runs((arr[:, 2], arr[:, 1], arr[:, 0]))
         dups[name] = len(arr) - len(starts)
         if dups[name]:
             logger.warning("%s: kept %d duplicate triples", path, dups[name])
@@ -277,10 +354,10 @@ def build_filter_index(store: TripleStore) -> KeyedCSR:
     known-true tails of each ``pair_key(head, relation)``, sorted and
     unique."""
     rows = np.concatenate([arr.reshape(-1, 3) for _, arr in store.splits()])
-    keys, tails = pair_key(rows[:, 0], rows[:, 1]), rows[:, 2].astype(np.int64)
-    order, starts = sorted_runs((tails, keys))
-    first = order[starts]
-    return KeyedCSR.group(keys[first], tails[first])
+    tails, rels, heads = distinct_rows((rows[:, 2], rows[:, 1], rows[:, 0]))
+    keys = pair_key(heads, rels)
+    starts = np.flatnonzero(_run_heads(keys))
+    return KeyedCSR(keys[starts], np.append(starts, len(keys)), tails.astype(np.int64, copy=False))
 
 
 @dataclass

@@ -12,19 +12,21 @@ parts, already scaled by their coefficients, to an accumulator of their
 own, and ``training.batch_objective`` appends them in a fixed order,
 the loss parts' first (``extend``), before it merges them.
 
-Rows sharing an index are summed by ``merge_rows``: it takes the sorted
-unique indices of all sparse parts and the inverse once, then adds each
-part with one sparse product, an (unique rows x part rows) 0/1 matrix
-times the part's rows flattened to 2-D.  No part is copied into a
-combined matrix, so the merge needs memory for its output only.  The
-result equals a row-by-row scatter-add (numpy's ``ufunc.at``) up to the
-grouping of the sums: each part's rows are summed before they are added
-to the running total.
+Rows sharing an index are summed by ``merge_rows``: it sorts the
+indices of all sparse parts once (``data.sorted_runs``), then adds each
+part with one sparse product, an (unique rows x part rows) 0/1 matrix in
+CSR form, read off the sort's order, times the part's rows flattened to
+2-D.  No part is copied into a combined matrix, so the merge needs
+memory for its output only.  The result equals a row-by-row
+scatter-add (numpy's ``ufunc.at``) up to the grouping of the sums: each
+part's rows are summed before they are added to the running total.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .data import sorted_runs
 
 GradSet = dict[str, tuple[np.ndarray | None, np.ndarray]]
 
@@ -37,20 +39,25 @@ def merge_rows(parts, out: np.ndarray | None = None):
     comes back.
     """
     import scipy.sparse  # loaded on the first merge, not by ``import erkg``
-    uniq, inverse = np.unique(
-        np.concatenate([idx for idx, _ in parts]), return_inverse=True
-    )
+    lens = [len(idx) for idx, _ in parts]
+    index = np.concatenate([idx for idx, _ in parts])
+    order, starts = sorted_runs([index])
+    uniq = index[order[starts]]
+    # Per sorted row: its part and its unique row.
+    part = np.repeat(np.arange(len(parts)), lens)[order]
+    run = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(order))))
     if out is None:
         rows = np.zeros((len(uniq),) + parts[0][1].shape[1:])
     else:
         rows = out[uniq]
     pos = 0
-    for idx, arr in parts:
-        n = len(idx)
+    for p, (idx, arr) in enumerate(parts):
+        n = lens[p]
         if n:
+            mine = part == p
+            indptr = np.searchsorted(run[mine], np.arange(len(uniq) + 1))
             select = scipy.sparse.csr_matrix(
-                (np.ones(n), (inverse[pos : pos + n], np.arange(n))),
-                shape=(len(uniq), n),
+                (np.ones(n), order[mine] - pos, indptr), shape=(len(uniq), n)
             )
             rows += (select @ arr.reshape(n, -1)).reshape(rows.shape)
         pos += n

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CategoryMap, TripleStore, pair_key, sorted_runs
+from .data import CategoryMap, TripleStore, distinct_rows, run_ids, sorted_runs
 from .errors import ConfigError, check_fields
 from .grads import GradAccumulator
 from .models import _EPS_DIST, N3_KINDS, OPERATORS, ModelParams, cview
@@ -257,34 +257,37 @@ def penalty_dura(
 # Pair sampling and labeling.
 
 
-def _budget_pairs(keys: np.ndarray, heads: np.ndarray, budget: int, seed: int):
+def _budget_pairs(keys: list[np.ndarray], heads: np.ndarray, budget: int, seed: int):
     """Unordered pairs with distinct heads, at most ``budget`` per group.
 
-    Elements with equal ``keys`` form a group, taken in first-appearance
-    order.  A group of n elements, c_h of them with head h, has
-    C(n, 2) - sum_h C(c_h, 2) eligible pairs (i < j in sequence order,
-    different heads), ranked lexicographically.  A group with more than
-    ``budget`` of them keeps ``budget`` ranks drawn uniformly without
-    replacement; the others keep all.  Kept ranks are unranked to (i, j)
-    directly, so no pair list is built: cost is O(n log n + kept).
-    Returns the indices (into ``keys``) of each kept pair's two elements,
-    groups in order and pairs in rank order within a group.
+    Elements with equal key tuples (``keys``, as :func:`sorted_runs` takes
+    them) form a group, taken in first-appearance order.  A group of n
+    elements, c_h of them with head h, has C(n, 2) - sum_h C(c_h, 2)
+    eligible pairs (i < j in sequence order, different heads), ranked
+    lexicographically.  A group with more than ``budget`` of them keeps
+    ``budget`` ranks drawn uniformly without replacement; the others keep
+    all.  Kept ranks are unranked to (i, j) directly, so no pair list is
+    built.  Cost: two packed sorts of n elements, one sort of the groups'
+    first elements, one ``rng.choice`` per over-budget group and one sort
+    of the kept ranks.  Returns the indices (into ``heads``) of each kept
+    pair's two elements, groups in order and pairs in rank order within a
+    group.
     """
     rng = np.random.default_rng(seed)
-    N = len(keys)
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    gid = np.argsort(np.argsort(first))[inv]
-    # Elements grouped, sequence order kept inside each group.
-    order = np.argsort(gid, kind="stable")
-    g = gid[order]
-    sizes = np.bincount(g)
+    N = len(heads)
+    # Elements grouped, groups in first-appearance order and sequence
+    # order kept inside each: the key-sorted runs, reordered by first row.
+    by_key, key_start = sorted_runs(keys)
+    by_first = np.argsort(by_key[key_start])
+    sizes = np.diff(np.append(key_start, N))[by_first]
     gstart = np.cumsum(sizes) - sizes
+    order = by_key[np.arange(N) + np.repeat(key_start[by_first] - gstart, sizes)]
+    g = np.repeat(np.arange(len(sizes)), sizes)
     pos = np.arange(N) - gstart[g]
     # Runs of one (group, head); each run keeps the group's order.
     by_run, run_start = sorted_runs((heads[order], g))
     run_len = np.diff(np.append(run_start, N))
-    run = np.empty(N, dtype=np.int64)
-    run[by_run] = np.repeat(np.arange(len(run_start)), run_len)
+    run = run_ids(by_run, run_start)
     # Earlier members of the group with the same head, and with another.
     same = np.empty(N, dtype=np.int64)
     same[by_run] = np.arange(N) - run_start[run[by_run]]
@@ -299,11 +302,12 @@ def _budget_pairs(keys: np.ndarray, heads: np.ndarray, budget: int, seed: int):
     small = eligible <= budget
     e_small = eligible[small]
     shift = base[small] - np.cumsum(e_small) + e_small
-    ranks = [np.arange(e_small.sum()) + np.repeat(shift, e_small)]
-    for k in np.flatnonzero(~small):
-        chosen = rng.choice(int(eligible[k]), size=budget, replace=False)
-        ranks.append(base[k] + np.sort(chosen))
-    R = np.sort(np.concatenate(ranks))
+    big = np.flatnonzero(~small)
+    # Groups own disjoint rank ranges, so one sort orders every group's draws.
+    R = np.concatenate([np.arange(e_small.sum()) + np.repeat(shift, e_small)]
+                       + [rng.choice(int(eligible[k]), size=budget, replace=False) for k in big])
+    R[len(R) - budget * len(big):] += np.repeat(base[big], budget)
+    R.sort()
 
     # Unrank.  Element i owns ranks [cum[i] - partners[i], cum[i]); its
     # k-th partner j has others[i] + k members with another head before
@@ -329,7 +333,7 @@ def select_pairs(batch: np.ndarray, budget: int, seed: int) -> PairSet:
     """
     if budget < 1:
         raise ConfigError("pair budget must be >= 1")
-    ia, ib = _budget_pairs(batch[:, 1], batch[:, 0], budget, seed)
+    ia, ib = _budget_pairs([batch[:, 1]], batch[:, 0], budget, seed)
     return PairSet(idx_a=ia, idx_b=ib, rel=batch[ia, 1].astype(np.int64))
 
 
@@ -341,7 +345,8 @@ def _init_epsilon(
     ``counts[i]`` pairs lie at distance ``dists[i]``: the median runs over
     the pairs, as if each distance were listed once per pair.
     """
-    for r in np.unique(rels[~eps.initialized[rels]]):
+    (new,) = distinct_rows([rels[~eps.initialized[rels]]])
+    for r in new:
         m = rels == r
         eps.epsilon[r] = float(np.median(np.repeat(dists[m], counts[m])))
 
@@ -395,7 +400,7 @@ def _pair_terms(
     term when every label is 0.  Adds ``scale`` times the gradients
     (heads, every hop's relations, soft labels) to ``acc``.
     """
-    order, starts = sorted_runs([pair_key(ha, hb), *chain])
+    order, starts = sorted_runs([hb, ha, *chain])
     first, counts = order[starts], np.diff(np.append(starts, len(order)))
     keep, label, soft = _category_labels(ha[first], hb[first], counts, spec, categories)
     first, counts, label, soft = first[keep], counts[keep], label[keep], soft[keep]
@@ -505,7 +510,7 @@ def sample_path_pairs(
     src, r2 = store.adjacency.lookup(batch[:, 2])
     heads = batch[src, 0].astype(np.int64)
     r1 = batch[src, 1].astype(np.int64)
-    ia, ib = _budget_pairs(pair_key(r1, r2), heads, budget, seed)
+    ia, ib = _budget_pairs([r2, r1], heads, budget, seed)
     return PathPairSet(
         head_a=heads[ia],
         head_b=heads[ib],

@@ -7,6 +7,8 @@ strict mode included.  The vocabulary is a pair of plain name -> id
 dicts that grow in first-appearance order unless ``strict`` is set.
 ``duplicate_count`` and ``build_filter_index`` sort the rows on their
 three columns, as ``erkg.data`` did before ``sorted_runs``.
+``sorted_runs`` is ``erkg.data.sorted_runs`` before it packed each row
+into one int64: ``np.lexsort`` and one comparison per key.
 """
 
 from __future__ import annotations
@@ -109,6 +111,18 @@ def category_rows(path, entity_index):
                 n_relabeled += 1
             category_of[eid] = cid
     return category_of, len(category_ids), n_skipped, n_relabeled
+
+
+def sorted_runs(keys) -> tuple[np.ndarray, np.ndarray]:
+    """The stable ``np.lexsort`` order of the key tuples (last key
+    primary) and where each run of equal tuples starts in it."""
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        k = key[order]
+        new[1:] |= k[1:] != k[:-1]
+    return order, np.flatnonzero(new)
 
 
 def sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

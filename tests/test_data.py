@@ -1,7 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import data_oracle
+from erkg import data
 from erkg.data import (
     CategoryMap,
     KeyedCSR,
@@ -9,10 +15,12 @@ from erkg.data import (
     Vocab,
     add_reciprocals,
     build_filter_index,
+    distinct_rows,
     generate_synthetic,
     load_categories,
     load_dataset,
     pair_key,
+    run_ids,
     save_categories,
     save_triples,
     sorted_runs,
@@ -372,6 +380,97 @@ class TestSortedRuns:
         got, ref = build_filter_index(store), data_oracle.build_filter_index(store)
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@st.composite
+def key_tuples(draw):
+    """1-4 int64 keys of one length, each spanning 2**bits values from a
+    drawn low end; wide spans need the ``np.lexsort`` path."""
+    n = draw(st.integers(0, 40))
+    keys = []
+    for _ in range(draw(st.integers(1, 4))):
+        bits = draw(st.sampled_from([0, 1, 2, 5, 20, 31, 40, 62, 63]))
+        low = draw(st.integers(-2**63, 2**63 - 2**bits))
+        values = draw(st.lists(st.integers(0, 2**bits - 1), min_size=n, max_size=n))
+        keys.append(np.array([low + v for v in values], dtype=np.int64))
+    return keys
+
+
+def _edge_keys(*widths, n=4, low=0):
+    """Keys over ``n`` rows whose bit fields are ``widths`` wide: each
+    spans ``[low, low + 2**width - 1]`` with repeated tuples."""
+    rng = np.random.default_rng(sum(widths))
+    keys = []
+    for width in widths:
+        key = low + rng.integers(0, 2, size=n) * (2**width - 1)
+        key[0], key[-1] = low, low + 2**width - 1
+        keys.append(key.astype(np.int64))
+    return keys
+
+
+class TestPackedSort:
+    """``sorted_runs``, ``run_ids`` and ``distinct_rows`` against the
+    ``np.lexsort`` oracle and ``np.unique`` over whole rows."""
+
+    @staticmethod
+    def check(keys):
+        order, starts = sorted_runs(keys)
+        ref_order, ref_starts = data_oracle.sorted_runs(keys)
+        np.testing.assert_array_equal(order, ref_order)
+        np.testing.assert_array_equal(starts, ref_starts)
+        rows = np.stack(keys[::-1], axis=1) if len(keys[0]) else np.empty((0, len(keys)), np.int64)
+        uniq, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        np.testing.assert_array_equal(order[starts], first)
+        np.testing.assert_array_equal(run_ids(order, starts), inverse.reshape(-1))
+        got = distinct_rows(keys)
+        assert all(d.dtype == np.int64 for d in got)
+        np.testing.assert_array_equal(np.stack(got[::-1], axis=1).reshape(uniq.shape), uniq)
+
+    @given(key_tuples())
+    @settings(max_examples=300, deadline=None, database=None)
+    def test_matches_lexsort_and_np_unique(self, keys):
+        self.check(keys)
+
+    @pytest.mark.parametrize("keys, packed", [
+        (_edge_keys(3, 2, low=-5), True),
+        ([np.empty(0, dtype=np.int64)] * 2, True),
+        ([np.array([-7]), np.array([2**62])], True),
+        ([np.array([3, -1, 3, 3, -1, 0])], True),
+        ([np.full(6, -9), np.full(6, 4)], True),
+        (_edge_keys(30, 31), True),  # 2 row bits + 61 = 63: the last that fits
+        (_edge_keys(30, 32), False),  # 64 bits: np.lexsort
+        (_edge_keys(61, n=4, low=-2**62), True),
+        (_edge_keys(62, n=4, low=-2**62), False),
+        ([np.array([-2**63, 2**63 - 1])], False),
+    ], ids=["negative", "no-rows", "one-row", "one-key", "all-equal", "63-bits",
+            "64-bits", "one-key-63-bits", "one-key-64-bits", "full-int64-range"])
+    def test_edge_cases(self, keys, packed):
+        assert (data._pack(keys) is not None) == packed
+        self.check(keys)
+
+    def test_empty_store_filter_index_matches_oracle(self):
+        empty = np.empty((0, 3), dtype=np.int64)
+        store = TripleStore(empty, empty, empty, Vocab())
+        got, ref = build_filter_index(store), data_oracle.build_filter_index(store)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_grouping_is_decided_in_sorted_runs():
+    """No module of ``erkg`` calls ``np.unique``, and only ``sorted_runs``
+    calls ``np.lexsort`` (for keys too wide to pack)."""
+    calls = []
+    for path in sorted(Path(data.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            for node in ast.walk(fn) if isinstance(fn, ast.FunctionDef) else ():
+                if (isinstance(node, ast.Attribute) and node.attr in ("unique", "lexsort")
+                        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                    calls.append((path.name, fn.name, node.attr))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 and node.module == "numpy" for alias in node.names}
+        assert not names & {"unique", "lexsort"}, path.name
+    assert calls and set(calls) == {("data.py", "sorted_runs", "lexsort")}
 
 
 class TestCategories:

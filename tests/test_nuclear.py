@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from erkg import nuclear
+from erkg import lanes, nuclear
 from erkg.errors import ConfigError, InfeasibleError
 from erkg.nuclear import VARIANTS, check_instance, make_instance
 
@@ -15,11 +15,15 @@ PINNED_THM1_SEED0 = 24.168141034546654
 
 
 def _nuclear_opt(instance, restarts):
-    return nuclear._optimize(instance, ["nuclear"], restarts)[0]
+    return _variant_opt(instance, "nuclear", restarts)
 
 
 def _variant_opt(instance, variant, restarts):
-    return nuclear._optimize(instance, [variant], restarts)[0]
+    """One set of restarts, with BLAS pinned as ``check_instance`` pins it:
+    at default threading a busy second core slows these tiny calls up to
+    100-fold."""
+    with lanes.pinned("numpy", "scipy"):
+        return nuclear._optimize(instance, [variant], restarts)[0]
 
 
 def test_scipy_is_a_declared_dependency():
