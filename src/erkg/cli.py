@@ -190,8 +190,8 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
     grid = doc.get("grid", {}) if allow_grid else {}
     _check_keys(grid, {"learning_rate", "lambda"}, "grid.")
     for key, values in grid.items():
-        if not isinstance(values, list):
-            raise ConfigError(f"grid.{key} must be a list, got {values!r}")
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"grid.{key} must be a non-empty list, got {values!r}")
         grid[key] = [typed(v, float, f"grid.{key}[]") for v in values]
 
     run = RunConfig(

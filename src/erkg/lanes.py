@@ -1,14 +1,16 @@
 """Two lanes for the program's threads: the calling thread and one worker.
 
-``run(work, parts, here)`` returns ``[work(part, lane) for part in
-parts]`` in part order, and ``here()``.  The worker (lane 1) takes part
-0 while the calling thread (lane 0) runs ``here``, or takes part 1; then
-each lane pulls the next part from one counter.  Once a lane raises no
-part is handed out; both lanes are awaited, and if both raise, the
-calling thread's error is.  With no ``here`` and at most one part, no
-thread starts.  Meanwhile numpy's bundled OpenBLAS is held to one thread
-(``pinned``), so its threads do not compete with the lanes; a library or
-symbol that is not found is left alone.
+``run(tasks)`` returns ``[task(lane) for task in tasks]`` in task order.
+The worker (lane 1) starts on task 0 and the calling thread (lane 0) on
+task 1; then each lane pulls the next task from one counter.  Both
+first claims are drawn before the worker starts: a worker that claimed
+task 1 would run the calling thread's task, and the memory it allocates
+would grow the worker's own malloc arena.  Once a lane raises no task
+is handed out; both lanes are awaited, and if both raise, the calling
+thread's error is.  With at most one task no thread starts.  Meanwhile
+numpy's bundled OpenBLAS is held to one thread (``pinned``), so its
+threads do not compete with the lanes; a library or symbol that is not
+found is left alone.
 """
 
 from __future__ import annotations
@@ -58,32 +60,29 @@ def pinned(*packages):
             set_(n)
 
 
-def run(work, parts, here=None):
-    """``([work(part, lane) for part in parts], here())`` on two lanes."""
-    if here is None and len(parts) < 2:
-        return [work(part, 0) for part in parts], None
+def run(tasks):
+    """``[task(lane) for task in tasks]`` on two lanes."""
+    if len(tasks) < 2:
+        return [task(0) for task in tasks]
     from concurrent.futures import ThreadPoolExecutor
 
-    results, counter, failed = [None] * len(parts), itertools.count(), []
+    results, counter, failed = [None] * len(tasks), itertools.count(), []
 
     def claim():  # itertools.count's next is atomic under the GIL
-        return len(parts) if failed else next(counter)
+        return len(tasks) if failed else next(counter)
 
-    def lane(index, task, i):
+    def lane(index, i):
         try:
-            value = task() if task else None
-            i = claim() if i is None else i
-            while i < len(parts):
-                results[i] = work(parts[i], index)
+            while i < len(tasks):
+                results[i] = tasks[i](index)
                 i = claim()
-            return value
         except BaseException:
             failed.append(index)
             raise
 
-    theirs, mine = next(counter), (None if here else next(counter))
+    theirs, mine = next(counter), next(counter)
     with pinned("numpy"), ThreadPoolExecutor(max_workers=1) as worker:
-        far = worker.submit(lane, 1, None, theirs)
-        value = lane(0, here, mine)
+        far = worker.submit(lane, 1, theirs)
+        lane(0, mine)
     far.result()
-    return results, value
+    return results

@@ -76,7 +76,7 @@ from enum import Enum
 import numpy as np
 
 from .data import KeyedCSR
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 
 logger = logging.getLogger(__name__)
 
@@ -186,7 +186,7 @@ def init_params(
     kind = ModelKind(kind)
     if OPERATORS[kind].complex_coords and dim % 2 != 0:
         raise ConfigError(f"{kind.value} requires an even dim, got {dim}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     bound = 1.0 / np.sqrt(dim)
     blocks = {}
     for name, shape in block_shapes(kind, n_entities, n_relations, dim).items():

@@ -37,9 +37,12 @@ objective on a few dozen numbers; ``scipy.optimize`` is imported by the
 first stage, not by ``import erkg``.
 
 A check runs all its restarts, the variant's and the nuclear norm's, in
-lockstep: the core works by reverse communication, so each restart is a
-generator with its own core state, mu and stage, and one
+lockstep: the core works by reverse communication, so each restart
+(``_restart``, the one stage loop and the only caller of ``_lbfgsb``) is
+a generator with its own core state, mu and stage, and one
 ``_stage_objective`` call per round evaluates every asked-for point.
+Each restart reaches bitwise the iterate of the sequential driver in
+``tests/nuclear_oracle.py``, which runs one stage at a time.
 
 The penalty runs on the (I*J) x K unfolding of the target: with PR the
 rows p_i * r_j, the residual is E = PR Q^T - X, its Q-gradient E^T PR,
@@ -237,11 +240,6 @@ def _stage_objective(T, scale, X, groups):
 # Penalty-method minimization, every restart of a check in lockstep.
 
 
-class StageResult(NamedTuple):
-    x: np.ndarray
-    nit: int
-
-
 def _setulb():
     """scipy's compiled L-BFGS-B core.  Its extension module is loaded on its
     own unless already imported: importing it by name would first import
@@ -259,12 +257,12 @@ def _setulb():
         raise ConfigError(f"the nuclear lab needs scipy >= 1.15: {exc}") from exc
 
 
-def _lbfgsb(x0, mu=None):
+def _lbfgsb(x0, mu):
     """One unbounded L-BFGS-B stage from ``x0``, the loop of scipy's
     ``_minimize_lbfgsb`` around ``setulb``: yields ``(x, mu)`` at x0 and at
     a copy of each new point the core asks for (not to be written to),
-    takes back ``(value, gradient)``, and returns a ``StageResult`` after
-    ``STAGE_ITERS`` iterations, after the iteration in which the
+    takes back ``(value, gradient)``, and returns ``(x, iterations)``
+    after ``STAGE_ITERS`` iterations, after the iteration in which the
     evaluations exceed ``STAGE_MAXFUN``, or when the core stops."""
     setulb = _setulb()
     x = np.array(x0, dtype=np.float64).ravel()
@@ -300,17 +298,7 @@ def _lbfgsb(x0, mu=None):
             elif nfev > STAGE_MAXFUN:
                 task[:] = 5, 502  # stop: evaluation limit
         else:
-            return StageResult(x, nit)
-
-
-def minimize(fun, x0) -> StageResult:
-    """``_lbfgsb`` from ``x0`` on ``fun(x) -> (value, gradient)``."""
-    stage, reply = _lbfgsb(x0), None
-    try:
-        while True:
-            reply = fun(stage.send(reply)[0])
-    except StopIteration as stop:
-        return stop.value
+            return x, nit
 
 
 def _restart(theta, relres):
@@ -318,7 +306,7 @@ def _restart(theta, relres):
     the last iterate and its relative residual ``relres(theta)``."""
     mu = MU0
     for _stage in range(MAX_STAGES):
-        theta = (yield from _lbfgsb(theta, mu)).x
+        theta, _nit = yield from _lbfgsb(theta, mu)
         resid = relres(theta)
         if resid < FEASIBILITY_TARGET:
             break

@@ -8,13 +8,13 @@ masked write and two row counts per chunk.  Ties resolve to the mean
 rank by default; head queries are expected to arrive as tail queries on
 inverse relations of a reciprocal-augmented store.
 
-A query set of more than one chunk is ranked on two threads (``lanes``)
-whose GEMMs and row counts overlap; each chunk runs the same code on
-either thread and writes only its slice of the ranks, so the ranks are
-bitwise those of a sequential run.  Each thread scores into its own
-``chunk`` x |E| buffer, allocated by the calling thread to keep the
-worker's malloc arena small; the default ``chunk`` of 128 keeps the
-scores in flight at what one thread ranking 256 rows held (30 MB at
+A query set of more than one chunk is ranked on two threads (``lanes``),
+one task per chunk, whose GEMMs and row counts overlap; each chunk runs
+the same code on either thread and writes only its slice of the ranks,
+so the ranks are bitwise those of a sequential run.  Each thread scores
+into its own ``chunk`` x |E| buffer, allocated by the calling thread to
+keep the worker's malloc arena small; the default ``chunk`` of 128 keeps
+the scores in flight at what one thread ranking 256 rows held (30 MB at
 14.5k entities).
 """
 
@@ -85,7 +85,8 @@ def evaluate(
         ties = np.count_nonzero(S == st[:, None], axis=1) - 1
         ranks[start : start + len(part)] = 1.0 + above + weight * ties
 
-    lanes.run(rank, range(0, len(test), chunk))
+    lanes.run([lambda lane, start=start: rank(start, lane)
+               for start in range(0, len(test), chunk)])
     return RankingReport(
         mrr=float(np.mean(1.0 / ranks)),
         hits={k: float(np.mean(ranks <= k)) for k in ks},

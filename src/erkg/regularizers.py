@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CategoryMap, TripleStore, distinct_rows, run_ids, sorted_runs
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_fields, check_seed
 from .grads import GradAccumulator
 from .models import _EPS_DIST, N3_KINDS, OPERATORS, ModelParams, cview
 
@@ -273,7 +273,7 @@ def _budget_pairs(keys: list[np.ndarray], heads: np.ndarray, budget: int, seed: 
     pair's two elements, groups in order and pairs in rank order within a
     group.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     N = len(heads)
     # Elements grouped, groups in first-appearance order and sequence
     # order kept inside each: the key-sorted runs, reordered by first row.

@@ -9,10 +9,12 @@ step.
 
 ``batch_objective`` cuts the loss (``_batch_ce``, bound by GEMMs that
 release the GIL) into two row parts, 3/5 of the batch and the rest, and
-runs them on two threads (``lanes``), beside the penalty (bound by the
-interpreter) if there is one.  Their gradient parts merge in a fixed
-order, the loss parts first, so runs are bitwise deterministic given the
-config seed, whatever the timing and the BLAS thread count.
+runs them as tasks on two threads (``lanes``), the penalty (bound by the
+interpreter), if there is one, inserted between them as task 1: the
+worker starts on the larger loss part and the calling thread on the
+penalty.  The gradient parts merge in a fixed order, the loss parts
+first, so runs are bitwise deterministic given the config seed, whatever
+the timing and the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -215,10 +217,11 @@ def batch_objective(
 
     The gradient set covers every parameter block and, for joint-mode
     pair labels, the ``"eps"`` thresholds, merged once.  The batch runs
-    on two lanes (see the module docstring), and an exception is raised
-    as ``lanes.run`` raises it.  Used by the training
-    loop and by finite-difference checks.  An empty batch, or an id
-    outside the model's tables, raises ``ConfigError``.
+    on two lanes, the penalty as task 1 between the two loss parts (see
+    the module docstring), and an exception is raised as ``lanes.run``
+    raises it.  Used by the training loop and by finite-difference
+    checks.  An empty batch, or an id outside the model's tables, raises
+    ``ConfigError``.
     """
     batch = check_triples(params, batch, "batch")
     n = len(batch)
@@ -228,18 +231,18 @@ def batch_objective(
     scores = np.empty((n, params.n_entities))
     reg_acc = GradAccumulator()
     penalized = spec.kind != "none" and spec.lam > 0.0
-    parts, reg_value = lanes.run(
-        lambda rows, _lane: _batch_ce(params, batch[rows], scores[rows], n),
-        [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])],
-        (lambda: _penalty(params, batch, spec, categories, eps, store, pair_seed, path_seed,
-                          reg_acc)) if penalized else None,
-    )
+    tasks = [lambda _lane, rows=slice(lo, hi): _batch_ce(params, batch[rows], scores[rows], n)
+             for lo, hi in zip(cuts, cuts[1:])]
+    if penalized:
+        tasks.insert(1, lambda _lane: _penalty(params, batch, spec, categories, eps, store,
+                                               pair_seed, path_seed, reg_acc))
+    parts = lanes.run(tasks)
+    reg_value = parts.pop(1) if penalized else 0.0
     loss, acc = 0.0, GradAccumulator()
     for part_loss, part_acc in parts:
         loss += part_loss
         acc.extend(part_acc)
     acc.extend(reg_acc)
-    reg_value = reg_value if penalized else 0.0
     return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())
 
 
@@ -377,7 +380,9 @@ def load_checkpoint(path):
     """Read a checkpoint back into ``(ModelParams, EpsilonState)``.
 
     Optimizer accumulators are not checkpointed; a NaN epsilon entry
-    reads back as uninitialized.
+    reads back as uninitialized.  A non-finite value in a parameter block
+    raises ``CheckpointError``: its NaN scores would tie with nothing and
+    read as ranks of 0.5.
     """
     try:
         with open(path, "rb") as fh:
@@ -410,5 +415,7 @@ def load_checkpoint(path):
             .copy()
         )
         offset += 8 * count
+        if not np.isfinite(blocks[name]).all():
+            raise CheckpointError(f"checkpoint parameter block {name!r} is not finite")
     epsilon = np.frombuffer(raw, dtype="<f8", count=n_rel, offset=offset).copy()
     return ModelParams(kind, blocks), EpsilonState(epsilon=epsilon, acc=np.zeros(n_rel))

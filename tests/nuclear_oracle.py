@@ -1,5 +1,5 @@
 """Reference nuclear-lab objective built on three-operand ``einsum``, the
-reference stage minimizer and the sequential restart driver.
+reference stage minimizers and the sequential restart driver.
 
 The raw gradients are written per factor with ``np.sum``, broadcasts and
 a masked-division helper, and the penalty term reconstructs the whole
@@ -8,11 +8,14 @@ time.  ``erkg.nuclear`` instead works on the (I*J) x K unfolding with
 matrix products; the two must agree up to rounding.
 
 ``scipy_minimize`` runs a stage through ``scipy.optimize.minimize``;
-``erkg.nuclear.minimize`` drives the same L-BFGS-B core itself and must
-give bitwise the same iterates, iteration counts and objective calls.
+``minimize`` runs it by ``erkg.nuclear._lbfgsb``, which drives the same
+L-BFGS-B core itself, and must give bitwise the same iterates, iteration
+counts and objective calls.
 
 ``optimize`` runs each restart's stages one after the other through a
-stage minimizer, on a per-restart objective; ``erkg.nuclear._optimize``
+stage minimizer, by default ``minimize``, on a per-restart objective; it
+is the sequential driver the lab ran before its restarts ran in
+lockstep.  ``erkg.nuclear._optimize``
 runs every restart of a check in lockstep on one stacked objective, and
 each restart must reach bitwise the same iterate with the same objective
 calls and iterations.  ``lockstep_records`` reads those per restart from
@@ -20,6 +23,7 @@ the lockstep driver.
 """
 
 import contextlib
+import types
 
 import numpy as np
 
@@ -42,6 +46,18 @@ def scipy_minimize(fun, x0):
         "gtol": nuclear.STAGE_GTOL,
     }
     return minimize(fun, x0, jac=True, method="L-BFGS-B", options=options)
+
+
+def minimize(fun, x0):
+    """One stage of ``erkg.nuclear._lbfgsb`` from ``x0`` on
+    ``fun(x) -> (value, gradient)``, its ``x`` and ``nit`` as scipy names them."""
+    stage, reply = nuclear._lbfgsb(x0, None), None
+    try:
+        while True:
+            reply = fun(stage.send(reply)[0])
+    except StopIteration as stop:
+        x, nit = stop.value
+        return types.SimpleNamespace(x=x, nit=nit)
 
 
 def cp(P, R, Q):
@@ -132,13 +148,13 @@ def stage_objective(theta, X, D, raw_grads, mu):
     return val, np.concatenate([gP.ravel(), gR.ravel(), gQ.ravel()])
 
 
-def multi_restart(instance, raw_grads, salt, restarts, minimize=None, record=None, memo=None):
+def multi_restart(instance, raw_grads, salt, restarts, minimize=minimize, record=None,
+                  memo=None):
     """Best feasible restart of one set, each restart's stages run in turn
-    by ``minimize`` (default ``erkg.nuclear.minimize``) on the objective
+    by ``minimize`` (default this module's ``minimize``) on the objective
     of one restart.  Each restart appends ``{"calls", "nit", "x"}`` to
     ``record``.  A restart depends only on the instance, ``salt`` and its
     index, so with a ``memo`` dict it runs once per instance."""
-    minimize = minimize or nuclear.minimize
     if restarts < 1:
         raise ConfigError("restarts must be >= 1")
     X = instance.target
@@ -216,7 +232,7 @@ def multi_restart(instance, raw_grads, salt, restarts, minimize=None, record=Non
     return nuclear._OptResult(*best, n_feasible)
 
 
-def optimize(instance, names, restarts, minimize=None, record=None, memo=None):
+def optimize(instance, names, restarts, minimize=minimize, record=None, memo=None):
     """``erkg.nuclear._optimize`` by ``multi_restart``, one set after the other."""
     return [multi_restart(instance, *nuclear._raw_set(instance, name), restarts, minimize,
                           record, memo)
@@ -224,7 +240,7 @@ def optimize(instance, names, restarts, minimize=None, record=None, memo=None):
 
 
 @contextlib.contextmanager
-def sequential(minimize=None, memo=None):
+def sequential(minimize=minimize, memo=None):
     """Inside the block ``erkg.nuclear`` optimizes by ``optimize``; yields
     the list of per-restart records it fills.  A ``memo`` must be used
     for one instance only."""
@@ -266,10 +282,10 @@ def lockstep_records():
             rec["x"] = stop.value[0]
             return stop.value
 
-    def stage(x0, mu=None):
-        result = yield from real_stage(x0, mu)
-        current[0]["nit"] += result.nit
-        return result
+    def stage(x0, mu):
+        x, nit = yield from real_stage(x0, mu)
+        current[0]["nit"] += nit
+        return x, nit
 
     nuclear._restart, nuclear._lbfgsb = restart, stage
     try:

@@ -388,6 +388,23 @@ class TestEvaluate:
         )
         assert code == 2
 
+    def test_non_finite_checkpoint_exits_2(self, synth_dir, tmp_path, capsys):
+        from erkg.models import ModelKind, init_params
+        from erkg.regularizers import EpsilonState
+        from erkg.training import save_checkpoint
+
+        splits = [str(synth_dir / f"{split}.txt") for split in ("train", "valid", "test")]
+        vocab = data.add_reciprocals(data.load_dataset(*splits)).vocab
+        params = init_params(ModelKind.DISTMULT, vocab.n_entities, vocab.n_relations, 8, seed=0)
+        params.blocks()["ent"][:] = float("nan")
+        save_checkpoint(params, EpsilonState.create(vocab.n_relations), tmp_path / "nan.ckpt")
+        code = run_cli(
+            "evaluate", "--checkpoint", str(tmp_path / "nan.ckpt"),
+            "--train", splits[0], "--valid", splits[1], "--test", splits[2],
+        )
+        assert code == 2
+        assert "'ent' is not finite" in capsys.readouterr().err
+
     def test_missing_checkpoint_exits_2(self, synth_dir, tmp_path, capsys):
         code = run_cli(
             "evaluate", "--checkpoint", str(tmp_path / "missing.erkg"),
@@ -522,6 +539,13 @@ class TestGridsearch:
             )
             assert run_cli("gridsearch", "--config", str(cfg)) == 2
             assert "grid.learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["lambda", "learning_rate"])
+    def test_empty_grid_list_exits_2(self, synth_dir, tmp_path, capsys, key):
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run", grid={key: []})
+        assert run_cli("gridsearch", "--config", str(cfg)) == 2
+        assert f"grid.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_empty_valid_split_exits_2_before_training(
         self, synth_dir, tmp_path, capsys, monkeypatch

@@ -185,12 +185,11 @@ def test_bench_hook_contract():
 
 
 def test_bench_layers_find_every_hook():
-    """Every name the traced benchmark wraps exists, one traced epoch and
-    evaluation feed the merge, Adagrad and score-backward counts, one
-    traced nuclear check passes through the wrapped raw objectives, and
-    one stage of the wrapped minimizer feeds the stage and iteration
-    counts and the objective spans.  (The check's lockstep driver runs
-    its stages without ``nuclear.minimize``.)"""
+    """Every name the traced benchmark wraps exists but the sequential
+    stage driver ``nuclear.minimize``, which the lockstep driver replaced;
+    one traced epoch and evaluation feed the merge, Adagrad and
+    score-backward counts, and one traced nuclear check passes through
+    the wrapped raw objectives."""
     from bench import layers
     from bench.tracer import Tracer
     from erkg import nuclear, ranking, training
@@ -200,17 +199,13 @@ def test_bench_layers_find_every_hook():
     tr = Tracer()
     layers.install(tr)
     try:
-        assert tr.absent == []
+        assert tr.absent == ["erkg.nuclear.minimize"]
         params = training.train(training.TrainConfig(model="complex", dim=4, epochs=1), store)[0]
         ranking.evaluate(params, store.train, build_filter_index(store))
         nuclear.check_instance(nuclear.make_instance(2, 1, 2, 1, 2, "bilinear", 0), "amgm4", 1)
-        nuclear.minimize(lambda x: (float(x @ x), 2.0 * x), np.ones(4))
     finally:
         tr.uninstall()
     for name in ("grads.finalize.rows_in", "training.adagrad.rows",
-                 "models.backward_all_tails.flop", "ranking.queries",
-                 "nuclear.stages", "nuclear.lbfgs.iterations"):
+                 "models.backward_all_tails.flop", "ranking.queries"):
         assert tr.counts[name] > 0, name
-    spans = tr.summary()
-    for name in ("nuclear.objective", "nuclear.raw_grads"):
-        assert spans[name]["calls"] > 0, name
+    assert tr.summary()["nuclear.raw_grads"]["calls"] > 0

@@ -1,8 +1,11 @@
-"""``lanes.run`` and ``lanes.pinned``: results in part order whichever lane
-ran which part, both lanes awaited, no thread left behind, and OpenBLAS
+"""``lanes.run`` and ``lanes.pinned``: results in task order whichever lane
+ran which task, the calling thread starting on task 1 however fast the
+worker starts, both lanes awaited, no thread left behind, and OpenBLAS
 held to one thread while the lanes run and restored after, or left alone
 when its library or symbols are not found."""
 
+import ast
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -28,6 +31,11 @@ from test_batch_objective import outcome_bytes
 PACKAGES = tuple(lanes._LIBRARIES)
 needs_blas = pytest.mark.skipif(not all(lanes._openblas(p) for p in PACKAGES),
                                 reason="no bundled OpenBLAS found")
+
+
+def tasks(work, parts):
+    """One task per part, running ``work(part, lane)``."""
+    return [lambda lane, part=part: work(part, lane) for part in parts]
 
 
 def blas_threads():
@@ -141,10 +149,10 @@ def test_checkpoint_is_the_same_run_to_run(graph, tmp_path):
 
 def test_results_in_part_order_and_no_thread_left():
     before = set(threading.enumerate())
-    results, value = lanes.run(lambda part, lane: part * part, list(range(9)), lambda: "here")
-    assert results == [k * k for k in range(9)] and value == "here"
+    results = lanes.run(tasks(lambda part, lane: part * part, range(9)))
+    assert results == [k * k for k in range(9)]
     with pytest.raises(ZeroDivisionError):
-        lanes.run(lambda part, lane: 1 / part, [3, 0, 2, 1])
+        lanes.run(tasks(lambda part, lane: 1 / part, [3, 0, 2, 1]))
     assert set(threading.enumerate()) == before
 
 
@@ -154,8 +162,8 @@ def test_every_part_runs_once_under_fast_switching():
     calls, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results, _ = lanes.run(lambda part, lane: calls.append((part, lane)) or -part,
-                               range(2000))
+        results = lanes.run(tasks(lambda part, lane: calls.append((part, lane)) or -part,
+                                  range(2000)))
     finally:
         sys.setswitchinterval(interval)
     assert sorted(part for part, _ in calls) == list(range(2000))
@@ -170,13 +178,30 @@ def test_calling_thread_error_wins():
         raise (KeyError if threading.current_thread() is calling else ValueError)(part)
 
     with pytest.raises(KeyError):
-        lanes.run(fail, [0, 1])
+        lanes.run(tasks(fail, [0, 1]))
+
+
+def test_calling_thread_starts_on_task_1(monkeypatch):
+    """A worker that starts 0.2 s before the calling thread goes on, long
+    enough to finish task 0 and claim again, still leaves task 1 to the
+    calling thread: both first claims are drawn before it starts."""
+    submit = concurrent.futures.ThreadPoolExecutor.submit
+
+    def submit_and_sleep(*args, **kwargs):
+        future = submit(*args, **kwargs)
+        time.sleep(0.2)
+        return future
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", submit_and_sleep)
+    calling = threading.current_thread()
+    here = lanes.run(tasks(lambda part, lane: threading.current_thread() is calling, range(3)))
+    assert here[:2] == [False, True]
 
 
 @needs_blas
 def test_lanes_pin_numpy_blas_and_restore_it(two_blas_threads):
     during = []
-    lanes.run(lambda part, lane: during.append(blas_threads()), [0, 1, 2])
+    lanes.run(tasks(lambda part, lane: during.append(blas_threads()), [0, 1, 2]))
     assert during == [(1, 2)] * 3 and blas_threads() == (2, 2)
     with lanes.pinned("numpy", "scipy"):
         with lanes.pinned("numpy"):
@@ -188,7 +213,7 @@ def test_lanes_pin_numpy_blas_and_restore_it(two_blas_threads):
 @needs_blas
 def test_one_part_leaves_blas_alone(two_blas_threads):
     during = []
-    lanes.run(lambda part, lane: during.append(blas_threads()), [0])
+    lanes.run(tasks(lambda part, lane: during.append(blas_threads()), [0]))
     assert during == [(2, 2)]
 
 
@@ -274,3 +299,44 @@ def test_import_looks_up_no_blas():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.split() == ["{}", "False"]
+
+
+def _named_calls(node, function=""):
+    """``(enclosing function, called name)`` of every call under ``node``,
+    by the innermost function around it ("" at module level)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call):
+        yield function, getattr(node.func, "id", getattr(node.func, "attr", None))
+    for child in ast.iter_child_nodes(node):
+        yield from _named_calls(child, function)
+
+
+def _names(node):
+    """What ``node`` names: a name, an attribute, or each dotted part of an import."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        dotted = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+        return [part for name in dotted for part in name.split(".")]
+    return []
+
+
+def test_threads_and_the_lbfgsb_core_have_one_place_each():
+    """Only ``lanes`` names ``threading`` or ``ThreadPoolExecutor``, only
+    ``nuclear._restart`` calls the stage loop ``_lbfgsb``, and only
+    ``_lbfgsb`` calls scipy's L-BFGS-B core ``setulb``."""
+    threads, calls = set(), {"_lbfgsb": set(), "setulb": set()}
+    for path in sorted(Path(lanes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {name for node in ast.walk(tree) for name in _names(node)}
+        if named & {"threading", "ThreadPoolExecutor"}:
+            threads.add(path.name)
+        for function, name in _named_calls(tree):
+            if name in calls:
+                calls[name].add((path.name, function))
+    assert threads == {"lanes.py"}
+    assert calls == {"_lbfgsb": {("nuclear.py", "_restart")},
+                     "setulb": {("nuclear.py", "_lbfgsb")}}

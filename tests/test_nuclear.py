@@ -34,7 +34,7 @@ def test_scipy_is_a_declared_dependency():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
     assert any(d.split(">")[0].split("=")[0].strip() == "scipy" for d in deps)
-    # nuclear.minimize calls the 17-argument setulb of scipy's C port of
+    # nuclear._lbfgsb calls the 17-argument setulb of scipy's C port of
     # L-BFGS-B, first released in scipy 1.15
     floors = dict(re.fullmatch(r"([\w.-]+)\s*>=\s*([\d.]+)", d).groups() for d in deps)
     assert tuple(map(int, floors["scipy"].split("."))) >= (1, 15)

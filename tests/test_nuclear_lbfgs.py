@@ -1,7 +1,8 @@
 """The nuclear lab's own L-BFGS-B loop against ``scipy.optimize.minimize``.
 
-``nuclear.minimize`` drives scipy's compiled L-BFGS-B core directly; the
-oracle (``tests/nuclear_oracle.py::scipy_minimize``) runs the same stage
+``nuclear._lbfgsb`` drives scipy's compiled L-BFGS-B core directly, one
+stage of it run by ``tests/nuclear_oracle.py::minimize``; the oracle
+(``tests/nuclear_oracle.py::scipy_minimize``) runs the same stage
 through scipy's wrapper.  The iteration and evaluation limits and
 non-finite objectives must go exactly the same way on both, and whole
 checks by the lockstep driver exactly as by the sequential oracle driver
@@ -21,9 +22,9 @@ import pytest
 from erkg import cli, nuclear
 from erkg.errors import ConfigError, InfeasibleError
 from erkg.nuclear import VARIANTS, check_instance, make_instance
-from nuclear_oracle import lockstep_records, scipy_minimize, sequential
+from nuclear_oracle import lockstep_records, minimize, scipy_minimize, sequential
 
-DRIVER = nuclear.minimize
+DRIVER = minimize
 
 
 def _counting(minimizer, tally):
@@ -170,7 +171,7 @@ def _lbfgsb_module(monkeypatch, **attrs):
 def test_missing_core_is_a_config_error(monkeypatch):
     _lbfgsb_module(monkeypatch)
     with pytest.raises(ConfigError, match="scipy >= 1.15"):
-        nuclear.minimize(_smooth, X0)
+        DRIVER(_smooth, X0)
 
 
 def test_core_with_another_signature_exits_2(monkeypatch, capsys):
@@ -180,7 +181,7 @@ def test_core_with_another_signature_exits_2(monkeypatch, capsys):
 
     _lbfgsb_module(monkeypatch, setulb=setulb)
     with pytest.raises(ConfigError, match="scipy >= 1.15"):
-        nuclear.minimize(_smooth, X0)
+        DRIVER(_smooth, X0)
     assert cli.main(["verify-theorems", "--seeds", "1", "--restarts", "1"]) == 2
     assert "scipy >= 1.15" in capsys.readouterr().err
 

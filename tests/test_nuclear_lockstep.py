@@ -2,7 +2,7 @@
 
 ``erkg.nuclear`` runs every restart of a check in lockstep on one stacked
 stage objective; ``nuclear_oracle.optimize`` runs each restart's stages
-in turn on the objective of one restart, through ``nuclear.minimize``.
+in turn on the objective of one restart, through ``nuclear_oracle.minimize``.
 Each restart must reach bitwise the same iterate with the same objective
 calls and L-BFGS-B iterations, and every report field must be bitwise
 the same, also when some restarts end infeasible or meet non-finite

@@ -12,7 +12,7 @@ import erkg.training as training
 from erkg.data import TripleStore, Vocab, add_reciprocals, generate_synthetic
 from erkg.errors import CheckpointError, ConfigError, NumericError
 from erkg.models import ModelKind, forward_all_tails, init_params
-from erkg.regularizers import EpsilonState, RegularizerSpec
+from erkg.regularizers import EpsilonState, RegularizerSpec, sample_path_pairs, select_pairs
 from erkg.training import TrainConfig, load_checkpoint, save_checkpoint, train
 from oracles import adagrad_update, cross_entropy_loss
 
@@ -402,6 +402,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        """A non-finite parameter is refused; NaN thresholds, which mark
+        unset ones, still load."""
+        params = init_params(ModelKind.DISTMULT, 5, 2, 4, seed=12)
+        params.blocks()["rel"][1, 2] = value
+        path = tmp_path / "n.ckpt"
+        save_checkpoint(params, EpsilonState.create(2), path)
+        with pytest.raises(CheckpointError, match="'rel' is not finite"):
+            load_checkpoint(path)
+        params.blocks()["rel"][1, 2] = 0.5
+        save_checkpoint(params, EpsilonState.create(2), path)
+        assert np.isnan(load_checkpoint(path)[1].epsilon).all()
+
     def test_truncation_rejected(self, tmp_path):
         params = init_params(ModelKind.DISTMULT, 5, 2, 4, seed=12)
         eps = EpsilonState.create(2)
@@ -444,3 +458,23 @@ class TestCheckpoint:
         payload = (10 * 8 + 4 * 8 * 8) * 8
         eps_bytes = 4 * 8
         assert path.stat().st_size == header + payload + eps_bytes
+
+
+@pytest.mark.parametrize("call", ["init_params", "select_pairs", "sample_path_pairs",
+                                  "batch_objective"])
+def test_negative_seed_is_a_config_error(call):
+    store, categories = generate_synthetic(60, 3, 3, 40, 0.05, seed=1)
+    store = add_reciprocals(store)
+    params = init_params("distmult", store.vocab.n_entities, store.vocab.n_relations, 4, 0)
+    batch = store.train[:32]
+    spec = RegularizerSpec(kind="er", lam=0.05, er_mode="joint")
+    calls = {
+        "init_params": lambda: init_params("distmult", 5, 2, 4, seed=-1),
+        "select_pairs": lambda: select_pairs(batch, 4, -1),
+        "sample_path_pairs": lambda: sample_path_pairs(store, batch, 4, -1),
+        "batch_objective": lambda: training.batch_objective(
+            params, batch, spec, categories, EpsilonState.create(store.vocab.n_relations),
+            store, pair_seed=-1),
+    }
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+        calls[call]()
