@@ -7,10 +7,11 @@ first claims are drawn before the worker starts: a worker that claimed
 task 1 would run the calling thread's task, and the memory it allocates
 would grow the worker's own malloc arena.  Once a lane raises no task
 is handed out; both lanes are awaited, and if both raise, the calling
-thread's error is.  With at most one task no thread starts.  Meanwhile
-numpy's bundled OpenBLAS is held to one thread (``pinned``), so its
-threads do not compete with the lanes; a library or symbol that is not
-found is left alone.
+thread's error is.  With at most one task no thread starts.  While the
+tasks run, however many there are, numpy's bundled OpenBLAS is held to
+one thread (``pinned``), so its threads do not compete with the lanes
+and a task's bits do not depend on the task count; a library or symbol
+that is not found is left alone.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def pinned(*packages):
 def run(tasks):
     """``[task(lane) for task in tasks]`` on two lanes."""
     if len(tasks) < 2:
-        return [task(0) for task in tasks]
+        with pinned("numpy"):
+            return [task(0) for task in tasks]
     from concurrent.futures import ThreadPoolExecutor
 
     results, counter, failed = [None] * len(tasks), itertools.count(), []

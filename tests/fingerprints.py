@@ -1,6 +1,7 @@
 """Fingerprints of one training epoch for every supported (kind, penalty)
-pair: the sha1 of the dim-16 checkpoint and the ``repr`` of the epoch's
-loss and regularizer value, one line per pair.
+pair: the sha1 of the dim-16 checkpoint, the ``repr`` of the epoch's
+loss and regularizer value, and the sha1 of the checkpoint's filtered
+valid-split ranks (mean ties), one line per pair.
 
 Two checkouts train the same numbers when their outputs are equal.  Run
 from the repository root:
@@ -11,8 +12,11 @@ from the repository root:
 With no pairs named every supported pair runs.  ``er`` runs in joint mode
 with second-order paths on.  ``--against SAVED`` compares with an earlier
 output saved to a file: each pair prints ``same``, or its new digest with
-the relative move of its loss and regularizer value (``new`` for a pair
-absent from SAVED), and the exit status is 1 if any pair differs.
+the relative move of its loss and regularizer value and, if they moved,
+its new ranks digest (``new`` for a pair absent from SAVED), and the
+exit status is 1 if any pair differs.  A saved line without a ranks
+digest, as written before ranks were fingerprinted, is compared on its
+other fields.
 """
 
 import argparse
@@ -24,6 +28,7 @@ from pathlib import Path
 from erkg.data import add_reciprocals, generate_synthetic
 from erkg.errors import ConfigError
 from erkg.models import ModelKind
+from erkg.ranking import evaluate
 from erkg.regularizers import RegularizerSpec
 from erkg.training import TrainConfig, save_checkpoint, train
 
@@ -55,7 +60,9 @@ def fingerprint(store, pair: str, workdir: Path) -> str:
     save_checkpoint(params, eps, path)
     record = history.records[0]
     digest = hashlib.sha1(path.read_bytes()).hexdigest()
-    return f"{kind} {penalty} {digest} {record.loss!r} {record.reg_value!r}"
+    ranks = evaluate(params, store.valid, store.filter_index, keep_ranks=True).per_query_ranks
+    ranks_digest = hashlib.sha1(ranks.tobytes()).hexdigest()
+    return f"{kind} {penalty} {digest} {record.loss!r} {record.reg_value!r} {ranks_digest}"
 
 
 def fingerprint_store():
@@ -71,15 +78,18 @@ def relative_move(new: str, old: str) -> float:
 
 def compare(line: str, saved: dict[tuple[str, str], list[str]]) -> str:
     """``kind penalty`` and ``same``, ``new``, or the new digest with the
-    relative moves of loss and regularizer against ``saved``."""
-    kind, penalty, digest, loss, reg = line.split()
+    relative moves of loss and regularizer against ``saved`` and the new
+    ranks digest if it moved."""
+    kind, penalty, *new = line.split()
     old = saved.get((kind, penalty))
     if old is None:
         return f"{kind} {penalty} new"
-    if old == [digest, loss, reg]:
+    if old == new[: len(old)]:
         return f"{kind} {penalty} same"
+    digest, loss, reg, ranks = new
+    moved = f" ranks {ranks}" if len(old) > 3 and old[3] != ranks else ""
     return (f"{kind} {penalty} {digest} loss {relative_move(loss, old[1]):.1e} "
-            f"reg {relative_move(reg, old[2]):.1e}")
+            f"reg {relative_move(reg, old[2]):.1e}{moved}")
 
 
 def main(argv: list[str]) -> int:

@@ -6,7 +6,6 @@ operator takes ``R = table[rels]``, one relation row per input row, and
 its ``vjp`` returns one relation-gradient row per input row, RESCAL's
 through ``einsum``.  ``tests/penalty_oracle.py`` is written on it."""
 
-import contextlib
 import logging
 import math
 from dataclasses import dataclass
@@ -375,13 +374,13 @@ def batch_objective_whole(params, batch, spec, categories=None, eps=None, store=
 
 def evaluate(params, test, filter_index, ks=(1, 10), tie="mean", keep_ranks=False, chunk=256):
     """``ranking.evaluate`` one chunk after another on the calling thread,
-    each chunk's scores in a fresh array from ``models.forward_all_tails``.
-    Over more than one chunk OpenBLAS is held to one thread, as the
-    program's lanes hold it."""
+    each chunk's scores in a fresh array from ``models.forward_all_tails``
+    and its ranks counted along ``axis=1`` of whole-chunk compares.
+    OpenBLAS is held to one thread, as the program's lanes hold it."""
     test = check_triples(params, test, "evaluation set")
     weight = {"mean": 0.5, "optimistic": 0.0, "pessimistic": 1.0}[tie]
     ranks = np.empty(len(test))
-    with lanes.pinned("numpy") if len(test) > chunk else contextlib.nullcontext():
+    with lanes.pinned("numpy"):
         for start in range(0, len(test), chunk):
             part = test[start : start + chunk]
             rows, targets = np.arange(len(part)), part[:, 2]

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -813,3 +816,13 @@ def test_flag_value_table(synth_dir, tmp_path, capsys, command, flag, value, out
         return
     code = _exit_code(argv)
     _check_outcome(code, outcome, capsys.readouterr().err, flag.lstrip("-").replace("-", "_"))
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m erkg`` reaches ``cli.main`` from a source checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-m", "erkg", "--help"], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "verify-theorems" in out.stdout

@@ -211,10 +211,12 @@ def test_lanes_pin_numpy_blas_and_restore_it(two_blas_threads):
 
 
 @needs_blas
-def test_one_part_leaves_blas_alone(two_blas_threads):
+def test_one_task_pins_numpy_blas(two_blas_threads):
+    """A lone task runs on the calling thread with numpy's OpenBLAS at one
+    thread, as each task of a longer list does, and the count is restored."""
     during = []
     lanes.run(tasks(lambda part, lane: during.append(blas_threads()), [0]))
-    assert during == [(2, 2)]
+    assert during == [(1, 2)] and blas_threads() == (2, 2)
 
 
 @needs_blas

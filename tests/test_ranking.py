@@ -374,6 +374,59 @@ class TestThreadedChunks:
         assert report_bytes(got) == report_bytes(want)
 
 
+# Rows of ``blocked_ties_problem``: query 9's head row is NaN, so its
+# target ties nothing (ties -1) and query 10's target ties one other
+# candidate; at every chunk size but 1 they share a block, whose count of
+# equal scores is then its row count although it holds ties.  The other
+# tied rows sit in a few blocks and leave every other block tie-free.
+NAN_ROW = 9
+TIED = {10: 1, 44: 2, 45: 2, 127: 2, 130: 1}
+
+
+def blocked_ties_problem(kind):
+    """150 queries over 40 entities whose tails avoid the tied entities
+    2, 3 and 5, 6, 7 except in the rows of ``TIED``, and the NaN head 0
+    except in ``NAN_ROW``; the filter's known tails avoid them too."""
+    rng = np.random.default_rng(31)
+    n_ent, n_rel, plain = 40, 3, np.arange(8, 40)
+    params = init_params(kind, n_ent, n_rel, 4, seed=32)
+    params.tail_table[3] = params.tail_table[2]
+    params.tail_table[[6, 7]] = params.tail_table[5]
+    params.head_table[0] = np.nan
+
+    def draw(n):
+        return np.stack([rng.integers(1, n_ent, n), rng.integers(0, n_rel, n),
+                         rng.choice(plain, n)], axis=1).astype(np.int64)
+
+    test = draw(150)
+    test[list(TIED), 2] = [2, 5, 6, 7, 3]
+    test[NAN_ROW, 0] = 0
+    vocab = Vocab({f"e{i}": i for i in range(n_ent)}, {f"r{i}": i for i in range(n_rel)})
+    empty = np.empty((0, 3), dtype=np.int64)
+    return params, test, build_filter_index(TripleStore(draw(200), empty, empty, vocab))
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")  # the NaN row's pessimistic rank is 0
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_block_counts_match_the_whole_chunk_counts(kind):
+    """Ranks counted in row blocks, each counting ties per row only when
+    it holds some or a NaN target, are bitwise the ``axis=1`` counts of
+    ``oracles.evaluate`` at chunk sizes around the block size."""
+    params, test, filter_index = blocked_ties_problem(kind)
+    ranks = {tie: oracles.evaluate(params, test, filter_index, tie=tie,
+                                   keep_ranks=True).per_query_ranks for tie in TIE_POLICIES}
+    expected = np.zeros(len(test))
+    expected[list(TIED)] = list(TIED.values())
+    expected[NAN_ROW] = -1
+    assert np.array_equal(ranks["pessimistic"] - ranks["optimistic"], expected)
+    for chunk in (1, 7, 8, 9, 17, 128):
+        for tie in TIE_POLICIES:
+            got = evaluate(params, test, filter_index, tie=tie, keep_ranks=True, chunk=chunk)
+            want = oracles.evaluate(params, test, filter_index, tie=tie, keep_ranks=True,
+                                    chunk=chunk)
+            assert report_bytes(got) == report_bytes(want), (chunk, tie)
+
+
 def test_default_chunk_reproduces_the_chunk_256_report():
     """The report and ranks of 1,000 ComplEx queries over 2,000 entities,
     recorded at ``chunk`` 256 on one thread before the default became 128
