@@ -12,21 +12,27 @@ parts, already scaled by their coefficients, to an accumulator of their
 own, and ``training.batch_objective`` appends them in a fixed order,
 the loss parts' first (``extend``), before it merges them.
 
-Rows sharing an index are summed by ``merge_rows``: it sorts the
-indices of all sparse parts once (``data.sorted_runs``), then adds each
-part with one sparse product, an (unique rows x part rows) 0/1 matrix in
-CSR form, read off the sort's order, times the part's rows flattened to
-2-D.  No part is copied into a combined matrix, so the merge needs
-memory for its output only.  The result equals a row-by-row
-scatter-add (numpy's ``ufunc.at``) up to the grouping of the sums: each
-part's rows are summed before they are added to the running total.
+Rows sharing an index are summed by ``merge_rows``, one part at a
+time: the part's indices are sorted (``data.sorted_runs``), and scipy's
+compiled CSR kernel ``csr_matvecs`` adds each run of equal indices,
+row by row in the part's order, into a fresh block of the part's
+distinct rows, which is then added into its rows of the output.  The
+kernel is loaded on its own (``lanes.scipy_function``), so training
+imports no ``scipy.sparse``.  No part is copied: besides its output
+the merge holds one part's sums at a time, and the rows of the output
+they are added to.  The result equals a row-by-row scatter-add
+(numpy's ``ufunc.at``) up to the grouping of the sums: each part's rows
+are summed before they are added to the running total.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .data import sorted_runs
+from . import lanes
+from .data import run_ids, sorted_runs
 
 GradSet = dict[str, tuple[np.ndarray | None, np.ndarray]]
 
@@ -36,35 +42,27 @@ def merge_rows(parts, out: np.ndarray | None = None):
 
     Returns ``(sorted unique indices, summed rows)``.  Given ``out``, the
     sums are added into those rows of ``out`` instead, and ``(None, out)``
-    comes back.
+    comes back.  Each part is summed on its own into a zero block of its
+    distinct rows, then added in part order, so every output row is
+    ``(out or +0.0) + part 0's sum + part 1's sum + ...`` over the parts
+    that hold it.
     """
-    import scipy.sparse  # loaded on the first merge, not by ``import erkg``
-    lens = [len(idx) for idx, _ in parts]
-    index = np.concatenate([idx for idx, _ in parts])
-    order, starts = sorted_runs([index])
-    uniq = index[order[starts]]
-    # Per sorted row: its part and its unique row.
-    part = np.repeat(np.arange(len(parts)), lens)[order]
-    run = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(order))))
+    csr_matvecs = lanes.scipy_function("sparse._sparsetools", "csr_matvecs")
+    runs = [sorted_runs([idx]) for idx, _ in parts]
+    rows = [idx[order[starts]] for (idx, _), (order, starts) in zip(parts, runs)]
+    uniq, places = None, rows  # each part's distinct rows, as rows of ``out``
     if out is None:
-        rows = np.zeros((len(uniq),) + parts[0][1].shape[1:])
-    else:
-        rows = out[uniq]
-    pos = 0
-    for p, (idx, arr) in enumerate(parts):
-        n = lens[p]
-        if n:
-            mine = part == p
-            indptr = np.searchsorted(run[mine], np.arange(len(uniq) + 1))
-            select = scipy.sparse.csr_matrix(
-                (np.ones(n), order[mine] - pos, indptr), shape=(len(uniq), n)
-            )
-            rows += (select @ arr.reshape(n, -1)).reshape(rows.shape)
-        pos += n
-    if out is None:
-        return uniq, rows
-    out[uniq] = rows
-    return None, out
+        index = np.concatenate(rows)
+        order, starts = sorted_runs([index])
+        uniq = index[order[starts]]
+        out = np.zeros((len(uniq),) + parts[0][1].shape[1:])
+        places = np.split(run_ids(order, starts), np.cumsum([len(r) for r in rows])[:-1])
+    for (idx, arr), (order, starts), at in zip(parts, runs, places):
+        n, width = len(idx), math.prod(arr.shape[1:])
+        sums = np.zeros((len(at),) + arr.shape[1:])
+        csr_matvecs(len(at), n, width, np.append(starts, n), order, np.ones(n), arr, sums)
+        out[at] += sums
+    return uniq, out
 
 
 class GradAccumulator:

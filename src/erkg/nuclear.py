@@ -33,8 +33,9 @@ The stages run on the lab's own L-BFGS-B loop, ``_lbfgsb``, around
 scipy's compiled core (Byrd, Lu, Nocedal and Zhu 1995).  It makes the
 calls ``scipy.optimize.minimize`` makes, so iterates are bitwise the
 same, without the wrappers, which cost about as much per call as the
-objective on a few dozen numbers; ``scipy.optimize`` is imported by the
-first stage, not by ``import erkg``.
+objective on a few dozen numbers.  The first stage loads the core's
+extension module on its own (``lanes.scipy_function``), so
+``scipy.optimize`` is never imported.
 
 A check runs all its restarts, the variant's and the nuclear norm's, in
 lockstep: the core works by reverse communication, so each restart
@@ -53,10 +54,7 @@ and its P- and R-gradients the sums over j and over i of (E Q) * R and
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
@@ -240,23 +238,6 @@ def _stage_objective(T, scale, X, groups):
 # Penalty-method minimization, every restart of a check in lockstep.
 
 
-def _setulb():
-    """scipy's compiled L-BFGS-B core.  Its extension module is loaded on its
-    own unless already imported: importing it by name would first import
-    ``scipy.optimize``, about 0.6 s and 50 MB, more than a short check."""
-    name = "scipy.optimize._lbfgsb"
-    try:
-        if name not in sys.modules:
-            import scipy
-
-            spec = PathFinder.find_spec(name, [f"{scipy.__path__[0]}/optimize"])
-            sys.modules[name] = module_from_spec(spec)
-            spec.loader.exec_module(sys.modules[name])
-        return sys.modules[name].setulb
-    except (ImportError, AttributeError) as exc:
-        raise ConfigError(f"the nuclear lab needs scipy >= 1.15: {exc}") from exc
-
-
 def _lbfgsb(x0, mu):
     """One unbounded L-BFGS-B stage from ``x0``, the loop of scipy's
     ``_minimize_lbfgsb`` around ``setulb``: yields ``(x, mu)`` at x0 and at
@@ -264,7 +245,7 @@ def _lbfgsb(x0, mu):
     takes back ``(value, gradient)``, and returns ``(x, iterations)``
     after ``STAGE_ITERS`` iterations, after the iteration in which the
     evaluations exceed ``STAGE_MAXFUN``, or when the core stops."""
-    setulb = _setulb()
+    setulb = lanes.scipy_function("optimize._lbfgsb", "setulb")
     x = np.array(x0, dtype=np.float64).ravel()
     m, n = STAGE_MEMORY, x.size
     last_x = x.copy()

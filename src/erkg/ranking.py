@@ -28,7 +28,7 @@ import numpy as np
 
 from . import lanes
 from .data import KeyedCSR, pair_key
-from .errors import ConfigError, typed
+from .errors import ConfigError, NumericError, typed
 from .models import ModelParams, check_triples, forward_all_tails
 
 # A rank is 1 + (candidates scored above the target) + weight x (others tied).
@@ -70,12 +70,13 @@ def evaluate(
     buffer: candidates above each target are counted row by row (numpy
     counts single rows faster than along ``axis=1``), then equal scores
     once over the whole block.  That count is the block's row count when
-    each target ties only itself, so its ties are 0; otherwise, or when a
-    target score is NaN (it equals nothing), the block counts its ties
-    row by row.
+    each target ties only itself, so its ties are 0; otherwise the block
+    counts its ties row by row.
 
     ``ConfigError`` for an empty query set, a query id outside the
-    model's tables or a ``chunk`` that is not an integer >= 1.  Errors
+    model's tables or a ``chunk`` that is not an integer >= 1.
+    ``NumericError`` when a target score is NaN: it is neither above,
+    below nor tied with any score, so its rank is undefined.  Errors
     from the chunks are raised as ``lanes.run`` raises them.
     """
     if tie not in TIE_POLICIES:
@@ -93,6 +94,8 @@ def evaluate(
         rows, targets = np.arange(len(part)), part[:, 2]
         S, _ = forward_all_tails(params, part[:, 0], part[:, 1], out=scores[lane, : len(part)])
         st = S[rows, targets]
+        if np.isnan(st).any():
+            raise NumericError(f"NaN target score in queries {start} to {start + len(part) - 1}")
         src, tails = filter_index.lookup(pair_key(part[:, 0], part[:, 1]))
         S[src, tails] = -np.inf
         S[rows, targets] = st
@@ -103,7 +106,7 @@ def evaluate(
             np.greater(block, target, out=hit)
             above[b : b + len(block)] = [np.count_nonzero(row) for row in hit]
             np.equal(block, target, out=hit)
-            if np.count_nonzero(hit) != len(block) or np.isnan(target).any():
+            if np.count_nonzero(hit) != len(block):
                 ties[b : b + len(block)] = [np.count_nonzero(row) - 1 for row in hit]
         ranks[start : start + len(part)] = 1.0 + above + weight * ties
 

@@ -263,9 +263,6 @@ def train(
     ``NumericError``.
     """
     config.validate()
-    # the gradient merge's scipy.sparse, loaded before any batch array exists so that
-    # its import's transient memory does not add to a batch's peak
-    import scipy.sparse  # noqa: F401
     kind = ModelKind(config.model)
     spec = config.regularizer
     if spec.kind == "er" and spec.er_mode != "joint" and categories is None:

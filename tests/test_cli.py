@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -226,6 +227,17 @@ class TestTrain:
             assert run_cli("train", "--config", str(cfg)) == 3
         err = capsys.readouterr().err
         assert "non-finite Adagrad accumulator" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "checkpoint.erkg").exists()
+
+    def test_missing_merge_kernel_exits_2(self, synth_dir, tmp_path, capsys, monkeypatch):
+        """Without scipy's compiled CSR kernel the first gradient merge
+        raises ``ConfigError`` naming it, and no checkpoint is written."""
+        monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", types.SimpleNamespace())
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        assert run_cli("train", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "scipy >= 1.15 with its compiled scipy.sparse._sparsetools.csr_matvecs" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "checkpoint.erkg").exists()
 

@@ -1,12 +1,19 @@
-"""The gradient merge against the ``np.add.at`` reference merges.
+"""The gradient merge against the reference merges.
 
 ``GradAccumulator.finalize`` is the one merge of a batch: it sums rows
-sharing an index with one sparse product per part, and must agree with
-``np.add.at`` up to the regrouped summation, return strictly increasing
-row indices, and need memory for its output only.
+sharing an index with scipy's CSR kernel, one part at a time, and must
+agree with ``np.add.at`` up to the regrouped summation, equal the
+``scipy.sparse`` product merge it replaced byte for byte, return
+strictly increasing row indices, hold no more than its output and one
+part's sums (with the output rows they are added to), and leave
+``scipy.sparse`` unimported.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +22,7 @@ from erkg.grads import GradAccumulator
 from erkg.training import _batch_ce, batch_objective
 
 from gradcheck import build_problem
-from grads_oracle import densify, densify_add_at, finalize_add_at
+from grads_oracle import densify, densify_add_at, finalize_add_at, finalize_csr
 
 RTOL = 1e-13
 
@@ -41,6 +48,17 @@ def assert_same_sets(got, ref):
         assert_close(got_arr, arr)
 
 
+def assert_same_bytes(got, ref):
+    assert list(got) == list(ref)
+    for name, (idx, arr) in ref.items():
+        got_idx, got_arr = got[name]
+        assert (got_idx is None) == (idx is None), name
+        if idx is not None:
+            assert got_idx.dtype == idx.dtype and got_idx.tobytes() == idx.tobytes(), name
+        assert got_arr.shape == arr.shape and got_arr.dtype == arr.dtype, name
+        assert got_arr.tobytes() == arr.tobytes(), name
+
+
 def random_parts(seed, n_rows, tail, sizes, dense_at=()):
     """Parts of ``sizes`` rows each, indices drawn with many repeats from
     ``n_rows``; the positions in ``dense_at`` hold full dense blocks."""
@@ -56,6 +74,7 @@ def random_parts(seed, n_rows, tail, sizes, dense_at=()):
 
 
 CASES = {
+    "lone-part": ((8,), (300,), ()),
     "sparse-only": ((8,), (300, 120, 7), ()),
     "dense-first": ((8,), (0, 300, 120), (0,)),
     "dense-after-sparse": ((8,), (300, 120, 0, 40), (2,)),
@@ -81,6 +100,23 @@ def test_finalize_matches_add_at(case, seed):
         acc.add("w", idx, arr)
     shapes = {"w": (n_rows,) + tail}
     assert_same_sets(acc.finalize(shapes), finalize_add_at({"w": parts}, shapes))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_finalize_equals_the_csr_product_merge_bytewise(case, seed):
+    """Repeated, lone, empty, 1-D (``eps``), RESCAL-shaped and dense plus
+    sparse parts merge to the bytes of ``finalize_csr``: the kernel adds
+    the same rows in the same order, and the +0.0 that merge added to
+    the rows a part does not hold changes no sum (none is ever -0.0)."""
+    tail, sizes, dense_at = CASES[case]
+    n_rows = 40
+    parts = random_parts(seed, n_rows, tail, sizes, dense_at)
+    acc = GradAccumulator()
+    for idx, arr in parts:
+        acc.add("w", idx, arr)
+    shapes = {"w": (n_rows,) + tail}
+    assert_same_bytes(acc.finalize(shapes), finalize_csr({"w": parts}, shapes))
 
 
 def test_add_set_scale_matches_add_at():
@@ -129,6 +165,53 @@ def test_merge_memory_is_bounded_by_its_output():
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_dense_merge_memory_is_bounded_by_its_output_and_one_part():
+    """Four parts of 1,000 rows of 32 x 32, each on its own 100 of 400
+    relation rows, merge into the dense block of a fifth part (3.3 MB):
+    besides the block, the merge holds one part's sums (0.8 MB) and the
+    rows of the block they are added to, never a copy of all rows the
+    parts hold."""
+    rng = np.random.default_rng(13)
+    acc = GradAccumulator()
+    acc.add("rel", None, rng.normal(size=(400, 32, 32)))
+    for k in range(4):
+        acc.add("rel", rng.integers(100 * k, 100 * (k + 1), size=1000),
+                rng.normal(size=(1000, 32, 32)))
+    block, sums = 400 * 32 * 32 * 8, 100 * 32 * 32 * 8
+    tracemalloc.start()
+    try:
+        idx, rows = acc.finalize({"rel": (400, 32, 32)})["rel"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert idx is None and rows.shape == (400, 32, 32)
+    assert peak < block + 2 * sums + 2**18, f"peak {peak / 2**20:.2f} MB"
+
+
+TRAIN_ONE_EPOCH = """
+import sys
+from erkg.data import add_reciprocals, generate_synthetic
+from erkg.regularizers import RegularizerSpec
+from erkg.training import TrainConfig, train
+store, categories = generate_synthetic(80, 4, 6, 40, 0.05, seed=2)
+spec = RegularizerSpec(kind="er", lam=0.05, er_mode="joint", second_order=True)
+train(TrainConfig(model="complex", dim=8, batch_size=64, epochs=1, regularizer=spec),
+      add_reciprocals(store), categories)
+print(sorted(m for m in ("scipy.sparse", "scipy.optimize") if m in sys.modules))
+"""
+
+
+def test_training_imports_no_scipy_sparse():
+    """One ComplEx + ER epoch merges its gradients with scipy's CSR kernel
+    loaded on its own: neither ``scipy.sparse`` nor ``scipy.optimize``
+    is imported."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", TRAIN_ONE_EPOCH], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("kind", ["cp", "complex", "rescal"])
 def test_backward_all_tails_matches_add_at(kind, monkeypatch):
     """Each of the loss's two row parts (the first 3 of the 5 rows, then
@@ -160,6 +243,7 @@ def test_backward_all_tails_matches_add_at(kind, monkeypatch):
             assert np.array_equal(got_arr, arr), name
     assert len(parts[params.head_key]) > 2 and "eps" in parts
     assert_same_sets(grads, finalize_add_at(parts, params.grad_shapes()))
+    assert_same_bytes(grads, finalize_csr(parts, params.grad_shapes()))
     assert (grads[params.head_key][0] is None) == (params.head_key == params.tail_key)
 
 

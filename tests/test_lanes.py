@@ -303,15 +303,14 @@ def test_import_looks_up_no_blas():
     assert out.stdout.split() == ["{}", "False"]
 
 
-def _named_calls(node, function=""):
-    """``(enclosing function, called name)`` of every call under ``node``,
-    by the innermost function around it ("" at module level)."""
+def _in_functions(node, function=""):
+    """``(enclosing function, node)`` of every node under ``node``, by the
+    innermost function around it ("" at module level)."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         function = node.name
-    if isinstance(node, ast.Call):
-        yield function, getattr(node.func, "id", getattr(node.func, "attr", None))
+    yield function, node
     for child in ast.iter_child_nodes(node):
-        yield from _named_calls(child, function)
+        yield from _in_functions(child, function)
 
 
 def _names(node):
@@ -327,18 +326,26 @@ def _names(node):
 
 
 def test_threads_and_the_lbfgsb_core_have_one_place_each():
-    """Only ``lanes`` names ``threading`` or ``ThreadPoolExecutor``, only
-    ``nuclear._restart`` calls the stage loop ``_lbfgsb``, and only
-    ``_lbfgsb`` calls scipy's L-BFGS-B core ``setulb``."""
-    threads, calls = set(), {"_lbfgsb": set(), "setulb": set()}
+    """Only ``lanes`` names ``threading`` or ``ThreadPoolExecutor``; only
+    its ``scipy_function`` names ``PathFinder`` or ``module_from_spec``;
+    only ``nuclear._restart`` calls the stage loop ``_lbfgsb``, only
+    ``_lbfgsb`` calls scipy's L-BFGS-B core ``setulb``, and only
+    ``grads.merge_rows`` calls its CSR kernel ``csr_matvecs``."""
+    threads, loaders = set(), set()
+    calls = {"_lbfgsb": set(), "setulb": set(), "csr_matvecs": set()}
     for path in sorted(Path(lanes.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        named = {name for node in ast.walk(tree) for name in _names(node)}
-        if named & {"threading", "ThreadPoolExecutor"}:
-            threads.add(path.name)
-        for function, name in _named_calls(tree):
-            if name in calls:
-                calls[name].add((path.name, function))
+        for function, node in _in_functions(tree):
+            named = set(_names(node))
+            if named & {"threading", "ThreadPoolExecutor"}:
+                threads.add(path.name)
+            if named & {"PathFinder", "module_from_spec"}:
+                loaders.add((path.name, function))
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.get(name, set()).add((path.name, function))
     assert threads == {"lanes.py"}
+    assert loaders == {("lanes.py", "scipy_function")}
     assert calls == {"_lbfgsb": {("nuclear.py", "_restart")},
-                     "setulb": {("nuclear.py", "_lbfgsb")}}
+                     "setulb": {("nuclear.py", "_lbfgsb")},
+                     "csr_matvecs": {("grads.py", "merge_rows")}}

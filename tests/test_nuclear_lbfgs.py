@@ -196,8 +196,9 @@ def test_import_erkg_leaves_scipy_optimize_unloaded():
 
 
 def test_import_erkg_leaves_scipy_unloaded():
-    """``scipy.sparse`` waits for the first gradient merge and the L-BFGS-B
-    core for the first stage, so ``import erkg`` loads no scipy at all."""
+    """scipy's CSR kernel waits for the first gradient merge and the
+    L-BFGS-B core for the first stage, so ``import erkg`` loads no scipy
+    at all (and training loads no ``scipy.sparse``, see ``test_grads``)."""
     src = Path(nuclear.__file__).resolve().parents[1]
     code = "import sys, erkg; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -11,7 +11,7 @@ from erkg.data import (
     KeyedCSR, TripleStore, Vocab, add_reciprocals, build_filter_index, generate_synthetic,
     pair_key,
 )
-from erkg.errors import ConfigError
+from erkg.errors import ConfigError, NumericError
 from erkg.models import ModelKind, init_params
 from erkg.ranking import TIE_POLICIES, RankingReport, evaluate
 from oracles import score
@@ -375,10 +375,9 @@ class TestThreadedChunks:
 
 
 # Rows of ``blocked_ties_problem``: query 9's head row is NaN, so its
-# target ties nothing (ties -1) and query 10's target ties one other
-# candidate; at every chunk size but 1 they share a block, whose count of
-# equal scores is then its row count although it holds ties.  The other
-# tied rows sit in a few blocks and leave every other block tie-free.
+# target score is NaN; query 10's target ties one other candidate, and
+# the other tied rows sit in a few blocks and leave every other block
+# tie-free.
 NAN_ROW = 9
 TIED = {10: 1, 44: 2, 45: 2, 127: 2, 130: 1}
 
@@ -406,20 +405,24 @@ def blocked_ties_problem(kind):
     return params, test, build_filter_index(TripleStore(draw(200), empty, empty, vocab))
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero")  # the NaN row's pessimistic rank is 0
 @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
 def test_block_counts_match_the_whole_chunk_counts(kind):
-    """Ranks counted in row blocks, each counting ties per row only when
-    it holds some or a NaN target, are bitwise the ``axis=1`` counts of
+    """A NaN target score raises ``NumericError`` at every chunk size.
+    Without it, ranks counted in row blocks, each counting ties per row
+    only when it holds some, are bitwise the ``axis=1`` counts of
     ``oracles.evaluate`` at chunk sizes around the block size."""
     params, test, filter_index = blocked_ties_problem(kind)
+    chunks = (1, 7, 8, 9, 17, 128)
+    for chunk in chunks:
+        with pytest.raises(NumericError, match="NaN target score in queries"):
+            evaluate(params, test, filter_index, chunk=chunk)
+    test[NAN_ROW, 0] = 1
     ranks = {tie: oracles.evaluate(params, test, filter_index, tie=tie,
                                    keep_ranks=True).per_query_ranks for tie in TIE_POLICIES}
     expected = np.zeros(len(test))
     expected[list(TIED)] = list(TIED.values())
-    expected[NAN_ROW] = -1
     assert np.array_equal(ranks["pessimistic"] - ranks["optimistic"], expected)
-    for chunk in (1, 7, 8, 9, 17, 128):
+    for chunk in chunks:
         for tie in TIE_POLICIES:
             got = evaluate(params, test, filter_index, tie=tie, keep_ranks=True, chunk=chunk)
             want = oracles.evaluate(params, test, filter_index, tie=tie, keep_ranks=True,
