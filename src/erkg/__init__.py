@@ -31,7 +31,6 @@ from .ranking import RankingReport, evaluate
 from .regularizers import (
     EpsilonState,
     PairSet,
-    PathPairSet,
     RegularizerSpec,
     penalty_dura,
     penalty_er,

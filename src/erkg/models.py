@@ -76,7 +76,7 @@ from enum import Enum
 import numpy as np
 
 from .data import KeyedCSR
-from .errors import ConfigError, check_seed
+from .errors import ConfigError, check_seed, typed
 
 logger = logging.getLogger(__name__)
 
@@ -91,6 +91,14 @@ class ModelKind(str, Enum):
 
 
 N3_KINDS = frozenset({ModelKind.CP, ModelKind.DISTMULT, ModelKind.COMPLEX})
+
+
+def model_kind(value) -> ModelKind:
+    """``value`` as a ``ModelKind``, or a ``ConfigError`` naming it."""
+    try:
+        return ModelKind(value)
+    except ValueError as exc:
+        raise ConfigError(f"unknown model kind {value!r}") from exc
 
 
 def cview(a: np.ndarray) -> np.ndarray:
@@ -183,7 +191,10 @@ def init_params(
     Rotation phases are drawn uniform on [0, 2pi) and stored as unit
     complex numbers.  Complex kinds require an even ``dim``.
     """
-    kind = ModelKind(kind)
+    kind = model_kind(kind)
+    for name, value in (("n_entities", n_entities), ("n_relations", n_relations), ("dim", dim)):
+        if typed(value, int, name) < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
     if OPERATORS[kind].complex_coords and dim % 2 != 0:
         raise ConfigError(f"{kind.value} requires an even dim, got {dim}")
     rng = np.random.default_rng(check_seed(seed))
@@ -202,13 +213,17 @@ def check_triples(params: ModelParams, triples, what: str) -> np.ndarray:
     """``triples`` as an int64 (n, 3) array of (head, relation, tail) ids.
 
     ``ConfigError`` if it has another shape, is empty (``"empty
-    {what}"``) or holds an id outside the model's tables.
+    {what}"``), holds ids that are not integers (none is truncated) or
+    an id outside the model's tables.
     """
-    triples = np.asarray(triples, dtype=np.int64)
+    triples = np.asarray(triples)
     if triples.ndim != 2 or triples.shape[1] != 3:
         raise ConfigError(f"{what} must be an (n, 3) array of ids, got shape {triples.shape}")
     if len(triples) == 0:
         raise ConfigError(f"empty {what}")
+    if not np.issubdtype(triples.dtype, np.integer):
+        raise ConfigError(f"{what} ids must be integers, got dtype {triples.dtype}")
+    triples = triples.astype(np.int64, copy=False)
     bound = np.array([params.n_entities, params.n_relations, params.n_entities])
     bad = (triples < 0) | (triples >= bound)
     if bad.any():

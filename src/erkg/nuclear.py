@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lanes
-from .errors import ConfigError, InfeasibleError, check_seed
+from .errors import ConfigError, InfeasibleError, check_seed, typed
 
 FEASIBILITY_TARGET = 1e-8
 MU0 = 100.0
@@ -133,9 +133,9 @@ def make_instance(
     I: int, J: int, K: int, D: int, t: int, mechanism: str, seed: int
 ) -> FactorInstance:
     """Compose a deterministic rank-<=D target from uniform [-1, 1] factors."""
-    if min(I, J, K, D) < 1:
+    if min(typed(n, int, name) for n, name in zip((I, J, K, D), "IJKD")) < 1:
         raise ConfigError(f"dims I, J, K, D must all be >= 1, got {I}, {J}, {K}, {D}")
-    if t not in (2, 3):
+    if typed(t, int, "norm order t") not in (2, 3):
         raise ConfigError("norm order must be 2 or 3")
     if mechanism not in MECHANISMS:
         raise ConfigError(f"unknown mechanism {mechanism!r}")
@@ -316,7 +316,7 @@ def _optimize(instance: FactorInstance, names, restarts: int) -> list[_OptResult
     """The best feasible restart of each of ``names`` (see ``_raw_set``), all
     in lockstep; the first set with none feasible raises ``InfeasibleError``."""
     raws, salts = zip(*(_raw_set(instance, name) for name in names))
-    if restarts < 1:
+    if typed(restarts, int, "restarts") < 1:
         raise ConfigError("restarts must be >= 1")
     X = instance.target
     (I, J, K), D = X.shape, instance.rank

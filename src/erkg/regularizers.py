@@ -24,10 +24,12 @@ every pair with its soft label.  Pairs touching an unlabeled entity fall
 back to the joint labeling (warned once per call) unless strict labels
 are requested.  The second-order term applies ``T`` along two-hop paths.
 
-Both orders share one body, ``_pair_terms``.  Its mean runs over the kept
-pairs, but its work runs over their distinct ``(h_a, h_b, relations)``
-keys, each weighted by its count, and each term is evaluated once on
-``h_a -+ h_b``, as every operator is linear or a translation.
+Both orders draw a ``PairSet`` (heads and the relation chain between
+them: one hop for same-relation pairs, two for path pairs) and score it
+with one body, ``_pair_terms``.  Its mean runs over the kept pairs, but
+its work runs over their distinct ``(h_a, h_b, relations)`` keys, each
+weighted by its count, and each term is evaluated once on ``h_a -+ h_b``,
+as every operator is linear or a translation.
 
 Every penalty returns its value and adds ``scale`` times its gradient
 rows (``"eps"`` for the thresholds) to the caller's ``GradAccumulator``,
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CategoryMap, TripleStore, distinct_rows, run_ids, sorted_runs
-from .errors import ConfigError, check_fields, check_seed
+from .errors import ConfigError, check_fields, check_seed, typed
 from .grads import GradAccumulator
 from .models import _EPS_DIST, N3_KINDS, OPERATORS, ModelParams, cview
 
@@ -116,6 +118,8 @@ class EpsilonState:
 
     @classmethod
     def create(cls, n_relations: int, init: float | str = "batch_median"):
+        if typed(n_relations, int, "n_relations") < 1:
+            raise ConfigError(f"n_relations must be an integer >= 1, got {n_relations!r}")
         if isinstance(init, str) and init != "batch_median":
             raise ConfigError(f"unknown epsilon_init {init!r}")
         eps = np.full(n_relations, np.nan if isinstance(init, str) else float(init))
@@ -127,29 +131,16 @@ class EpsilonState:
 
 @dataclass
 class PairSet:
-    """Sampled same-relation pairs of batch triple positions."""
-
-    idx_a: np.ndarray
-    idx_b: np.ndarray
-    rel: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.rel)
-
-
-@dataclass
-class PathPairSet:
-    """Pairs of two-hop path heads sharing both relation ids."""
+    """Sampled pairs of int64 heads sharing a relation chain: one int64
+    relation-id array per hop, ``[r]`` or a path's ``[r1, r2]``."""
 
     head_a: np.ndarray
     head_b: np.ndarray
-    rel1: np.ndarray
-    rel2: np.ndarray
+    chain: list[np.ndarray]
 
     @property
     def n(self) -> int:
-        return len(self.rel1)
+        return len(self.head_a)
 
 
 def _sigmoid(u: np.ndarray | float):
@@ -257,27 +248,36 @@ def penalty_dura(
 # Pair sampling and labeling.
 
 
-def _budget_pairs(keys: list[np.ndarray], heads: np.ndarray, budget: int, seed: int):
+def _triple_rows(batch) -> np.ndarray:
+    """``batch`` as an array, or a ``ConfigError`` if it is not (n, 3)."""
+    batch = np.asarray(batch)
+    if batch.ndim != 2 or batch.shape[1] != 3:
+        raise ConfigError(f"batch must be an (n, 3) array of ids, got shape {batch.shape}")
+    return batch
+
+
+def _budget_pairs(heads: np.ndarray, chain: list[np.ndarray], budget: int, seed: int) -> PairSet:
     """Unordered pairs with distinct heads, at most ``budget`` per group.
 
-    Elements with equal key tuples (``keys``, as :func:`sorted_runs` takes
-    them) form a group, taken in first-appearance order.  A group of n
-    elements, c_h of them with head h, has C(n, 2) - sum_h C(c_h, 2)
-    eligible pairs (i < j in sequence order, different heads), ranked
-    lexicographically.  A group with more than ``budget`` of them keeps
-    ``budget`` ranks drawn uniformly without replacement; the others keep
-    all.  Kept ranks are unranked to (i, j) directly, so no pair list is
-    built.  Cost: two packed sorts of n elements, one sort of the groups'
-    first elements, one ``rng.choice`` per over-budget group and one sort
-    of the kept ranks.  Returns the indices (into ``heads``) of each kept
-    pair's two elements, groups in order and pairs in rank order within a
-    group.
+    Elements with equal relation chains (``chain``, one array per hop,
+    parallel to ``heads``; the first hop is the primary key) form a
+    group, taken in first-appearance order.  A group of n elements, c_h
+    of them with head h, has C(n, 2) - sum_h C(c_h, 2) eligible pairs
+    (i < j in sequence order, different heads), ranked lexicographically.
+    A group with more than ``budget`` of them keeps ``budget`` ranks drawn
+    uniformly without replacement; the others keep all.  Kept ranks are
+    unranked to (i, j) directly, so no pair list is built.  Cost: two
+    packed sorts of n elements, one sort of the groups' first elements,
+    one ``rng.choice`` per over-budget group and one sort of the kept
+    ranks.  Returns the kept pairs' heads and chains (int64), groups in
+    order and pairs in rank order within a group.
     """
     rng = np.random.default_rng(check_seed(seed))
+    heads, *chain = [x.astype(np.int64, copy=False) for x in (heads, *chain)]
     N = len(heads)
     # Elements grouped, groups in first-appearance order and sequence
     # order kept inside each: the key-sorted runs, reordered by first row.
-    by_key, key_start = sorted_runs(keys)
+    by_key, key_start = sorted_runs(chain[::-1])
     by_first = np.argsort(by_key[key_start])
     sizes = np.diff(np.append(key_start, N))[by_first]
     gstart = np.cumsum(sizes) - sizes
@@ -318,7 +318,7 @@ def _budget_pairs(keys: list[np.ndarray], heads: np.ndarray, budget: int, seed: 
     run_key = (run * N + others)[by_run]
     skipped = np.searchsorted(run_key, run[i] * N + target, side="right") - run_start[run[i]]
     j = gstart[g[i]] + target + skipped
-    return order[i], order[j]
+    return PairSet(heads[order[i]], heads[order[j]], [rel[order[i]] for rel in chain])
 
 
 def select_pairs(batch: np.ndarray, budget: int, seed: int) -> PairSet:
@@ -333,8 +333,8 @@ def select_pairs(batch: np.ndarray, budget: int, seed: int) -> PairSet:
     """
     if budget < 1:
         raise ConfigError("pair budget must be >= 1")
-    ia, ib = _budget_pairs([batch[:, 1]], batch[:, 0], budget, seed)
-    return PairSet(idx_a=ia, idx_b=ib, rel=batch[ia, 1].astype(np.int64))
+    batch = _triple_rows(batch)
+    return _budget_pairs(batch[:, 0], [batch[:, 1]], budget, seed)
 
 
 def _init_epsilon(
@@ -382,14 +382,14 @@ def _category_labels(
 
 
 def _pair_terms(
-    params: ModelParams, ha: np.ndarray, hb: np.ndarray, chain: list[np.ndarray],
-    spec: RegularizerSpec, wd: float, acc: GradAccumulator, scale: float,
-    categories: CategoryMap | None, eps: EpsilonState | None,
+    params: ModelParams, pairs: PairSet, spec: RegularizerSpec, wd: float,
+    acc: GradAccumulator, scale: float, categories: CategoryMap | None,
+    eps: EpsilonState | None,
 ) -> float:
     """Mean labeled pair term ``a m(T(h_a) - T(h_b)) + (1 - a) wd m(T(h_a) + T(h_b))``.
 
-    Pairs are labeled by their heads and the first relation of ``chain``;
-    ``T`` applies the relation operator once per hop, along ``chain``.
+    Pairs are labeled by their heads and the first hop of their chain;
+    ``T`` applies the relation operator once per hop, along the chain.
     The mean runs over the kept pairs, the work over their distinct
     ``(h_a, h_b, *chain)`` keys: each key's terms and gradient rows are
     weighted by how many kept pairs share it.  Each term is evaluated once,
@@ -400,6 +400,7 @@ def _pair_terms(
     term when every label is 0.  Adds ``scale`` times the gradients
     (heads, every hop's relations, soft labels) to ``acc``.
     """
+    ha, hb, chain = pairs.head_a, pairs.head_b, pairs.chain
     order, starts = sorted_runs([hb, ha, *chain])
     first, counts = order[starts], np.diff(np.append(starts, len(order)))
     keep, label, soft = _category_labels(ha[first], hb[first], counts, spec, categories)
@@ -485,15 +486,10 @@ def penalty_er(
     if spec.kind != "er":
         raise ConfigError("spec.kind must be 'er'")
     value = _norm_terms(params, batch, spec.norm_order, acc, scale, (0, 2))
-    return value + _pair_terms(
-        params, batch[pairs.idx_a, 0], batch[pairs.idx_b, 0], [pairs.rel], spec,
-        spec.dissim_weight, acc, scale, categories, eps,
-    )
+    return value + _pair_terms(params, pairs, spec, spec.dissim_weight, acc, scale, categories, eps)
 
 
-def sample_path_pairs(
-    store: TripleStore, batch: np.ndarray, budget: int, seed: int
-) -> PathPairSet:
+def sample_path_pairs(store: TripleStore, batch: np.ndarray, budget: int, seed: int) -> PairSet:
     """Pair two-hop paths that share both relations.
 
     Each batch triple (h, r1, m) is extended by training continuations
@@ -507,21 +503,16 @@ def sample_path_pairs(
     """
     if budget < 1:
         raise ConfigError("path budget must be >= 1")
+    if not isinstance(store, TripleStore):
+        raise ConfigError(f"second-order paths need a TripleStore, got {type(store).__name__}")
+    batch = _triple_rows(batch)
     src, r2 = store.adjacency.lookup(batch[:, 2])
-    heads = batch[src, 0].astype(np.int64)
-    r1 = batch[src, 1].astype(np.int64)
-    ia, ib = _budget_pairs([r2, r1], heads, budget, seed)
-    return PathPairSet(
-        head_a=heads[ia],
-        head_b=heads[ib],
-        rel1=r1[ia],
-        rel2=r2[ia].astype(np.int64),
-    )
+    return _budget_pairs(batch[src, 0], [batch[src, 1], r2], budget, seed)
 
 
 def penalty_er_second_order(
     params: ModelParams,
-    path_pairs: PathPairSet,
+    path_pairs: PairSet,
     spec: RegularizerSpec,
     acc: GradAccumulator,
     scale: float = 1.0,
@@ -537,7 +528,4 @@ def penalty_er_second_order(
     keys, so its cost follows the distinct keys.  Added by the trainer to
     the first-order total.
     """
-    return _pair_terms(
-        params, path_pairs.head_a, path_pairs.head_b, [path_pairs.rel1, path_pairs.rel2],
-        spec, 0.0, acc, scale, categories, eps,
-    )
+    return _pair_terms(params, path_pairs, spec, 0.0, acc, scale, categories, eps)

@@ -35,7 +35,7 @@ from .errors import (
 from .grads import GradAccumulator, all_finite
 from .models import (
     N3_KINDS, OPERATORS, ModelKind, ModelParams, backward_all_tails, block_shapes,
-    check_triples, forward_all_tails, init_params, project_constraints,
+    check_triples, forward_all_tails, init_params, model_kind, project_constraints,
 )
 from .ranking import evaluate
 from .regularizers import (
@@ -74,10 +74,7 @@ class TrainConfig:
     def validate(self) -> None:
         check_fields(self)
         check_seed(self.seed)
-        try:
-            kind = ModelKind(self.model)
-        except ValueError as exc:
-            raise ConfigError(f"unknown model kind {self.model!r}") from exc
+        kind = model_kind(self.model)
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1 or self.dim < 1:

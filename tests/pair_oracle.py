@@ -7,7 +7,7 @@ as ``erkg.regularizers``; the fast samplers must equal them bitwise.
 
 import numpy as np
 
-from erkg.regularizers import PairSet, PathPairSet
+from erkg.regularizers import PairSet
 
 
 def budget_pairs_enum(groups: dict, budget: int, seed: int):
@@ -41,14 +41,15 @@ def select_pairs_enum(batch: np.ndarray, budget: int, seed: int) -> PairSet:
         positions.append(pos)
         heads.append(h)
     rels, idx_a, idx_b = budget_pairs_enum(groups, budget, seed)
+    heads = batch[:, 0].astype(np.int64)
     return PairSet(
-        idx_a=np.array(idx_a, dtype=np.int64),
-        idx_b=np.array(idx_b, dtype=np.int64),
-        rel=np.array(rels, dtype=np.int64),
+        head_a=heads[np.array(idx_a, dtype=np.int64)],
+        head_b=heads[np.array(idx_b, dtype=np.int64)],
+        chain=[np.array(rels, dtype=np.int64)],
     )
 
 
-def sample_path_pairs_enum(store, batch: np.ndarray, budget: int, seed: int) -> PathPairSet:
+def sample_path_pairs_enum(store, batch: np.ndarray, budget: int, seed: int) -> PairSet:
     adj: dict[int, list[tuple[int, int]]] = {}
     for h, r, t in store.train.tolist():
         adj.setdefault(h, []).append((r, t))
@@ -58,9 +59,8 @@ def sample_path_pairs_enum(store, batch: np.ndarray, budget: int, seed: int) -> 
             groups.setdefault((r1, r2), []).append(h)
     keys, ha, hb = budget_pairs_enum({k: (v, v) for k, v in groups.items()}, budget, seed)
     rel1, rel2 = np.array(keys, dtype=np.int64).reshape(-1, 2).T.copy()
-    return PathPairSet(
+    return PairSet(
         head_a=np.array(ha, dtype=np.int64),
         head_b=np.array(hb, dtype=np.int64),
-        rel1=rel1,
-        rel2=rel2,
+        chain=[rel1, rel2],
     )

@@ -195,8 +195,7 @@ def penalty_er(params, batch, pairs, spec, categories=None, eps=None):
 
     if pairs.n > 0:
         lp, _ = _label_pair_entities(
-            params, batch[pairs.idx_a, 0], batch[pairs.idx_b, 0], pairs.rel, spec,
-            categories, eps,
+            params, pairs.head_a, pairs.head_b, pairs.chain[0], spec, categories, eps,
         )
         if lp.n > 0:
             P = lp.n
@@ -228,12 +227,12 @@ def penalty_er_second_order(params, path_pairs, spec, categories=None, eps=None)
         return 0.0, {}
     op = ROW_OPERATORS[params.kind]
     lp, keep = _label_pair_entities(
-        params, path_pairs.head_a, path_pairs.head_b, path_pairs.rel1, spec,
+        params, path_pairs.head_a, path_pairs.head_b, path_pairs.chain[0], spec,
         categories, eps,
     )
     if lp.n == 0:
         return 0.0, {}
-    rel2 = path_pairs.rel2[keep]
+    rel2 = path_pairs.chain[1][keep]
     acc = GradAccumulator()
     P = lp.n
 

@@ -109,6 +109,23 @@ def test_strict_labels_error_keeps_its_type_and_message():
         batch_objective(params, batch, spec, unlabeled, eps, store, 17, 29)
 
 
+def test_second_order_without_a_store_is_a_config_error():
+    params, eps, batch, _spec, _categories, _store = build_problem("complex", "er", "joint")
+    spec = RegularizerSpec(kind="er", lam=0.1, second_order=True)
+    with pytest.raises(ConfigError, match="TripleStore"):
+        batch_objective(params, batch, spec, None, eps)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_ids_that_are_not_integers_are_rejected(graph, dtype):
+    """An id x.5 is refused, not truncated to x."""
+    store, _categories = graph
+    params = init_params("distmult", store.vocab.n_entities, store.vocab.n_relations, 4, 0)
+    batch = store.train[:20].astype(dtype) + 0.5
+    with pytest.raises(ConfigError, match=f"^batch ids must be integers, got dtype {dtype}$"):
+        batch_objective(params, batch, RegularizerSpec())
+
+
 def slow(fn, finished):
     """``fn`` that sleeps first and records when it has returned."""
     def run(*args):

@@ -22,11 +22,11 @@ def test_problem_reaches_every_hop():
         "complex", "er", "dissimilarity", 2, True, SEED
     )
     pairs = select_pairs(batch, spec.pair_budget, 17)
-    labels_a = categories.labels_for(batch[pairs.idx_a, 0])
-    labels_b = categories.labels_for(batch[pairs.idx_b, 0])
+    labels_a = categories.labels_for(pairs.head_a)
+    labels_b = categories.labels_for(pairs.head_b)
     assert np.any(labels_a != labels_b)
     paths = sample_path_pairs(store, batch, spec.path_budget, 29)
-    assert np.any(paths.rel1 != paths.rel2)
+    assert np.any(paths.chain[0] != paths.chain[1])
 
 
 def test_problem_repeats_path_keys():
@@ -34,7 +34,7 @@ def test_problem_repeats_path_keys():
     checks below see terms and gradient rows weighted by key counts."""
     _, _, batch, spec, _, store = build_problem("complex", "er", "joint", 2, True, SEED)
     paths = sample_path_pairs(store, batch, spec.path_budget, 29)
-    keys = np.stack([paths.head_a, paths.head_b, paths.rel1, paths.rel2], axis=1)
+    keys = np.stack([paths.head_a, paths.head_b, *paths.chain], axis=1)
     assert len(np.unique(keys, axis=0)) < paths.n
 
 

@@ -349,3 +349,22 @@ def test_threads_and_the_lbfgsb_core_have_one_place_each():
     assert calls == {"_lbfgsb": {("nuclear.py", "_restart")},
                      "setulb": {("nuclear.py", "_lbfgsb")},
                      "csr_matvecs": {("grads.py", "merge_rows")}}
+
+
+def test_both_orders_share_one_pair_type():
+    """``src/erkg`` defines one class with a ``head_a`` field, ``PairSet``,
+    and only ``_budget_pairs`` builds one, for either ER order."""
+    classes, builders = set(), set()
+    for path in sorted(Path(lanes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function, node in _in_functions(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.AnnAssign) and getattr(item.target, "id", None) == "head_a"
+                for item in node.body
+            ):
+                classes.add((path.name, node.name))
+            if isinstance(node, ast.Call):
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) == "PairSet":
+                    builders.add((path.name, function))
+    assert classes == {("regularizers.py", "PairSet")}
+    assert builders == {("regularizers.py", "_budget_pairs")}

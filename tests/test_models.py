@@ -61,6 +61,20 @@ class TestInit:
             with pytest.raises(ConfigError):
                 init_params(kind, 4, 2, 5, seed=0)
 
+    @pytest.mark.parametrize("args, match", [
+        (("complex", 4, 2, 0), "^dim must be an integer >= 1, got 0$"),
+        (("complex", 4, 2, -2), "^dim must be an integer >= 1, got -2$"),
+        (("cp", 4, 2, 4.0), "^dim must be an integer, got 4.0$"),
+        (("foo", 4, 2, 4), "^unknown model kind 'foo'$"),
+        (("cp", -1, 2, 4), "^n_entities must be an integer >= 1, got -1$"),
+        (("cp", 4, 0, 4), "^n_relations must be an integer >= 1, got 0$"),
+        (("cp", 4, "2", 4), "^n_relations must be an integer, got '2'$"),
+    ], ids=["dim 0", "dim -2", "dim float", "kind", "n_entities", "n_relations 0",
+            "n_relations str"])
+    def test_bad_arguments_are_named(self, args, match):
+        with pytest.raises(ConfigError, match=match):
+            init_params(*args, seed=0)
+
 
 # (n_entities, n_relations, dim): odd and even sizes; odd dims only for
 # the kinds that store real coordinates.

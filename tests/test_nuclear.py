@@ -64,6 +64,21 @@ class TestMakeInstance:
             make_instance(3, 2, 3, 2, 2, "spiral", 0)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: make_instance(3.0, 2, 3, 2, 2, "bilinear", 0), "^I must be an integer, got 3.0$"),
+    (lambda: make_instance(3, 2, 3, "2", 2, "bilinear", 0), "^D must be an integer, got '2'$"),
+    (lambda: make_instance(3, 2, 3, 2, 2.0, "bilinear", 0),
+     "^norm order t must be an integer, got 2.0$"),
+    (lambda: check_instance(make_instance(3, 2, 3, 2, 2, "bilinear", 0), "amgm4", "2"),
+     "^restarts must be an integer, got '2'$"),
+    (lambda: check_instance(make_instance(3, 2, 3, 2, 2, "bilinear", 0), "amgm4", 2.0),
+     "^restarts must be an integer, got 2.0$"),
+], ids=["I", "D", "t", "restarts str", "restarts float"])
+def test_arguments_that_are_not_integers_are_named(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
+
+
 class TestNuclearEstimate:
     def test_rank_one_is_norm_product(self):
         inst = make_instance(3, 2, 3, 1, 2, "bilinear", seed=9)

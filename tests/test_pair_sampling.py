@@ -6,6 +6,7 @@ and their cost must not grow with the square of a group's size.
 """
 
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -13,14 +14,22 @@ import pytest
 from scipy.stats import chisquare
 
 from erkg.data import TripleStore, Vocab, add_reciprocals
+from erkg.errors import ConfigError
 from erkg.regularizers import sample_path_pairs, select_pairs
 
 from pair_oracle import sample_path_pairs_enum, select_pairs_enum
 
 
+def arrays(pairs):
+    return {"head_a": pairs.head_a, "head_b": pairs.head_b,
+            **{f"chain[{hop}]": rel for hop, rel in enumerate(pairs.chain)}}
+
+
 def assert_same(fast, ref):
-    for name in fast.__dataclass_fields__:
-        a, b = getattr(fast, name), getattr(ref, name)
+    got, want = arrays(fast), arrays(ref)
+    assert got.keys() == want.keys()
+    for name, a in got.items():
+        b = want[name]
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.array_equal(a, b), name
 
@@ -79,10 +88,10 @@ def test_one_head_groups_have_no_eligible_pairs(hub_store, budget):
     )
     pairs = select_pairs(batch, budget, seed=3)
     assert_same(pairs, select_pairs_enum(batch, budget, seed=3))
-    assert not np.any(pairs.rel == 1)
+    assert not np.any(pairs.chain[0] == 1)
     paths = sample_path_pairs(hub_store, batch, budget, seed=3)
     assert_same(paths, sample_path_pairs_enum(hub_store, batch, budget, seed=3))
-    assert not np.any(np.isin(paths.rel1, [1, 2]))
+    assert not np.any(np.isin(paths.chain[0], [1, 2]))
 
 
 def test_budget_at_eligible_count_keeps_all(hub_store):
@@ -95,19 +104,42 @@ def test_budget_at_eligible_count_keeps_all(hub_store):
     assert select_pairs(batch, 4, seed=0).n == 4
 
 
+def test_int32_batches_give_int64_sets(hub_store):
+    batch = random_batch(hub_store, 200, np.random.default_rng(3))
+    small = batch.astype(np.int32)
+    pairs = select_pairs(small, 8, seed=5)
+    paths = sample_path_pairs(hub_store, small, 8, seed=5)
+    assert pairs.n and paths.n
+    assert_same(pairs, select_pairs_enum(batch, 8, seed=5))
+    assert_same(paths, sample_path_pairs_enum(hub_store, batch, 8, seed=5))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda store, batch: sample_path_pairs(None, batch, 4, 0), "need a TripleStore"),
+    (lambda store, batch: select_pairs(batch[0], 4, 0), r"\(n, 3\) array"),
+    (lambda store, batch: sample_path_pairs(store, batch[:, :2], 4, 0), r"\(n, 3\) array"),
+], ids=["no store", "1-D batch", "two columns"])
+def test_samplers_fail_with_typed_errors(hub_store, call, match):
+    with pytest.raises(ConfigError, match=match):
+        call(hub_store, hub_store.train[:10])
+
+
 def test_draws_are_uniform():
-    # one group, heads 0, 0, 1, 2, 3: nine eligible pairs, three drawn
-    batch = np.array([[h, 0, 9] for h in (0, 0, 1, 2, 3)], dtype=np.int64)
-    eligible = [(a, b) for a, b in combinations(range(5), 2) if batch[a, 0] != batch[b, 0]]
+    # one group, heads 0, 0, 1, 2, 3: nine eligible pairs, three drawn; the
+    # two head-0 triples are identical, so each pair (0, h) is drawn twice as
+    # often as a pair of two other heads
+    heads = (0, 0, 1, 2, 3)
+    batch = np.array([[h, 0, 9] for h in heads], dtype=np.int64)
+    eligible = Counter((a, b) for a, b in combinations(heads, 2) if a != b)
     counts = dict.fromkeys(eligible, 0)
     seeds, budget = 2000, 3
     for seed in range(seeds):
         pairs = select_pairs(batch, budget, seed)
         assert pairs.n == budget
-        for pair in zip(pairs.idx_a.tolist(), pairs.idx_b.tolist()):
+        for pair in zip(pairs.head_a.tolist(), pairs.head_b.tolist()):
             counts[pair] += 1  # KeyError on an ineligible pair
     observed = np.array(list(counts.values()))
-    expected = np.full(len(eligible), seeds * budget / len(eligible))
+    expected = np.array(list(eligible.values())) * (seeds * budget / eligible.total())
     assert chisquare(observed, expected).pvalue > 1e-3
 
 
@@ -142,3 +174,4 @@ def test_adjacency_is_built_once_in_training_order(hub_store):
     deg79 = offsets[79][1] - offsets[79][0]
     assert np.array_equal(np.bincount(src, minlength=5), [deg0, deg79, 0, 0, deg0])
     assert np.array_equal(rel[:deg0], adj.values[:deg0])
+

@@ -17,7 +17,7 @@ from erkg.data import CategoryMap, pair_key, sorted_runs
 from erkg.grads import GradAccumulator
 from erkg.models import OPERATORS, ModelKind, init_params
 from erkg.regularizers import (
-    EpsilonState, PathPairSet, RegularizerSpec, sample_path_pairs, select_pairs,
+    EpsilonState, PairSet, RegularizerSpec, sample_path_pairs, select_pairs,
 )
 from erkg.training import batch_objective
 from gradcheck import build_problem, supported_combos
@@ -105,7 +105,7 @@ def test_oracle_cases_reach_every_pair_term():
                 seen.add((kind, name, mode))
         if second:
             paths = sample_path_pairs(store, batch, spec.path_budget, 29)
-            assert np.any(paths.rel1 != paths.rel2)
+            assert np.any(paths.chain[0] != paths.chain[1])
     for kind in {c[0] for c in PENALTY_COMBOS}:
         for mode in ("proximity", "dissimilarity", "joint"):
             assert (kind, "penalty_er", mode) in seen
@@ -162,7 +162,7 @@ def hub_problem(kind, mode, order):
     rel1 = np.array([2] * 40 + [2, 2, 1, 1, 2, 0])
     rel2 = np.array([0] * 40 + [1, 2, 0, 2, 1, 1])
     order_ = rng.permutation(len(head_a))
-    paths = PathPairSet(head_a[order_], head_b[order_], rel1[order_], rel2[order_])
+    paths = PairSet(head_a[order_], head_b[order_], [rel1[order_], rel2[order_]])
     spec = RegularizerSpec(kind="er", lam=0.37, er_mode=mode, norm_order=order,
                            second_order=True, tau=0.9, dissim_weight=0.7)
     categories = CategoryMap(HUB_CATEGORIES, 2, 7 / 8)
@@ -171,9 +171,9 @@ def hub_problem(kind, mode, order):
 
 def test_hub_problem_repeats_keys():
     _, batch, pairs, paths, _, _ = hub_problem("complex", "joint", 2)
-    keys = np.stack([batch[pairs.idx_a, 0], batch[pairs.idx_b, 0], pairs.rel], axis=1)
+    keys = np.stack([pairs.head_a, pairs.head_b, *pairs.chain], axis=1)
     assert (keys == [0, 1, 0]).all(axis=1).sum() == 36
-    path_keys = np.stack([paths.head_a, paths.head_b, paths.rel1, paths.rel2], axis=1)
+    path_keys = np.stack([paths.head_a, paths.head_b, *paths.chain], axis=1)
     assert (path_keys == [0, 1, 2, 0]).all(axis=1).sum() == 40
 
 
@@ -219,7 +219,7 @@ def test_distinct_path_keys_match_oracle():
     """The distinct (h_a, h_b, r1, r2) keys ``_pair_terms`` works on, and
     their counts, are those of ``penalty_oracle.distinct``."""
     _, _, _, paths, _, _ = hub_problem("complex", "joint", 2)
-    keys = [pair_key(paths.head_a, paths.head_b), paths.rel1, paths.rel2]
+    keys = [pair_key(paths.head_a, paths.head_b), *paths.chain]
     order, starts = sorted_runs(keys)
     first, counts = penalty_oracle.distinct(keys)
     np.testing.assert_array_equal(order[starts], first)
@@ -251,7 +251,7 @@ def test_second_order_rows_follow_distinct_keys(kind, mode):
     rng = np.random.default_rng(5)
     keys = np.array([[a, a + 1, a % 3, (a + 1) % 3] for a in range(0, 20, 2)])
     pick = keys[rng.integers(0, len(keys), 2000)]
-    paths = PathPairSet(pick[:, 0], pick[:, 1], pick[:, 2], pick[:, 3])
+    paths = PairSet(pick[:, 0], pick[:, 1], [pick[:, 2], pick[:, 3]])
     params = init_params(ModelKind(kind), 20, 3, 4, seed=3)
     categories = CategoryMap({i: 0 for i in range(20)}, 1, 1.0)
     spec = RegularizerSpec(kind="er", er_mode=mode, second_order=True)
@@ -293,8 +293,7 @@ def test_one_soft_label_brings_back_the_sum_term(kind, monkeypatch):
     sum term they need is evaluated again, as in the oracle."""
     params, batch, pairs, _, spec, _ = hub_problem(kind, "proximity", 2)
     categories = CategoryMap({i: i % 2 for i in range(HUB_N_ENT - 1)}, 2, 7 / 8)
-    ia, ib = batch[pairs.idx_a, 0], batch[pairs.idx_b, 0]
-    assert np.sum((ia == 7) | (ib == 7)) == 2
+    assert np.sum((pairs.head_a == 7) | (pairs.head_b == 7)) == 2
     eps = EpsilonState.create(HUB_N_REL, 0.5)
     calls = count_applies(monkeypatch, kind)
     acc = GradAccumulator()

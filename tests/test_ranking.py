@@ -267,6 +267,13 @@ class TestQueryIds:
         with pytest.raises(ConfigError, match=name):
             evaluate(self.params, test, self.filter)
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_ids_that_are_not_integers_are_rejected(self, dtype):
+        test = np.array([[1, 0, 2], [3, 1, 4]], dtype=dtype) + 0.5
+        match = f"^evaluation set ids must be integers, got dtype {dtype}$"
+        with pytest.raises(ConfigError, match=match):
+            evaluate(self.params, test, self.filter)
+
     def test_every_valid_id_accepted(self):
         test = np.array([[0, 0, 0], [4, 1, 4]], dtype=np.int64)
         assert evaluate(self.params, test, self.filter).n_queries == 2

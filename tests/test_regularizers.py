@@ -141,7 +141,7 @@ class TestSelectPairs:
         batch = np.array([[0, 0, 3], [1, 0, 3], [2, 0, 4]])
         pairs = select_pairs(batch, budget=10, seed=0)
         assert pairs.n == 3
-        assert np.all(pairs.rel == 0)
+        assert np.all(pairs.chain[0] == 0)
 
     def test_distinct_relations_no_pairs(self):
         batch = np.array([[0, 0, 3], [1, 1, 3], [2, 2, 4]])
@@ -162,8 +162,8 @@ class TestSelectPairs:
         a = select_pairs(batch, budget=7, seed=42)
         b = select_pairs(batch, budget=7, seed=42)
         assert a.n == 7
-        assert np.array_equal(a.idx_a, b.idx_a)
-        assert np.array_equal(a.idx_b, b.idx_b)
+        assert np.array_equal(a.head_a, b.head_a)
+        assert np.array_equal(a.head_b, b.head_b)
 
 
 class TestPairLabel:
@@ -193,6 +193,15 @@ class TestPairLabel:
         eps = EpsilonState.create(2, init="batch_median")
         with pytest.raises(ConfigError):
             pair_label(p, 0, 1, 0, "joint", eps=eps)
+
+    @pytest.mark.parametrize("n_relations, match", [
+        (-1, "^n_relations must be an integer >= 1, got -1$"),
+        (0, "^n_relations must be an integer >= 1, got 0$"),
+        (2.0, "^n_relations must be an integer, got 2.0$"),
+    ], ids=["negative", "zero", "float"])
+    def test_bad_relation_count_is_named(self, n_relations, match):
+        with pytest.raises(ConfigError, match=match):
+            EpsilonState.create(n_relations)
 
     def test_setting_epsilon_marks_it_initialized(self):
         eps = EpsilonState.create(3, init="batch_median")
@@ -239,7 +248,7 @@ class TestPenaltyEr:
         spec = self.spec()
         value = penalty_er(p, batch, pairs, spec, GradAccumulator(), categories=cmap)
         norm_only = penalty_er(
-            p, batch, PairSet(np.array([], int), np.array([], int), np.array([], int)),
+            p, batch, PairSet(np.array([], int), np.array([], int), [np.array([], int)]),
             spec, GradAccumulator(), categories=cmap,
         )
         assert value == pytest.approx(norm_only)
@@ -252,14 +261,14 @@ class TestPenaltyEr:
         cmap = CategoryMap({0: 0, 1: 1, 2: 0, 3: 0}, 2, 1.0)
         spec = self.spec(er_mode="dissimilarity")
         value = penalty_er(p, batch, pairs, spec, GradAccumulator(), categories=cmap)
-        empty = PairSet(np.array([], int), np.array([], int), np.array([], int))
+        empty = PairSet(np.array([], int), np.array([], int), [np.array([], int)])
         norm_only = penalty_er(p, batch, empty, spec, GradAccumulator(), categories=cmap)
         assert value == pytest.approx(norm_only)
 
     def test_empty_pairs_keep_norm_terms(self):
         p = distmult_params([[1, 0], [0, 1]], [[1, 1]])
         batch = np.array([[0, 0, 1]])
-        empty = PairSet(np.array([], int), np.array([], int), np.array([], int))
+        empty = PairSet(np.array([], int), np.array([], int), [np.array([], int)])
         value = penalty_er(p, batch, empty, self.spec(er_mode="joint"), GradAccumulator(),
                            eps=EpsilonState.create(1, 1.0))
         assert value == pytest.approx(2.0)
@@ -369,7 +378,7 @@ class TestPathPairs:
         paths = sample_path_pairs(store, batch, budget=10, seed=0)
         assert paths.n == 1
         assert {int(paths.head_a[0]), int(paths.head_b[0])} == {0, 3}
-        assert int(paths.rel1[0]) == 0 and int(paths.rel2[0]) == 1
+        assert int(paths.chain[0][0]) == 0 and int(paths.chain[1][0]) == 1
 
     def test_no_two_hop_paths(self):
         vocab = Vocab({"a": 0, "b": 1}, {"r": 0})
@@ -384,18 +393,15 @@ class TestPathPairs:
         a = sample_path_pairs(store, store.train, budget=10, seed=3)
         b = sample_path_pairs(store, store.train, budget=10, seed=3)
         assert np.array_equal(a.head_a, b.head_a)
-        assert np.array_equal(a.rel2, b.rel2)
+        assert np.array_equal(a.chain[1], b.chain[1])
 
 
 class TestSecondOrder:
     def test_identical_heads_zero(self):
         p = init_params(ModelKind.DISTMULT, 6, 2, 4, seed=21)
         p.entity[3] = p.entity[0]
-        from erkg.regularizers import PathPairSet
-
-        paths = PathPairSet(
-            head_a=np.array([0]), head_b=np.array([3]),
-            rel1=np.array([0]), rel2=np.array([1]),
+        paths = PairSet(
+            head_a=np.array([0]), head_b=np.array([3]), chain=[np.array([0]), np.array([1])],
         )
         cmap = CategoryMap({0: 0, 3: 0}, 1, 0.5)
         spec = RegularizerSpec(kind="er", er_mode="proximity")
@@ -406,11 +412,8 @@ class TestSecondOrder:
         p = init_params(ModelKind.RESCAL, 6, 2, 4, seed=22)
         p.relation[0] = np.eye(4)
         p.relation[1] = np.eye(4)
-        from erkg.regularizers import PathPairSet
-
-        paths = PathPairSet(
-            head_a=np.array([0]), head_b=np.array([1]),
-            rel1=np.array([0]), rel2=np.array([1]),
+        paths = PairSet(
+            head_a=np.array([0]), head_b=np.array([1]), chain=[np.array([0]), np.array([1])],
         )
         cmap = CategoryMap({0: 0, 1: 0}, 1, 1.0)
         spec = RegularizerSpec(kind="er", er_mode="proximity")
@@ -419,11 +422,8 @@ class TestSecondOrder:
 
     def test_hand_composition(self):
         p = distmult_params([[1, 0], [0, 1]], [[1, 1], [2, 2]])
-        from erkg.regularizers import PathPairSet
-
-        paths = PathPairSet(
-            head_a=np.array([0]), head_b=np.array([1]),
-            rel1=np.array([0]), rel2=np.array([1]),
+        paths = PairSet(
+            head_a=np.array([0]), head_b=np.array([1]), chain=[np.array([0]), np.array([1])],
         )
         cmap = CategoryMap({0: 0, 1: 0}, 1, 1.0)
         spec = RegularizerSpec(kind="er", er_mode="proximity")
