@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, check_seed
+from .errors import ConfigError, ParseError, check_count, check_seed, typed
 
 logger = logging.getLogger(__name__)
 
@@ -451,14 +451,14 @@ def generate_synthetic(
     relation.  Triples are shuffled and split 80/10/10.  Fully
     deterministic given the seed.
     """
-    if n_categories < 2:
+    check_count(n_relations, "n_relations")
+    check_count(triples_per_relation, "triples_per_relation")
+    if typed(n_categories, int, "n_categories") < 2:
         raise ConfigError(f"n_categories must be >= 2, got {n_categories}")
-    if not 0.0 <= noise_rate < 1.0:
+    if not 0.0 <= typed(noise_rate, float, "noise_rate") < 1.0:
         raise ConfigError("noise_rate must be in [0, 1)")
-    if n_entities < n_categories:
+    if typed(n_entities, int, "n_entities") < n_categories:
         raise ConfigError(f"n_entities must be >= n_categories, got {n_entities} < {n_categories}")
-    if n_relations < 1 or triples_per_relation < 1:
-        raise ConfigError("n_relations and triples_per_relation must be >= 1")
 
     rng = np.random.default_rng(check_seed(seed))
     cats = np.arange(n_entities, dtype=np.int64) % n_categories

@@ -4,6 +4,7 @@ configs and their ``validate`` methods share."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 import os
 import sys
@@ -71,10 +72,20 @@ def check_seed(value) -> int:
     return value
 
 
+def check_count(value, name: str) -> int:
+    """``value`` checked to be an integer >= 1, or a ``ConfigError``."""
+    if typed(value, int, name) < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # per class: resolving them costs ~0.1 ms
+
+
 def check_fields(obj) -> None:
     """Check every field of the dataclass ``obj`` with :func:`typed`
     against its type hint."""
-    hints = typing.get_type_hints(type(obj))
+    hints = _type_hints(type(obj))
     for f in dataclasses.fields(obj):
         typed(getattr(obj, f.name), hints[f.name], f.name)
 

@@ -77,19 +77,20 @@ class GradAccumulator:
         for name, parts in other._parts.items():
             self._parts.setdefault(name, []).extend(parts)
 
-    def finalize(self, shapes: dict[str, tuple[int, ...]]) -> GradSet:
-        """Collapse contributions; densify a block only if one part is dense."""
+    def finalize(self) -> GradSet:
+        """Merge each block's parts: row-sparse (``merge_rows``) unless one is
+        dense, then zeros of its shape plus the dense parts, then the rows."""
         out: GradSet = {}
         for name, parts in self._parts.items():
             sparse = [(idx, arr) for idx, arr in parts if idx is not None]
-            if len(sparse) == len(parts):
+            dense = [arr for idx, arr in parts if idx is None]
+            if not dense:
                 out[name] = merge_rows(sparse)
                 continue
-            dense = np.zeros(shapes[name])
-            for idx, arr in parts:
-                if idx is None:
-                    dense += arr
-            out[name] = merge_rows(sparse, dense) if sparse else (None, dense)
+            total = np.zeros(dense[0].shape)
+            for arr in dense:
+                total += arr
+            out[name] = merge_rows(sparse, total) if sparse else (None, total)
         return out
 
 

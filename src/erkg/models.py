@@ -76,7 +76,7 @@ from enum import Enum
 import numpy as np
 
 from .data import KeyedCSR
-from .errors import ConfigError, check_seed, typed
+from .errors import ConfigError, check_count, check_seed
 
 logger = logging.getLogger(__name__)
 
@@ -88,9 +88,6 @@ class ModelKind(str, Enum):
     RESCAL = "rescal"
     TRANSE = "transe"
     ROTATE = "rotate"
-
-
-N3_KINDS = frozenset({ModelKind.CP, ModelKind.DISTMULT, ModelKind.COMPLEX})
 
 
 def model_kind(value) -> ModelKind:
@@ -138,11 +135,6 @@ class ModelParams:
     def blocks(self) -> dict[str, np.ndarray]:
         """Parameter blocks in declared (checkpoint) order."""
         return dict(self._blocks)
-
-    def grad_shapes(self) -> dict[str, tuple[int, ...]]:
-        """Shapes of every gradient block: the parameter blocks plus ``"eps"``."""
-        return {**{name: arr.shape for name, arr in self._blocks.items()},
-                "eps": (self.n_relations,)}
 
     @property
     def head_key(self) -> str:
@@ -193,10 +185,8 @@ def init_params(
     """
     kind = model_kind(kind)
     for name, value in (("n_entities", n_entities), ("n_relations", n_relations), ("dim", dim)):
-        if typed(value, int, name) < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    if OPERATORS[kind].complex_coords and dim % 2 != 0:
-        raise ConfigError(f"{kind.value} requires an even dim, got {dim}")
+        check_count(value, name)
+    check_dim(kind, dim)
     rng = np.random.default_rng(check_seed(seed))
     bound = 1.0 / np.sqrt(dim)
     blocks = {}
@@ -209,21 +199,30 @@ def init_params(
     return ModelParams(kind, blocks)
 
 
-def check_triples(params: ModelParams, triples, what: str) -> np.ndarray:
-    """``triples`` as an int64 (n, 3) array of (head, relation, tail) ids.
+def check_dim(kind: ModelKind, dim: int) -> None:
+    """``ConfigError`` if ``kind`` reads complex coordinates and ``dim`` is odd."""
+    if OPERATORS[kind].complex_coords and dim % 2 != 0:
+        raise ConfigError(f"{kind.value} requires an even dim, got {dim}")
 
-    ``ConfigError`` if it has another shape, is empty (``"empty
-    {what}"``), holds ids that are not integers (none is truncated) or
-    an id outside the model's tables.
-    """
+
+def triple_ids(triples, what: str) -> np.ndarray:
+    """``triples`` as an int64 (n, 3) array of ids, maybe empty; ``ConfigError``
+    for another shape or ids that are not integers (none is truncated)."""
     triples = np.asarray(triples)
     if triples.ndim != 2 or triples.shape[1] != 3:
         raise ConfigError(f"{what} must be an (n, 3) array of ids, got shape {triples.shape}")
-    if len(triples) == 0:
-        raise ConfigError(f"empty {what}")
     if not np.issubdtype(triples.dtype, np.integer):
         raise ConfigError(f"{what} ids must be integers, got dtype {triples.dtype}")
-    triples = triples.astype(np.int64, copy=False)
+    return triples.astype(np.int64, copy=False)
+
+
+def check_triples(params: ModelParams, triples, what: str) -> np.ndarray:
+    """:func:`triple_ids` of ``triples``, (head, relation, tail) rows;
+    ``ConfigError`` also if it is empty (``"empty {what}"``) or holds an
+    id outside the model's tables."""
+    triples = triple_ids(triples, what)
+    if len(triples) == 0:
+        raise ConfigError(f"empty {what}")
     bound = np.array([params.n_entities, params.n_relations, params.n_entities])
     bad = (triples < 0) | (triples >= bound)
     if bad.any():

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import lanes
 from .data import KeyedCSR, pair_key
-from .errors import ConfigError, NumericError, typed
+from .errors import ConfigError, NumericError, check_count
 from .models import ModelParams, check_triples, forward_all_tails
 
 # A rank is 1 + (candidates scored above the target) + weight x (others tied).
@@ -81,8 +81,7 @@ def evaluate(
     """
     if tie not in TIE_POLICIES:
         raise ConfigError(f"unknown tie policy {tie!r}")
-    if typed(chunk, int, "chunk") < 1:
-        raise ConfigError(f"chunk must be >= 1, got {chunk}")
+    check_count(chunk, "chunk")
     test = check_triples(params, test, "evaluation set")
     weight = _TIE_WEIGHT[tie]
     ranks = np.empty(len(test))

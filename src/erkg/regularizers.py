@@ -44,14 +44,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CategoryMap, TripleStore, distinct_rows, run_ids, sorted_runs
-from .errors import ConfigError, check_fields, check_seed, typed
+from .errors import ConfigError, check_count, check_fields, check_seed
 from .grads import GradAccumulator
-from .models import _EPS_DIST, N3_KINDS, OPERATORS, ModelParams, cview
+from .models import _EPS_DIST, OPERATORS, ModelKind, ModelParams, check_triples, cview, triple_ids
 
 logger = logging.getLogger(__name__)
 
 ER_MODES = ("proximity", "dissimilarity", "joint")
 REG_KINDS = ("none", "fro", "n3", "dura", "er")
+N3_KINDS = frozenset({ModelKind.CP, ModelKind.DISTMULT, ModelKind.COMPLEX})
+
+
+def check_penalty(kind: ModelKind, penalty: str) -> None:
+    """``ConfigError`` unless ``kind`` supports ``penalty``: n3 needs a
+    diagonal bilinear kind, dura a bilinear one."""
+    if penalty == "n3" and kind not in N3_KINDS or penalty == "dura" and OPERATORS[kind].distance:
+        raise ConfigError(f"{penalty} penalty does not support {kind.value}")
 
 
 @dataclass
@@ -88,10 +96,10 @@ class RegularizerSpec:
             raise ConfigError(f"unknown er_mode {self.er_mode!r}")
         if self.norm_order not in (2, 3):
             raise ConfigError("norm_order must be 2 or 3")
-        if self.kind == "er" and self.pair_budget < 1:
-            raise ConfigError("pair_budget must be >= 1")
-        if self.second_order and self.path_budget < 1:
-            raise ConfigError("path_budget must be >= 1")
+        if self.kind == "er":
+            check_count(self.pair_budget, "pair_budget")
+        if self.second_order:
+            check_count(self.path_budget, "path_budget")
         if self.tau <= 0:
             raise ConfigError("tau (the temperature) must be positive")
         if self.dissim_weight < 0:
@@ -118,10 +126,8 @@ class EpsilonState:
 
     @classmethod
     def create(cls, n_relations: int, init: float | str = "batch_median"):
-        if typed(n_relations, int, "n_relations") < 1:
-            raise ConfigError(f"n_relations must be an integer >= 1, got {n_relations!r}")
-        if isinstance(init, str) and init != "batch_median":
-            raise ConfigError(f"unknown epsilon_init {init!r}")
+        check_count(n_relations, "n_relations")
+        RegularizerSpec(epsilon_init=init).validate()  # the spec's rule for ``init``
         eps = np.full(n_relations, np.nan if isinstance(init, str) else float(init))
         return cls(epsilon=eps, acc=np.zeros(n_relations))
 
@@ -171,18 +177,13 @@ def _norm_value_grad(X: np.ndarray, order: int, complexified: bool):
 # Baseline penalties.
 
 
-def _require_batch(batch: np.ndarray) -> None:
-    if len(batch) == 0:
-        raise ConfigError("penalty needs a nonempty batch")
-
-
 def _norm_terms(
     params: ModelParams, batch: np.ndarray, order: int, acc: GradAccumulator, scale: float,
     cols,
 ) -> float:
     """Batch mean of the norms of the rows in columns ``cols`` (0 head,
     1 relation, 2 tail); ``scale`` times their gradients go to ``acc``."""
-    _require_batch(batch)
+    batch = check_triples(params, batch, "batch")
     B = len(batch)
     cx = OPERATORS[params.kind].complex_coords
     keys = (params.head_key, "rel", params.tail_key)
@@ -212,8 +213,7 @@ def penalty_n3(
     contribute the cube of their modulus.  Adds ``scale`` times the
     gradient to ``acc``.
     """
-    if params.kind not in N3_KINDS:
-        raise ConfigError(f"n3 penalty does not support {params.kind.value}")
+    check_penalty(params.kind, "n3")
     return _norm_terms(params, batch, 3, acc, scale, (0, 1, 2))
 
 
@@ -223,10 +223,9 @@ def penalty_dura(
     """Duality-induced penalty: transformed-head, tail, adjoint-transformed
     tail, and head squared norms, averaged over the batch; adds ``scale``
     times its gradient to ``acc``."""
+    check_penalty(params.kind, "dura")
+    batch = check_triples(params, batch, "batch")
     op = OPERATORS[params.kind]
-    if op.distance:
-        raise ConfigError(f"dura penalty does not support {params.kind.value}")
-    _require_batch(batch)
     B = len(batch)
     heads, rels, tails = batch[:, 0], batch[:, 1], batch[:, 2]
     H = params.head_table[heads]
@@ -246,14 +245,6 @@ def penalty_dura(
 
 # ---------------------------------------------------------------------------
 # Pair sampling and labeling.
-
-
-def _triple_rows(batch) -> np.ndarray:
-    """``batch`` as an array, or a ``ConfigError`` if it is not (n, 3)."""
-    batch = np.asarray(batch)
-    if batch.ndim != 2 or batch.shape[1] != 3:
-        raise ConfigError(f"batch must be an (n, 3) array of ids, got shape {batch.shape}")
-    return batch
 
 
 def _budget_pairs(heads: np.ndarray, chain: list[np.ndarray], budget: int, seed: int) -> PairSet:
@@ -331,9 +322,8 @@ def select_pairs(batch: np.ndarray, budget: int, seed: int) -> PairSet:
     batch of B triples (up to the log factor of sorting B keys), however
     skewed the heads are.
     """
-    if budget < 1:
-        raise ConfigError("pair budget must be >= 1")
-    batch = _triple_rows(batch)
+    check_count(budget, "pair budget")
+    batch = triple_ids(batch, "batch")
     return _budget_pairs(batch[:, 0], [batch[:, 1]], budget, seed)
 
 
@@ -483,6 +473,7 @@ def penalty_er(
     labels) the per-relation thresholds under the ``"eps"`` key.  May
     initialize thresholds as a side effect (batch-median policy).
     """
+    spec.validate()
     if spec.kind != "er":
         raise ConfigError("spec.kind must be 'er'")
     value = _norm_terms(params, batch, spec.norm_order, acc, scale, (0, 2))
@@ -501,11 +492,10 @@ def sample_path_pairs(store: TripleStore, batch: np.ndarray, budget: int, seed: 
     for P paths (up to the log factor of sorting P keys), however large a
     hub's group.
     """
-    if budget < 1:
-        raise ConfigError("path budget must be >= 1")
+    check_count(budget, "path budget")
     if not isinstance(store, TripleStore):
         raise ConfigError(f"second-order paths need a TripleStore, got {type(store).__name__}")
-    batch = _triple_rows(batch)
+    batch = triple_ids(batch, "batch")
     src, r2 = store.adjacency.lookup(batch[:, 2])
     return _budget_pairs(batch[src, 0], [batch[src, 1], r2], budget, seed)
 
@@ -528,4 +518,5 @@ def penalty_er_second_order(
     keys, so its cost follows the distinct keys.  Added by the trainer to
     the first-order total.
     """
+    spec.validate()
     return _pair_terms(params, path_pairs, spec, 0.0, acc, scale, categories, eps)

@@ -34,13 +34,14 @@ from .errors import (
 )
 from .grads import GradAccumulator, all_finite
 from .models import (
-    N3_KINDS, OPERATORS, ModelKind, ModelParams, backward_all_tails, block_shapes,
-    check_triples, forward_all_tails, init_params, model_kind, project_constraints,
+    ModelKind, ModelParams, backward_all_tails, block_shapes, check_dim, check_triples,
+    forward_all_tails, init_params, model_kind, project_constraints,
 )
 from .ranking import evaluate
 from .regularizers import (
     EpsilonState,
     RegularizerSpec,
+    check_penalty,
     penalty_dura,
     penalty_er,
     penalty_er_second_order,
@@ -88,11 +89,8 @@ class TrainConfig:
         if self.patience is not None and self.eval_every == 0:
             raise ConfigError("patience needs eval_every >= 1: early stopping counts evaluations")
         self.regularizer.validate()
-        op, penalty = OPERATORS[kind], self.regularizer.kind
-        if (penalty == "n3" and kind not in N3_KINDS) or (penalty == "dura" and op.distance):
-            raise ConfigError(f"{penalty} penalty does not support {kind.value}")
-        if op.complex_coords and self.dim % 2 != 0:
-            raise ConfigError(f"{kind.value} requires an even dim, got {self.dim}")
+        check_penalty(kind, self.regularizer.kind)
+        check_dim(kind, self.dim)
 
 
 @dataclass
@@ -197,7 +195,6 @@ def _penalty(params, batch, spec, categories, eps, store, pair_seed, path_seed, 
                 params, paths, spec, acc, spec.lam, categories, eps
             )
         return value
-    raise ConfigError(f"unknown regularizer kind {spec.kind!r}")
 
 
 def batch_objective(
@@ -217,9 +214,10 @@ def batch_objective(
     on two lanes, the penalty as task 1 between the two loss parts (see
     the module docstring), and an exception is raised as ``lanes.run``
     raises it.  Used by the training loop and by finite-difference
-    checks.  An empty batch, or an id outside the model's tables, raises
-    ``ConfigError``.
+    checks.  An empty batch, an id outside the model's tables, or a
+    ``spec`` that ``validate`` refuses raises ``ConfigError``.
     """
+    spec.validate()
     batch = check_triples(params, batch, "batch")
     n = len(batch)
     # the worker takes part 0, 3/5 of the rows (at most n - 1): on a uniform
@@ -240,7 +238,7 @@ def batch_objective(
         loss += part_loss
         acc.extend(part_acc)
     acc.extend(reg_acc)
-    return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())
+    return loss + spec.lam * reg_value, loss, reg_value, acc.finalize()
 
 
 def train(

@@ -12,7 +12,7 @@ from erkg.data import CategoryMap, TripleStore, Vocab
 from erkg.models import ModelKind, init_params
 from erkg.regularizers import EpsilonState, RegularizerSpec
 from erkg.training import batch_objective
-from grads_oracle import densify
+from grads_oracle import densify, grad_shapes
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -70,7 +70,7 @@ def run_probes(kind, reg_kind, er_mode="joint", norm_order=2,
     _, _, _, grads = batch_objective(
         params, batch, spec, categories, eps, store, pair_seed=17, path_seed=29
     )
-    shapes = params.grad_shapes()
+    shapes = grad_shapes(params)
     dense = densify(grads, shapes)
     rng = np.random.default_rng(1000 + seed)
     worst = 0.0

@@ -19,6 +19,13 @@ from erkg.data import sorted_runs
 from erkg.grads import merge_rows
 
 
+def grad_shapes(params) -> dict:
+    """Shapes of every gradient block of ``params``: its parameter blocks
+    plus the per-relation thresholds ``"eps"``."""
+    return {**{name: arr.shape for name, arr in params.blocks().items()},
+            "eps": (params.n_relations,)}
+
+
 def densify(grads: dict, shapes: dict) -> dict:
     """Expand a gradient set to full dense arrays with ``merge_rows``."""
     out = {name: np.zeros(shape) for name, shape in shapes.items()}

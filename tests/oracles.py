@@ -352,7 +352,7 @@ def batch_objective(params, batch, spec, categories=None, eps=None, store=None,
             reg_value = training._penalty(
                 params, batch, spec, categories, eps, store, pair_seed, path_seed, acc
             )
-    return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())
+    return loss + spec.lam * reg_value, loss, reg_value, acc.finalize()
 
 
 def batch_objective_whole(params, batch, spec, categories=None, eps=None, store=None,
@@ -369,7 +369,7 @@ def batch_objective_whole(params, batch, spec, categories=None, eps=None, store=
         reg_value = training._penalty(
             params, batch, spec, categories, eps, store, pair_seed, path_seed, acc
         )
-    return loss + spec.lam * reg_value, loss, reg_value, acc.finalize(params.grad_shapes())
+    return loss + spec.lam * reg_value, loss, reg_value, acc.finalize()
 
 
 def evaluate(params, test, filter_index, ks=(1, 10), tie="mean", keep_ranks=False, chunk=256):

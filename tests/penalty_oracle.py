@@ -19,8 +19,7 @@ import numpy as np
 
 from erkg.errors import ConfigError
 from erkg.grads import GradAccumulator
-from erkg.models import N3_KINDS
-from erkg.regularizers import _EPS_DIST, _norm_value_grad, _sigmoid
+from erkg.regularizers import _EPS_DIST, N3_KINDS, _norm_value_grad, _sigmoid
 from oracles import ROW_OPERATORS
 
 logger = logging.getLogger(__name__)
@@ -147,7 +146,7 @@ def _norm_penalty(params, batch, order):
         raise ConfigError("penalty needs a nonempty batch")
     acc = GradAccumulator()
     value = _norm_terms(params, batch, order, acc, (0, 1, 2))
-    return value, acc.finalize(params.grad_shapes())
+    return value, acc.finalize()
 
 
 def penalty_fro(params, batch):
@@ -180,7 +179,7 @@ def penalty_dura(params, batch):
     acc.add(params.head_key, heads, (GH + 2.0 * H) / B)
     acc.add(params.tail_key, tails, (GT + 2.0 * T) / B)
     acc.add("rel", rels, (GRh + GRt) / B)
-    return float(value / B), acc.finalize(params.grad_shapes())
+    return float(value / B), acc.finalize()
 
 
 def penalty_er(params, batch, pairs, spec, categories=None, eps=None):
@@ -219,7 +218,7 @@ def penalty_er(params, batch, pairs, spec, categories=None, eps=None):
             acc.add("rel", lp.rel, GRa)
             acc.add("rel", lp.rel, GRb)
             _add_label_grads(acc, params, lp, (vd - wd * vs) / P, spec.tau)
-    return value, acc.finalize(params.grad_shapes())
+    return value, acc.finalize()
 
 
 def penalty_er_second_order(params, path_pairs, spec, categories=None, eps=None):
@@ -260,4 +259,4 @@ def penalty_er_second_order(params, path_pairs, spec, categories=None, eps=None)
     acc.add("rel", rel2, GR2a)
     acc.add("rel", rel2, GR2b)
     _add_label_grads(acc, params, lp, vd / P, spec.tau)
-    return value, acc.finalize(params.grad_shapes())
+    return value, acc.finalize()

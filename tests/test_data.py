@@ -584,6 +584,19 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             generate_synthetic(20, 2, 2, 5, 1.5, seed=0)
 
+    @pytest.mark.parametrize("args, match", [
+        ((40.5, 4, 3, 30, 0.05), "^n_entities must be an integer, got 40.5$"),
+        ((40, 4.0, 3, 30, 0.05), "^n_categories must be an integer, got 4.0$"),
+        ((40, 4, "3", 30, 0.05), "^n_relations must be an integer, got '3'$"),
+        ((40, 4, 3, 30.5, 0.05), "^triples_per_relation must be an integer, got 30.5$"),
+        ((40, 4, 3, 30, "0.05"), "^noise_rate must be a finite number, got '0.05'$"),
+    ], ids=["n_entities", "n_categories", "n_relations", "triples_per_relation", "noise_rate"])
+    def test_arguments_of_another_type_are_named(self, args, match):
+        """Counts that are not integers are refused, not rounded: 30.5
+        triples per relation no longer generates 31."""
+        with pytest.raises(ConfigError, match=match):
+            generate_synthetic(*args, seed=0)
+
     def test_category_round_trip(self, tmp_path):
         store, cmap = generate_synthetic(30, 3, 3, 20, 0.1, seed=2)
         path = tmp_path / "cats.txt"

@@ -22,7 +22,7 @@ from erkg.grads import GradAccumulator
 from erkg.training import _batch_ce, batch_objective
 
 from gradcheck import build_problem
-from grads_oracle import densify, densify_add_at, finalize_add_at, finalize_csr
+from grads_oracle import densify, densify_add_at, finalize_add_at, finalize_csr, grad_shapes
 
 RTOL = 1e-13
 
@@ -99,7 +99,7 @@ def test_finalize_matches_add_at(case, seed):
     for idx, arr in parts:
         acc.add("w", idx, arr)
     shapes = {"w": (n_rows,) + tail}
-    assert_same_sets(acc.finalize(shapes), finalize_add_at({"w": parts}, shapes))
+    assert_same_sets(acc.finalize(), finalize_add_at({"w": parts}, shapes))
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -116,7 +116,7 @@ def test_finalize_equals_the_csr_product_merge_bytewise(case, seed):
     for idx, arr in parts:
         acc.add("w", idx, arr)
     shapes = {"w": (n_rows,) + tail}
-    assert_same_bytes(acc.finalize(shapes), finalize_csr({"w": parts}, shapes))
+    assert_same_bytes(acc.finalize(), finalize_csr({"w": parts}, shapes))
 
 
 def test_add_set_scale_matches_add_at():
@@ -133,7 +133,7 @@ def test_add_set_scale_matches_add_at():
     for name, block in parts.items():
         for idx, arr in block:
             acc.add(name, idx, arr)
-    assert_same_sets(acc.finalize(shapes), finalize_add_at(parts, shapes))
+    assert_same_sets(acc.finalize(), finalize_add_at(parts, shapes))
 
 
 def test_densify_matches_add_at():
@@ -157,7 +157,7 @@ def test_merge_memory_is_bounded_by_its_output():
         acc.add("rel", rng.integers(0, 40, size=1125), rng.normal(size=(1125, 32, 32)))
     tracemalloc.start()
     try:
-        idx, rows = acc.finalize({"rel": (40, 32, 32)})["rel"]
+        idx, rows = acc.finalize()["rel"]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -180,7 +180,7 @@ def test_dense_merge_memory_is_bounded_by_its_output_and_one_part():
     block, sums = 400 * 32 * 32 * 8, 100 * 32 * 32 * 8
     tracemalloc.start()
     try:
-        idx, rows = acc.finalize({"rel": (400, 32, 32)})["rel"]
+        idx, rows = acc.finalize()["rel"]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -222,9 +222,9 @@ def test_backward_all_tails_matches_add_at(kind, monkeypatch):
     params, eps, batch, spec, categories, store = build_problem(kind, "er", second_order=True)
     finalize, seen = GradAccumulator.finalize, []
 
-    def recording(acc, shapes):
+    def recording(acc):
         seen.append({name: list(parts) for name, parts in acc._parts.items()})
-        return finalize(acc, shapes)
+        return finalize(acc)
 
     monkeypatch.setattr(GradAccumulator, "finalize", recording)
     grads = batch_objective(params, batch, spec, categories, eps, store, 17, 29)[3]
@@ -242,8 +242,8 @@ def test_backward_all_tails_matches_add_at(kind, monkeypatch):
             assert got_idx is idx is None or np.array_equal(got_idx, idx), name
             assert np.array_equal(got_arr, arr), name
     assert len(parts[params.head_key]) > 2 and "eps" in parts
-    assert_same_sets(grads, finalize_add_at(parts, params.grad_shapes()))
-    assert_same_bytes(grads, finalize_csr(parts, params.grad_shapes()))
+    assert_same_sets(grads, finalize_add_at(parts, grad_shapes(params)))
+    assert_same_bytes(grads, finalize_csr(parts, grad_shapes(params)))
     assert (grads[params.head_key][0] is None) == (params.head_key == params.tail_key)
 
 

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from erkg import models
 from erkg.errors import ConfigError
 from erkg.grads import GradAccumulator
 from erkg.models import (
@@ -327,7 +331,7 @@ class TestScoreGradients:
             _, ctx = forward_all_tails(p, np.array([h]), np.array([r]))
             acc = GradAccumulator()
             backward_all_tails(p, ctx, np.eye(p.n_entities)[[t]], acc)
-            grads = densify(acc.finalize(shapes), shapes)
+            grads = densify(acc.finalize(), shapes)
             for name, arr in p.blocks().items():
                 direction = rng.normal(size=arr.shape)
                 pp, pm = p.copy(), p.copy()
@@ -338,3 +342,39 @@ class TestScoreGradients:
                 )
                 an = float(np.sum(grads[name] * direction))
                 assert abs(an - fd) <= 1e-4 * max(abs(fd), abs(an), 1e-6), (kind, name)
+
+
+def _raised_from(phrase):
+    """(module, function) of every function of ``erkg`` that raises a
+    string holding ``phrase``."""
+    found = set()
+    for path in sorted(Path(models.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Raise) and any(
+                        isinstance(c, ast.Constant) and isinstance(c.value, str)
+                        and phrase in c.value for c in ast.walk(node)):
+                    found.add((path.name, fn.name))
+    return found
+
+
+@pytest.mark.parametrize("phrase, home", [
+    ("penalty does not support", ("regularizers.py", "check_penalty")),
+    ("requires an even dim", ("models.py", "check_dim")),
+    ("(n, 3) array of ids", ("models.py", "triple_ids")),
+])
+def test_each_input_rule_is_raised_from_one_function(phrase, home):
+    """The kind x penalty rule, the even-dim rule and the (n, 3) integer-id
+    rule each have one home; every other caller calls it."""
+    assert _raised_from(phrase) == {home}
+
+
+def test_models_knows_no_penalty():
+    """``models`` declares the parameter layout alone: the n3 kind set and
+    ER's ``"eps"`` gradient block belong to ``regularizers``."""
+    tree = ast.parse(Path(models.__file__).read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert "N3_KINDS" not in names and "eps" not in strings

@@ -124,6 +124,26 @@ def test_samplers_fail_with_typed_errors(hub_store, call, match):
         call(hub_store, hub_store.train[:10])
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda store, batch: select_pairs(batch.astype(float), 4, 0),
+     "^batch ids must be integers, got dtype float64$"),
+    (lambda store, batch: sample_path_pairs(store, batch.astype(float), 4, 0),
+     "^batch ids must be integers, got dtype float64$"),
+    (lambda store, batch: select_pairs(batch, "3", 0), "^pair budget must be an integer, got '3'$"),
+    (lambda store, batch: select_pairs(batch, 2.5, 0), "^pair budget must be an integer, got 2.5$"),
+    (lambda store, batch: sample_path_pairs(store, batch, "3", 0),
+     "^path budget must be an integer, got '3'$"),
+    (lambda store, batch: sample_path_pairs(store, batch, 2.5, 0),
+     "^path budget must be an integer, got 2.5$"),
+], ids=["pairs float ids", "paths float ids", "pairs str budget", "pairs float budget",
+        "paths str budget", "paths float budget"])
+def test_samplers_refuse_ids_and_budgets_that_are_not_integers(hub_store, call, match):
+    """Float ids are refused, not truncated, and a budget that is not an
+    integer is named, not met by a bare ``TypeError``."""
+    with pytest.raises(ConfigError, match=match):
+        call(hub_store, hub_store.train[:10])
+
+
 def test_draws_are_uniform():
     # one group, heads 0, 0, 1, 2, 3: nine eligible pairs, three drawn; the
     # two head-0 triples are identical, so each pair (0, h) is drawn twice as

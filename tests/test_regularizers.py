@@ -203,6 +203,17 @@ class TestPairLabel:
         with pytest.raises(ConfigError, match=match):
             EpsilonState.create(n_relations)
 
+    @pytest.mark.parametrize("init, match", [
+        (None, "^epsilon_init must be a finite number or a string, got None$"),
+        (float("nan"), "^epsilon_init must be a finite number or a string, got nan$"),
+        (float("inf"), "^epsilon_init must be a finite number or a string, got inf$"),
+    ], ids=["none", "nan", "inf"])
+    def test_bad_init_is_named(self, init, match):
+        """``init`` is checked as ``RegularizerSpec.validate`` checks
+        ``epsilon_init``: NaN would read as uninitialized."""
+        with pytest.raises(ConfigError, match=match):
+            EpsilonState.create(2, init)
+
     def test_setting_epsilon_marks_it_initialized(self):
         eps = EpsilonState.create(3, init="batch_median")
         eps.epsilon[1] = 0.4
@@ -429,3 +440,67 @@ class TestSecondOrder:
         spec = RegularizerSpec(kind="er", er_mode="proximity")
         value = penalty_er_second_order(p, paths, spec, GradAccumulator(), categories=cmap)
         assert value == pytest.approx(8.0)
+
+
+# ---------------------------------------------------------------------------
+# Input rules at the public entries.
+
+
+def _penalty(name):
+    spec = RegularizerSpec(kind="er", lam=0.1)
+    empty = PairSet(np.array([], int), np.array([], int), [np.array([], int)])
+    return {
+        "fro": lambda p, b: penalty_fro(p, b, GradAccumulator()),
+        "n3": lambda p, b: penalty_n3(p, b, GradAccumulator()),
+        "dura": lambda p, b: penalty_dura(p, b, GradAccumulator()),
+        "er": lambda p, b: penalty_er(p, b, empty, spec, GradAccumulator(),
+                                      eps=EpsilonState.create(2, 1.0)),
+    }[name]
+
+
+@pytest.mark.parametrize("batch, match", [
+    (np.array([[0.0, 0.0, 1.0]]), "^batch ids must be integers, got dtype float64$"),
+    ([[-1, 0, 1]], r"^query 0: head id -1 outside \[0, 4\)$"),
+    ([[0, 0, 1], [0, 2, 1]], r"^query 1: relation id 2 outside \[0, 2\)$"),
+    ([[0, 0, 4]], r"^query 0: tail id 4 outside \[0, 4\)$"),
+], ids=["float", "negative head", "relation out of range", "tail out of range"])
+@pytest.mark.parametrize("penalty", ["fro", "n3", "dura", "er"])
+def test_penalties_check_their_batch(penalty, batch, match):
+    """Every penalty takes its batch through ``check_triples``: a float id
+    is not truncated, and -1 does not score the last entity."""
+    p = init_params(ModelKind.DISTMULT, 4, 2, 4, seed=30)
+    with pytest.raises(ConfigError, match=match):
+        _penalty(penalty)(p, batch)
+
+
+BAD_SPECS = {
+    "er_mode": ({"er_mode": "proximty"}, "^unknown er_mode 'proximty'$"),
+    "norm_order": ({"norm_order": 4}, "^norm_order must be 2 or 3$"),
+    "tau": ({"tau": 0.0}, r"^tau \(the temperature\) must be positive$"),
+    "lam": ({"lam": -1.0}, "^lambda must be nonnegative$"),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_SPECS))
+@pytest.mark.parametrize("entry", ["batch_objective", "penalty_er", "penalty_er_second_order"])
+def test_public_entries_validate_their_spec(entry, bad):
+    """A misspelled mode, an unsupported norm order, a zero temperature or
+    a negative coefficient raise ``ConfigError`` instead of running as
+    another mode or order, returning NaN or skipping the penalty."""
+    from erkg.training import batch_objective
+
+    fields, match = BAD_SPECS[bad]
+    spec = RegularizerSpec(**{"kind": "er", "lam": 0.1, **fields})
+    p = init_params(ModelKind.DISTMULT, 4, 2, 4, seed=31)
+    batch = np.array([[0, 0, 1], [2, 0, 3], [1, 1, 0]])
+    pairs = select_pairs(batch, 4, seed=0)
+    paths = PairSet(np.array([0]), np.array([2]), [np.array([0]), np.array([1])])
+    eps = EpsilonState.create(2, 1.0)
+    call = {
+        "batch_objective": lambda: batch_objective(p, batch, spec, eps=eps),
+        "penalty_er": lambda: penalty_er(p, batch, pairs, spec, GradAccumulator(), eps=eps),
+        "penalty_er_second_order":
+            lambda: penalty_er_second_order(p, paths, spec, GradAccumulator(), eps=eps),
+    }[entry]
+    with pytest.raises(ConfigError, match=match):
+        call()
