@@ -217,9 +217,8 @@ def triple_ids(triples, what: str) -> np.ndarray:
 
 
 def check_triples(params: ModelParams, triples, what: str) -> np.ndarray:
-    """:func:`triple_ids` of ``triples``, (head, relation, tail) rows;
-    ``ConfigError`` also if it is empty (``"empty {what}"``) or holds an
-    id outside the model's tables."""
+    """:func:`triple_ids` of ``triples``, (head, relation, tail) rows; ``ConfigError``
+    also if it is empty (``"empty {what}"``) or holds an id outside the model's tables."""
     triples = triple_ids(triples, what)
     if len(triples) == 0:
         raise ConfigError(f"empty {what}")

@@ -30,7 +30,8 @@ import numpy as np
 from . import lanes
 from .data import CategoryMap, TripleStore
 from .errors import (
-    CheckpointError, ConfigError, NumericError, check_fields, check_memory, check_seed,
+    CheckpointError, ConfigError, NumericError, check_count, check_fields, check_memory,
+    check_seed,
 )
 from .grads import GradAccumulator, all_finite
 from .models import (
@@ -78,14 +79,14 @@ class TrainConfig:
         kind = model_kind(self.model)
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if self.epochs < 1 or self.batch_size < 1 or self.dim < 1:
-            raise ConfigError("epochs, batch_size, and dim must be >= 1")
+        for name in ("epochs", "batch_size", "dim"):
+            check_count(getattr(self, name), name)
         if self.eval_every < 0:
             raise ConfigError("eval_every must be >= 0")
         if self.adagrad_eps <= 0:
             raise ConfigError("adagrad_eps must be positive")
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError(f"patience must be an integer >= 1, got {self.patience!r}")
+        if self.patience is not None:
+            check_count(self.patience, "patience")
         if self.patience is not None and self.eval_every == 0:
             raise ConfigError("patience needs eval_every >= 1: early stopping counts evaluations")
         self.regularizer.validate()
@@ -195,6 +196,7 @@ def _penalty(params, batch, spec, categories, eps, store, pair_seed, path_seed, 
                 params, paths, spec, acc, spec.lam, categories, eps
             )
         return value
+    raise ConfigError(f"unknown regularizer kind {spec.kind!r}")
 
 
 def batch_objective(

@@ -364,10 +364,12 @@ def _raised_from(phrase):
     ("penalty does not support", ("regularizers.py", "check_penalty")),
     ("requires an even dim", ("models.py", "check_dim")),
     ("(n, 3) array of ids", ("models.py", "triple_ids")),
+    ("must be an integer >= 1", ("errors.py", "check_count")),
 ])
 def test_each_input_rule_is_raised_from_one_function(phrase, home):
-    """The kind x penalty rule, the even-dim rule and the (n, 3) integer-id
-    rule each have one home; every other caller calls it."""
+    """The kind x penalty rule, the even-dim rule, the (n, 3) integer-id
+    rule and the integer >= 1 rule each have one home; every other caller
+    calls it."""
     assert _raised_from(phrase) == {home}
 
 

@@ -460,9 +460,9 @@ def _penalty(name):
 
 @pytest.mark.parametrize("batch, match", [
     (np.array([[0.0, 0.0, 1.0]]), "^batch ids must be integers, got dtype float64$"),
-    ([[-1, 0, 1]], r"^query 0: head id -1 outside \[0, 4\)$"),
-    ([[0, 0, 1], [0, 2, 1]], r"^query 1: relation id 2 outside \[0, 2\)$"),
-    ([[0, 0, 4]], r"^query 0: tail id 4 outside \[0, 4\)$"),
+    ([[-1, 0, 1]], r"head id -1 outside \[0, 4\)$"),
+    ([[0, 0, 1], [0, 2, 1]], r"relation id 2 outside \[0, 2\)$"),
+    ([[0, 0, 4]], r"tail id 4 outside \[0, 4\)$"),
 ], ids=["float", "negative head", "relation out of range", "tail out of range"])
 @pytest.mark.parametrize("penalty", ["fro", "n3", "dura", "er"])
 def test_penalties_check_their_batch(penalty, batch, match):

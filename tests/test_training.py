@@ -147,6 +147,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
             cfg.validate()
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "dim", "patience"])
+    def test_zero_count_named(self, field):
+        """Each count is checked by ``check_count`` and named alone."""
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer >= 1, got 0$"):
+            TrainConfig(eval_every=1, **{field: 0}).validate()
+
     def test_non_integer_dim_rejected(self):
         with pytest.raises(ConfigError, match="dim must be an integer, got 8.5"):
             TrainConfig(dim=8.5).validate()
