@@ -105,16 +105,14 @@ def _section(doc, cls, where: str, **given):
 
     The keys are the dataclass fields (renamed by ``_KEY_OF``), each value is
     checked against the field's annotation, and an absent key keeps the
-    field's default.  The result is validated.
+    field's default.  Building ``cls`` checks the result.
     """
     hints = typing.get_type_hints(cls)
     names = {_KEY_OF.get(f.name, f.name): f.name for f in fields(cls) if f.name not in given}
     _check_keys(doc, set(names), where)
     for key, value in doc.items():
         given[names[key]] = typed(value, hints[names[key]], where + key)
-    obj = cls(**given)
-    obj.validate()
-    return obj
+    return cls(**given)
 
 
 def _section_doc(obj, *skip: str) -> dict:
@@ -205,9 +203,6 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
         out_dir=out_dir,
         grid=grid,
     )
-    if allow_grid:
-        for _lr, _lam, cell in _grid_cells(run):
-            cell.train.validate()
     return run
 
 
@@ -247,7 +242,7 @@ def _run_training(cfg: RunConfig, store, categories):
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     if args.seed is not None:
-        cfg.train.seed = args.seed
+        cfg.train = replace(cfg.train, seed=args.seed)
     if args.out is not None:
         cfg.out_dir = args.out
     out = _out_dir(cfg.out_dir)
@@ -357,10 +352,11 @@ def cmd_synth(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     cfg = load_run_config(args.config, allow_grid=True)
+    cells = list(_grid_cells(cfg))  # each cell checks itself, before any work
     out = _out_dir(args.out if args.out is not None else cfg.out_dir)
     data = _load_store(cfg)
     rows = []
-    for lr, lam, cell in _grid_cells(cfg):
+    for lr, lam, cell in cells:
         row = {"learning_rate": lr, "lambda": lam}
         try:
             _params, _eps, _history, report = _run_training(cell, *data)

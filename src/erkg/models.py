@@ -227,7 +227,7 @@ def check_triples(params: ModelParams, triples, what: str) -> np.ndarray:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ConfigError(
-            f"query {i}: {('head', 'relation', 'tail')[j]} id {triples[i, j]} "
+            f"{what} row {i}: {('head', 'relation', 'tail')[j]} id {triples[i, j]} "
             f"outside [0, {bound[j]})"
         )
     return triples

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import lanes
 from .data import KeyedCSR, pair_key
-from .errors import ConfigError, NumericError, check_count
+from .errors import ConfigError, NumericError, check_count, typed
 from .models import ModelParams, check_triples, forward_all_tails
 
 # A rank is 1 + (candidates scored above the target) + weight x (others tied).
@@ -73,8 +73,8 @@ def evaluate(
     each target ties only itself, so its ties are 0; otherwise the block
     counts its ties row by row.
 
-    ``ConfigError`` for an empty query set, a query id outside the
-    model's tables or a ``chunk`` that is not an integer >= 1.
+    ``ConfigError`` for an empty query set, a query id outside the model's
+    tables, or a ``chunk`` or a ``ks`` entry that is not an integer >= 1.
     ``NumericError`` when a target score is NaN: it is neither above,
     below nor tied with any score, so its rank is undefined.  Errors
     from the chunks are raised as ``lanes.run`` raises them.
@@ -82,6 +82,8 @@ def evaluate(
     if tie not in TIE_POLICIES:
         raise ConfigError(f"unknown tie policy {tie!r}")
     check_count(chunk, "chunk")
+    for i, k in enumerate(typed(ks, tuple | list, "ks")):
+        check_count(k, f"ks[{i}]")
     test = check_triples(params, test, "evaluation set")
     weight = _TIE_WEIGHT[tie]
     ranks = np.empty(len(test))

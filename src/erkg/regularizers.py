@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CategoryMap, TripleStore, distinct_rows, run_ids, sorted_runs
-from .errors import ConfigError, check_count, check_fields, check_seed
+from .errors import ConfigError, check_count, check_fields, check_seed, typed
 from .grads import GradAccumulator
 from .models import _EPS_DIST, OPERATORS, ModelKind, ModelParams, check_triples, cview, triple_ids
 
@@ -62,9 +62,9 @@ def check_penalty(kind: ModelKind, penalty: str) -> None:
         raise ConfigError(f"{penalty} penalty does not support {kind.value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularizerSpec:
-    """Configuration of one penalty term.
+    """Configuration of one penalty term, checked when built, then frozen.
 
     The fields are the keys of a run config's ``regularizer`` section, with
     their types and defaults; ``lam``, the coefficient applied by the
@@ -86,7 +86,7 @@ class RegularizerSpec:
     dissim_weight: float = 1.0
     strict_labels: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self)
         if self.kind not in REG_KINDS:
             raise ConfigError(f"unknown regularizer kind {self.kind!r}")
@@ -127,7 +127,7 @@ class EpsilonState:
     @classmethod
     def create(cls, n_relations: int, init: float | str = "batch_median"):
         check_count(n_relations, "n_relations")
-        RegularizerSpec(epsilon_init=init).validate()  # the spec's rule for ``init``
+        RegularizerSpec(epsilon_init=init)  # building a spec checks ``init`` by its rule
         eps = np.full(n_relations, np.nan if isinstance(init, str) else float(init))
         return cls(epsilon=eps, acc=np.zeros(n_relations))
 
@@ -473,8 +473,7 @@ def penalty_er(
     labels) the per-relation thresholds under the ``"eps"`` key.  May
     initialize thresholds as a side effect (batch-median policy).
     """
-    spec.validate()
-    if spec.kind != "er":
+    if typed(spec, RegularizerSpec, "spec").kind != "er":
         raise ConfigError("spec.kind must be 'er'")
     value = _norm_terms(params, batch, spec.norm_order, acc, scale, (0, 2))
     return value + _pair_terms(params, pairs, spec, spec.dissim_weight, acc, scale, categories, eps)
@@ -518,5 +517,5 @@ def penalty_er_second_order(
     keys, so its cost follows the distinct keys.  Added by the trainer to
     the first-order total.
     """
-    spec.validate()
+    spec = typed(spec, RegularizerSpec, "spec")
     return _pair_terms(params, path_pairs, spec, 0.0, acc, scale, categories, eps)

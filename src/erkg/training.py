@@ -31,7 +31,7 @@ from . import lanes
 from .data import CategoryMap, TripleStore
 from .errors import (
     CheckpointError, ConfigError, NumericError, check_count, check_fields, check_memory,
-    check_seed,
+    check_seed, typed,
 )
 from .grads import GradAccumulator, all_finite
 from .models import (
@@ -54,9 +54,9 @@ from .regularizers import (
 
 logger = logging.getLogger(__name__)
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Training settings.
+    """Training settings, checked when built, then frozen.
 
     Every field except ``model`` and ``regularizer`` is a key of a run
     config's ``train`` section, with its type and default.
@@ -73,7 +73,7 @@ class TrainConfig:
     adagrad_eps: float = 1e-10
     patience: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self)
         check_seed(self.seed)
         kind = model_kind(self.model)
@@ -89,7 +89,6 @@ class TrainConfig:
             check_count(self.patience, "patience")
         if self.patience is not None and self.eval_every == 0:
             raise ConfigError("patience needs eval_every >= 1: early stopping counts evaluations")
-        self.regularizer.validate()
         check_penalty(kind, self.regularizer.kind)
         check_dim(kind, self.dim)
 
@@ -217,9 +216,9 @@ def batch_objective(
     the module docstring), and an exception is raised as ``lanes.run``
     raises it.  Used by the training loop and by finite-difference
     checks.  An empty batch, an id outside the model's tables, or a
-    ``spec`` that ``validate`` refuses raises ``ConfigError``.
+    ``spec`` that is not a ``RegularizerSpec`` raises ``ConfigError``.
     """
-    spec.validate()
+    spec = typed(spec, RegularizerSpec, "spec")
     batch = check_triples(params, batch, "batch")
     n = len(batch)
     # the worker takes part 0, 3/5 of the rows (at most n - 1): on a uniform
@@ -257,9 +256,9 @@ def train(
     without them ``ConfigError`` is raised before any work, as it is for a
     ``dim`` whose parameters cannot be allocated.  A non-finite parameter
     block or Adagrad accumulator at the end of an epoch raises
-    ``NumericError``.
+    ``NumericError``.  ``config`` must be a ``TrainConfig`` (``ConfigError``).
     """
-    config.validate()
+    config = typed(config, TrainConfig, "config")
     kind = ModelKind(config.model)
     spec = config.regularizer
     if spec.kind == "er" and spec.er_mode != "joint" and categories is None:

@@ -37,12 +37,12 @@ PENALTIES = ("none", "fro", "n3", "dura", "er")
 
 def supported_pairs() -> list[str]:
     """``kind:penalty`` of every pair the trainer supports (25), as
-    ``TrainConfig.validate`` decides."""
+    building a ``TrainConfig`` decides."""
     pairs = []
     for kind in ModelKind:
         for penalty in PENALTIES:
             try:
-                TrainConfig(model=kind.value, regularizer=RegularizerSpec(kind=penalty)).validate()
+                TrainConfig(model=kind.value, regularizer=RegularizerSpec(kind=penalty))
             except ConfigError:
                 continue
             pairs.append(f"{kind.value}:{penalty}")

@@ -110,7 +110,8 @@ class TestBatchObjectiveRejects:
         batch[1, column] = value
         name = ("head", "relation", "tail")[column]
         bound = (5, 3, 5)[column]
-        with pytest.raises(ConfigError, match=rf"query 1: {name} id {value} outside \[0, {bound}\)"):
+        match = rf"batch row 1: {name} id {value} outside \[0, {bound}\)"
+        with pytest.raises(ConfigError, match=match):
             batch_objective(self.params, batch, self.spec)
 
     def test_wrong_shape(self):

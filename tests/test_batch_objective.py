@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +104,7 @@ def test_no_penalty_runs_the_loss_parts_on_two_lanes(monkeypatch):
 
 def test_strict_labels_error_keeps_its_type_and_message():
     params, eps, batch, spec, _categories, store = build_problem("distmult", "er", "proximity")
-    spec.strict_labels = True
+    spec = replace(spec, strict_labels=True)
     unlabeled = CategoryMap({}, 2, 0.0)
     with pytest.raises(ConfigError, match="^pair with unlabeled entity in category mode$"):
         batch_objective(params, batch, spec, unlabeled, eps, store, 17, 29)

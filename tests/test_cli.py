@@ -218,6 +218,18 @@ class TestTrain:
         assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.erkg").exists()
 
+    def test_seed_flag_checked_before_any_work(self, synth_dir, tmp_path, capsys, monkeypatch):
+        """``--seed -1`` is refused where the override is applied, before
+        the data is loaded or the output directory is created."""
+        def data_loaded(*args, **kwargs):
+            raise AssertionError("data loaded before the seed was checked")
+
+        cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run")
+        monkeypatch.setattr(cli, "load_dataset", data_loaded)
+        assert run_cli("train", "--config", str(cfg), "--seed", "-1") == 2
+        assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_overflowing_adagrad_state_exits_3(self, synth_dir, tmp_path, capsys):
         """Lambda 1e300 keeps the loss and gradients finite but overflows
         the squared gradients into the Adagrad accumulators."""

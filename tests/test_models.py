@@ -373,6 +373,18 @@ def test_each_input_rule_is_raised_from_one_function(phrase, home):
     assert _raised_from(phrase) == {home}
 
 
+def test_no_module_defines_or_calls_validate():
+    """Configs check themselves once, when built: no module of ``erkg``
+    defines a ``validate`` method or calls one, so no second path checks
+    them again or leaves them unchecked."""
+    found = set()
+    for path in sorted(Path(models.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "validate" in {getattr(node, key, None) for key in ("name", "attr", "id")}:
+                found.add((path.name, node.lineno))
+    assert found == set()
+
+
 def test_models_knows_no_penalty():
     """``models`` declares the parameter layout alone: the n3 kind set and
     ER's ``"eps"`` gradient block belong to ``regularizers``."""

@@ -163,6 +163,20 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="chunk"):
             evaluate(p, test, no_filter(), chunk=chunk)
 
+    @pytest.mark.parametrize("ks, match", [
+        (("1",), r"^ks\[0\] must be an integer, got '1'$"),
+        (1, "^ks must be tuple or list, got 1$"),
+        ((0,), r"^ks\[0\] must be an integer >= 1, got 0$"),
+        ((1.5,), r"^ks\[0\] must be an integer, got 1.5$"),
+    ], ids=["string", "not a sequence", "zero", "float"])
+    def test_bad_ks_rejected(self, ks, match):
+        """Each k is checked by ``check_count``: none raises a bare numpy or
+        type error, reports ``hits0`` or names a ``hits1.5`` key."""
+        p = init_params(ModelKind.DISTMULT, 4, 1, 2, seed=4)
+        test = np.array([[0, 0, 1], [1, 0, 2]], dtype=np.int64)
+        with pytest.raises(ConfigError, match=match):
+            evaluate(p, test, no_filter(), ks=ks)
+
     def test_json_fields(self):
         report = RankingReport(mrr=0.5, hits={1: 0.2, 10: 0.9}, n_queries=7)
         assert report.to_json_dict() == {
@@ -265,6 +279,12 @@ class TestQueryIds:
         test = np.concatenate([good, np.array([query], dtype=np.int64)])
         name = ("head", "relation", "tail")[column]
         with pytest.raises(ConfigError, match=name):
+            evaluate(self.params, test, self.filter)
+
+    def test_out_of_range_id_names_its_row(self):
+        test = np.array([[1, 0, 2], [3, 1, 4], [0, 1, 5]], dtype=np.int64)
+        match = r"^evaluation set row 2: tail id 5 outside \[0, 5\)$"
+        with pytest.raises(ConfigError, match=match):
             evaluate(self.params, test, self.filter)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])

@@ -1,4 +1,6 @@
 import tracemalloc
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,7 +211,7 @@ class TestPairLabel:
         (float("inf"), "^epsilon_init must be a finite number or a string, got inf$"),
     ], ids=["none", "nan", "inf"])
     def test_bad_init_is_named(self, init, match):
-        """``init`` is checked as ``RegularizerSpec.validate`` checks
+        """``init`` is checked as building a ``RegularizerSpec`` checks
         ``epsilon_init``: NaN would read as uninitialized."""
         with pytest.raises(ConfigError, match=match):
             EpsilonState.create(2, init)
@@ -481,26 +483,45 @@ BAD_SPECS = {
 }
 
 
-@pytest.mark.parametrize("bad", list(BAD_SPECS))
-@pytest.mark.parametrize("entry", ["batch_objective", "penalty_er", "penalty_er_second_order"])
-def test_public_entries_validate_their_spec(entry, bad):
-    """A misspelled mode, an unsupported norm order, a zero temperature or
-    a negative coefficient raise ``ConfigError`` instead of running as
-    another mode or order, returning NaN or skipping the penalty."""
+ENTRIES = ["batch_objective", "penalty_er", "penalty_er_second_order"]
+
+
+def _call_entry(entry, spec):
+    """``entry`` run with ``spec`` on a small ER problem."""
     from erkg.training import batch_objective
 
-    fields, match = BAD_SPECS[bad]
-    spec = RegularizerSpec(**{"kind": "er", "lam": 0.1, **fields})
     p = init_params(ModelKind.DISTMULT, 4, 2, 4, seed=31)
     batch = np.array([[0, 0, 1], [2, 0, 3], [1, 1, 0]])
     pairs = select_pairs(batch, 4, seed=0)
     paths = PairSet(np.array([0]), np.array([2]), [np.array([0]), np.array([1])])
     eps = EpsilonState.create(2, 1.0)
-    call = {
-        "batch_objective": lambda: batch_objective(p, batch, spec, eps=eps),
-        "penalty_er": lambda: penalty_er(p, batch, pairs, spec, GradAccumulator(), eps=eps),
-        "penalty_er_second_order":
-            lambda: penalty_er_second_order(p, paths, spec, GradAccumulator(), eps=eps),
-    }[entry]
+    if entry == "batch_objective":
+        return batch_objective(p, batch, spec, eps=eps)
+    if entry == "penalty_er":
+        return penalty_er(p, batch, pairs, spec, GradAccumulator(), eps=eps)
+    return penalty_er_second_order(p, paths, spec, GradAccumulator(), eps=eps)
+
+
+@pytest.mark.parametrize("bad", list(BAD_SPECS))
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_public_entries_validate_their_spec(entry, bad):
+    """A misspelled mode, an unsupported norm order, a zero temperature or
+    a negative coefficient never reach an entry, which would run them as
+    another mode or order, return NaN or skip the penalty: the spec
+    refuses them when it is built."""
+    fields, match = BAD_SPECS[bad]
     with pytest.raises(ConfigError, match=match):
-        call()
+        _call_entry(entry, RegularizerSpec(**{"kind": "er", "lam": 0.1, **fields}))
+
+
+@pytest.mark.parametrize("spec", [
+    None,
+    SimpleNamespace(**{**asdict(RegularizerSpec(kind="er", lam=0.1)), "tau": 0.0}),
+], ids=["none", "duck-typed"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_public_entries_refuse_another_type(entry, spec):
+    """Only a ``RegularizerSpec``, checked when built, reaches an entry:
+    ``None`` raised a bare ``AttributeError``, and an object that merely
+    has the spec's fields (here with tau 0) was never checked."""
+    with pytest.raises(ConfigError, match="^spec must be RegularizerSpec, got "):
+        _call_entry(entry, spec)

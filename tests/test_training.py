@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,58 +116,78 @@ def dataset_loss(params, arr):
 
 
 class TestTrainConfig:
+    @pytest.mark.parametrize("cls, kwargs, field, value", [
+        (RegularizerSpec, {"kind": "er"}, "tau", 2.0),
+        (TrainConfig, {}, "seed", 1),
+    ])
+    def test_checked_config_cannot_change(self, cls, kwargs, field, value):
+        obj = cls(**kwargs)
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, value)
+        assert getattr(obj, field) != value
+
+    @pytest.mark.parametrize("cls, kwargs, bad, message", [
+        (RegularizerSpec, {"kind": "er"}, {"tau": 0.0}, "tau (the temperature) must be positive"),
+        (TrainConfig, {}, {"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ])
+    def test_replace_checks_as_construction_does(self, cls, kwargs, bad, message):
+        with pytest.raises(ConfigError) as built:
+            cls(**kwargs, **bad)
+        with pytest.raises(ConfigError) as replaced:
+            replace(cls(**kwargs), **bad)
+        assert str(replaced.value) == str(built.value) == message
+
     @pytest.mark.parametrize("patience", [0, -1, True, "3", 2.0])
     def test_bad_patience_rejected(self, patience):
         with pytest.raises(ConfigError):
-            TrainConfig(patience=patience).validate()
+            TrainConfig(patience=patience)
 
     @pytest.mark.parametrize("patience", [None, 1, 5])
     def test_good_patience_accepted(self, patience):
-        TrainConfig(patience=patience, eval_every=1).validate()
+        TrainConfig(patience=patience, eval_every=1)
 
     @pytest.mark.parametrize("seed", [-1, -(2**70)])
     def test_negative_seed_rejected(self, seed):
         with pytest.raises(ConfigError, match=f"seed must be an integer >= 0, got {seed}"):
-            TrainConfig(seed=seed).validate()
+            TrainConfig(seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**70, np.int64(5)])
     def test_seeds_numpy_takes_accepted(self, seed):
-        TrainConfig(seed=seed).validate()
+        TrainConfig(seed=seed)
 
     def test_patience_without_evaluation_rejected(self):
         with pytest.raises(ConfigError, match="patience needs eval_every"):
-            TrainConfig(patience=2).validate()
+            TrainConfig(patience=2)
 
     @pytest.mark.parametrize("field", ["learning_rate", "lam", "tau"])
     def test_nan_rejected(self, field):
         nan = float("nan")
-        if field == "learning_rate":
-            cfg = TrainConfig(learning_rate=nan)
-        else:
-            cfg = TrainConfig(regularizer=RegularizerSpec(kind="er", **{field: nan}))
         with pytest.raises(ConfigError, match=f"{field} must be a finite number"):
-            cfg.validate()
+            if field == "learning_rate":
+                TrainConfig(learning_rate=nan)
+            else:
+                TrainConfig(regularizer=RegularizerSpec(kind="er", **{field: nan}))
 
     @pytest.mark.parametrize("field", ["epochs", "batch_size", "dim", "patience"])
     def test_zero_count_named(self, field):
         """Each count is checked by ``check_count`` and named alone."""
         with pytest.raises(ConfigError, match=f"^{field} must be an integer >= 1, got 0$"):
-            TrainConfig(eval_every=1, **{field: 0}).validate()
+            TrainConfig(eval_every=1, **{field: 0})
 
     def test_non_integer_dim_rejected(self):
         with pytest.raises(ConfigError, match="dim must be an integer, got 8.5"):
-            TrainConfig(dim=8.5).validate()
+            TrainConfig(dim=8.5)
 
     def test_bool_batch_size_rejected(self):
         with pytest.raises(ConfigError, match="batch_size must be an integer, got True"):
-            TrainConfig(batch_size=True).validate()
+            TrainConfig(batch_size=True)
 
     def test_numpy_scalars_accepted(self):
-        TrainConfig(seed=np.int64(3), learning_rate=np.float32(0.5)).validate()
+        TrainConfig(seed=np.int64(3), learning_rate=np.float32(0.5))
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ConfigError, match="unknown model kind 'foo'"):
-            TrainConfig(model="foo").validate()
+            TrainConfig(model="foo")
 
     @pytest.mark.parametrize("model, penalty, dim, message", [
         ("rescal", "n3", 8, "n3 penalty does not support rescal"),
@@ -178,19 +199,22 @@ class TestTrainConfig:
         ("rotate", "er", 5, "rotate requires an even dim, got 5"),
     ])
     def test_untrainable_combination_rejected(self, model, penalty, dim, message):
-        cfg = TrainConfig(model=model, dim=dim, regularizer=RegularizerSpec(kind=penalty))
         with pytest.raises(ConfigError, match=message):
-            cfg.validate()
+            TrainConfig(model=model, dim=dim, regularizer=RegularizerSpec(kind=penalty))
 
     @pytest.mark.parametrize("model, penalty, dim", [
         ("cp", "n3", 8), ("complex", "n3", 8), ("rescal", "dura", 8),
         ("distmult", "dura", 7), ("transe", "fro", 5), ("rotate", "er", 6),
     ])
     def test_trainable_combination_accepted(self, model, penalty, dim):
-        TrainConfig(model=model, dim=dim, regularizer=RegularizerSpec(kind=penalty)).validate()
+        TrainConfig(model=model, dim=dim, regularizer=RegularizerSpec(kind=penalty))
 
 
 class TestTrain:
+    def test_config_of_another_type_rejected(self):
+        with pytest.raises(ConfigError, match="^config must be TrainConfig, got {'model': 'cp'}$"):
+            train({"model": "cp"}, toy_store())
+
     def test_one_epoch_decreases_loss(self):
         store = toy_store()
         cfg = TrainConfig(model="distmult", dim=8, batch_size=2, learning_rate=0.1,
@@ -325,21 +349,23 @@ class TestTrain:
             train(cfg, store, None)
 
     @pytest.mark.parametrize("cfg, store, message", [
-        (TrainConfig(model="rescal", dim=4, regularizer=RegularizerSpec(kind="n3")),
+        (dict(model="rescal", dim=4, regularizer=RegularizerSpec(kind="n3")),
          toy_store(), "n3 penalty does not support rescal"),
-        (TrainConfig(model="complex", dim=7), toy_store(), "complex requires an even dim"),
-        (TrainConfig(model="distmult", dim=4), toy_store(triples=np.empty((0, 3))),
+        (dict(model="complex", dim=7), toy_store(), "complex requires an even dim"),
+        (dict(model="distmult", dim=4), toy_store(triples=np.empty((0, 3))),
          "empty training split"),
-        (TrainConfig(model="distmult", dim=4, eval_every=1), toy_store(),
+        (dict(model="distmult", dim=4, eval_every=1), toy_store(),
          "eval_every needs a non-empty validation split"),
     ])
     def test_rejected_before_initialization(self, cfg, store, message, monkeypatch):
+        """``cfg`` holds the ``TrainConfig`` arguments: a config that cannot
+        train is refused when built or by ``train``, before any parameter."""
         def work_before_the_check(*args, **kwargs):
             raise AssertionError("parameters initialized before the check")
 
         monkeypatch.setattr(training, "init_params", work_before_the_check)
         with pytest.raises(ConfigError, match=message):
-            train(cfg, store)
+            train(TrainConfig(**cfg), store)
 
     def test_early_stop_records_each_epoch_once(self, monkeypatch):
         """With a flat validation MRR, patience 2 stops after the third
