@@ -73,12 +73,16 @@ def evaluate(
     each target ties only itself, so its ties are 0; otherwise the block
     counts its ties row by row.
 
-    ``ConfigError`` for an empty query set, a query id outside the model's
-    tables, or a ``chunk`` or a ``ks`` entry that is not an integer >= 1.
+    ``ConfigError`` for ``params`` that are not ``ModelParams``, a
+    ``filter_index`` that is not a ``KeyedCSR``, an empty query set, a
+    query id outside the model's tables, or a ``chunk`` or a ``ks`` entry
+    that is not an integer >= 1.
     ``NumericError`` when a target score is NaN: it is neither above,
     below nor tied with any score, so its rank is undefined.  Errors
     from the chunks are raised as ``lanes.run`` raises them.
     """
+    params = typed(params, ModelParams, "params")
+    filter_index = typed(filter_index, KeyedCSR, "filter_index")
     if tie not in TIE_POLICIES:
         raise ConfigError(f"unknown tie policy {tie!r}")
     check_count(chunk, "chunk")

@@ -15,6 +15,23 @@ worker starts on the larger loss part and the calling thread on the
 penalty.  The gradient parts merge in a fixed order, the loss parts
 first, so runs are bitwise deterministic given the config seed, whatever
 the timing and the BLAS thread count.
+
+``train`` keeps its heap between batches.  glibc raises its mmap
+threshold to the size of the largest mmapped block freed so far (capped
+at 32 MiB) and its heap-trim threshold to twice that (mallopt(3),
+NOTES).  Left alone, the largest block a batch frees is its B x |E|
+score buffer (a few MB), so freed heap above twice that goes back to
+the OS at the end of almost every batch and the next batch faults its
+pages in again: about 10k minor faults per epoch on a Zipf graph with
+second-order paths.  So ``train`` first allocates one block of
+``_HEAP_BLOCK`` float64 (31 MiB) and frees it untouched: it costs no
+resident memory, and freeing it raises the two thresholds to about
+31 MiB and 62 MiB for the rest of the process, as freeing any array of
+that size does.  The cost is that a process that has trained keeps up to
+62 MiB of freed heap per malloc arena instead of returning it.  Under
+another C library the block is allocated and freed and nothing else
+happens.  Working sets above 62 MiB fault again; only a process-wide
+``mallopt``, which a library should not set, would reach those.
 """
 
 from __future__ import annotations
@@ -53,6 +70,11 @@ from .regularizers import (
 )
 
 logger = logging.getLogger(__name__)
+
+# float64 count of the block ``train`` frees untouched (31 MiB; see the
+# module docstring): just under glibc's 32 MiB cap on the thresholds it
+# raises, which a block of 32 MiB less one page did not reach
+_HEAP_BLOCK = 31 << 17
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -256,9 +278,13 @@ def train(
     without them ``ConfigError`` is raised before any work, as it is for a
     ``dim`` whose parameters cannot be allocated.  A non-finite parameter
     block or Adagrad accumulator at the end of an epoch raises
-    ``NumericError``.  ``config`` must be a ``TrainConfig`` (``ConfigError``).
+    ``NumericError``.  ``config`` must be a ``TrainConfig``, ``store`` a
+    ``TripleStore`` and ``categories`` a ``CategoryMap`` or None
+    (``ConfigError``).
     """
     config = typed(config, TrainConfig, "config")
+    store = typed(store, TripleStore, "store")
+    categories = typed(categories, CategoryMap | None, "categories")
     kind = ModelKind(config.model)
     spec = config.regularizer
     if spec.kind == "er" and spec.er_mode != "joint" and categories is None:
@@ -283,6 +309,7 @@ def train(
     blocks = {**params.blocks(), "eps": eps_state.epsilon}
     accs["eps"] = eps_state.acc
 
+    np.empty(_HEAP_BLOCK)  # freed at once: raises glibc's heap thresholds
     rng = np.random.default_rng(config.seed)
     history = TrainHistory()
     best_mrr = -np.inf

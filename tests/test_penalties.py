@@ -13,11 +13,11 @@ import pytest
 
 import penalty_oracle
 from erkg import regularizers
-from erkg.data import CategoryMap, pair_key, sorted_runs
+from erkg.data import CategoryMap, add_reciprocals, generate_synthetic, pair_key, sorted_runs
 from erkg.grads import GradAccumulator
-from erkg.models import OPERATORS, ModelKind, init_params
+from erkg.models import OPERATORS, ModelKind, cview, init_params
 from erkg.regularizers import (
-    EpsilonState, PairSet, RegularizerSpec, sample_path_pairs, select_pairs,
+    ER_MODES, EpsilonState, PairSet, RegularizerSpec, sample_path_pairs, select_pairs,
 )
 from erkg.training import batch_objective
 from gradcheck import build_problem, supported_combos
@@ -307,3 +307,74 @@ def test_one_soft_label_brings_back_the_sum_term(kind, monkeypatch):
     got, ref = densify(acc.finalize(), shapes), densify(ref_grads, shapes)
     for block in shapes:
         assert_close(got[block], ref[block])
+
+
+# ---------------------------------------------------------------------------
+# What ER sees of a relation table.  A rotation keeps each complex
+# coordinate's modulus and a translation cancels in h_a - h_b, so the
+# difference term never sees the relation on these kinds, and on rotate
+# neither does the sum term.
+
+
+def er_terms(kind, mode, rel_seed):
+    """``{order: (value, relation gradient rows, relation rows)}`` of ER at
+    lambda 1 on a 200-row batch, the relation table drawn with
+    ``rel_seed`` and everything else fixed; ``None`` for no gradient."""
+    store, categories = generate_synthetic(300, 5, 6, 120, 0.05, 3)
+    store = add_reciprocals(store)
+    n_ent, n_rel = store.vocab.n_entities, store.vocab.n_relations
+    params = init_params(kind, n_ent, n_rel, 16, seed=5)
+    params.relation[:] = init_params(kind, n_ent, n_rel, 16, seed=rel_seed).relation
+    batch = store.train[:200]
+    spec = RegularizerSpec(kind="er", lam=1.0, er_mode=mode, second_order=True)
+    cats = None if mode == "joint" else categories
+    eps = EpsilonState.create(n_rel)
+    terms = {}
+    for order, penalty, pairs in (
+        ("first", regularizers.penalty_er, select_pairs(batch, spec.pair_budget, 0)),
+        ("second", regularizers.penalty_er_second_order,
+         sample_path_pairs(store, batch, spec.path_budget, 1)),
+    ):
+        assert pairs.n > 0
+        acc = GradAccumulator()
+        args = (params, batch, pairs) if order == "first" else (params, pairs)
+        value = penalty(*args, spec, acc, 1.0, cats, eps)
+        rel = acc.finalize().get("rel")
+        rows = None if rel is None else params.relation[rel[0]]
+        terms[order] = (value, None if rel is None else rel[1], rows)
+    return terms
+
+
+@pytest.mark.parametrize("mode", ER_MODES)
+def test_rotate_er_sees_no_relation_phase(mode):
+    """The value is the same under two unit-modulus relation tables, and
+    the relation gradient has no component along i r, the one direction a
+    unit-modulus relation can move: it is purely radial."""
+    a, b = er_terms("rotate", mode, 5), er_terms("rotate", mode, 99)
+    for order in ("first", "second"):
+        assert a[order][0] == pytest.approx(b[order][0], rel=1e-12, abs=0.0)
+        _, grad, rows = a[order]
+        if (mode, order) == ("dissimilarity", "second"):
+            # no sum term in the second order, and every head is labeled, so
+            # hard dissimilarity labels zero the difference term
+            assert a[order][0] == 0.0 and grad is None
+            continue
+        along = (cview(grad) * np.conj(1j * cview(rows))).real
+        assert np.abs(grad).max() > 0.0
+        assert np.abs(along).max() <= 1e-12 * np.abs(grad).max()
+
+
+def test_transe_proximity_er_sees_no_translation():
+    a, b = er_terms("transe", "proximity", 5), er_terms("transe", "proximity", 99)
+    for order in ("first", "second"):
+        assert a[order][0] == pytest.approx(b[order][0], rel=1e-12, abs=0.0)
+        grad = a[order][1]
+        assert grad is None or not grad.any()
+
+
+@pytest.mark.parametrize("mode", ER_MODES)
+def test_complex_er_sees_the_relation_table(mode):
+    """The control: on ComplEx the value moves with the relation table."""
+    a, b = er_terms("complex", mode, 5), er_terms("complex", mode, 99)
+    for order in ("first", "second") if mode != "dissimilarity" else ("first",):
+        assert a[order][0] != pytest.approx(b[order][0], rel=1e-6)

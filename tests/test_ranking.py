@@ -177,6 +177,17 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match=match):
             evaluate(p, test, no_filter(), ks=ks)
 
+    def test_params_of_another_type_rejected(self):
+        test = np.array([[0, 0, 1]], dtype=np.int64)
+        with pytest.raises(ConfigError, match="^params must be ModelParams, got None$"):
+            evaluate(None, test, no_filter())
+
+    def test_filter_index_of_another_type_rejected(self):
+        p = init_params(ModelKind.DISTMULT, 4, 1, 2, seed=4)
+        test = np.array([[0, 0, 1]], dtype=np.int64)
+        with pytest.raises(ConfigError, match="^filter_index must be KeyedCSR, got None$"):
+            evaluate(p, test, None)
+
     def test_json_fields(self):
         report = RankingReport(mrr=0.5, hits={1: 0.2, 10: 0.9}, n_queries=7)
         assert report.to_json_dict() == {
