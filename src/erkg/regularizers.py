@@ -247,6 +247,43 @@ def penalty_dura(
 # Pair sampling and labeling.
 
 
+def _draw_ranks(rng: np.random.Generator, eligible: np.ndarray, budget: int) -> np.ndarray:
+    """``budget`` distinct ranks below ``eligible[g]`` for each group g (all
+    over budget), one row per group: as sets, the rows ``rng.choice(E, b,
+    replace=False)`` draws group after group, and the generator ends in
+    the same state.  ``choice`` runs Floyd's method: step s draws t_s on
+    ``[0, E - b + s]`` and keeps it, or keeps ``E - b + s`` if t_s is kept
+    already; then its shuffle draws on ``[0, b - 1]`` down to ``[0, 1]``.
+    ``rng.integers`` makes the same bounded draw for each bound, so one
+    call over all groups' bounds consumes the stream alike; the shuffle's
+    draws are dropped, as callers sort.  t_s is kept already if it repeats
+    an earlier t of its row, or is ``E - b + s'`` for an s' < s that kept
+    its top value, which pointer jumping follows.  Temporary memory is a
+    few times the result's, and none without groups.  ``choice`` alone
+    shuffles when E > 10,000 and b > E // 50 (so b >= 201); there the
+    ranks, still uniform, differ from its draws.
+    """
+    G, b = len(eligible), int(budget)
+    if G == 0:
+        return np.empty((0, b), dtype=np.int64)
+    top = eligible[:, None] - b  # step s's top value is top + s
+    steps = np.arange(b)
+    highs = np.concatenate([top + steps, np.broadcast_to(steps[:0:-1], (G, b - 1))], axis=1)
+    t = rng.integers(0, highs, endpoint=True)[:, :b]
+    order, starts = sorted_runs([t.ravel(), np.repeat(np.arange(G), b)])
+    kept_top = np.ones(G * b, dtype=bool)
+    kept_top[order[starts]] = False  # first draw of its value in its row
+    # Draws that are an earlier step's top value jump to that step's cell.
+    earlier = t - top
+    chained = np.flatnonzero((earlier >= 0) & (earlier < steps))
+    jump = np.arange(G * b)
+    jump[chained] += earlier.ravel()[chained] - chained % b
+    for _ in range(b.bit_length()):  # ceil(log2(b + 1)) rounds cover chains of b steps
+        kept_top[chained] |= kept_top[jump[chained]]
+        jump[chained] = jump[jump[chained]]
+    return np.where(kept_top.reshape(G, b), top + steps, t)
+
+
 def _budget_pairs(heads: np.ndarray, chain: list[np.ndarray], budget: int, seed: int) -> PairSet:
     """Unordered pairs with distinct heads, at most ``budget`` per group.
 
@@ -256,12 +293,12 @@ def _budget_pairs(heads: np.ndarray, chain: list[np.ndarray], budget: int, seed:
     of them with head h, has C(n, 2) - sum_h C(c_h, 2) eligible pairs
     (i < j in sequence order, different heads), ranked lexicographically.
     A group with more than ``budget`` of them keeps ``budget`` ranks drawn
-    uniformly without replacement; the others keep all.  Kept ranks are
-    unranked to (i, j) directly, so no pair list is built.  Cost: two
-    packed sorts of n elements, one sort of the groups' first elements,
-    one ``rng.choice`` per over-budget group and one sort of the kept
-    ranks.  Returns the kept pairs' heads and chains (int64), groups in
-    order and pairs in rank order within a group.
+    uniformly without replacement (:func:`_draw_ranks`); the others keep
+    all.  Kept ranks are unranked to (i, j) directly, so no pair list is
+    built.  Cost: two packed sorts of n elements, one sort of the groups'
+    first elements, one ``rng.integers`` over all over-budget groups and
+    one sort of the kept ranks.  Returns the kept pairs' heads and chains
+    (int64), groups in order and pairs in rank order within a group.
     """
     rng = np.random.default_rng(check_seed(seed))
     heads, *chain = [x.astype(np.int64, copy=False) for x in (heads, *chain)]
@@ -295,9 +332,8 @@ def _budget_pairs(heads: np.ndarray, chain: list[np.ndarray], budget: int, seed:
     shift = base[small] - np.cumsum(e_small) + e_small
     big = np.flatnonzero(~small)
     # Groups own disjoint rank ranges, so one sort orders every group's draws.
-    R = np.concatenate([np.arange(e_small.sum()) + np.repeat(shift, e_small)]
-                       + [rng.choice(int(eligible[k]), size=budget, replace=False) for k in big])
-    R[len(R) - budget * len(big):] += np.repeat(base[big], budget)
+    R = np.concatenate([np.arange(e_small.sum()) + np.repeat(shift, e_small),
+                        (_draw_ranks(rng, eligible[big], budget) + base[big, None]).ravel()])
     R.sort()
 
     # Unrank.  Element i owns ranks [cum[i] - partners[i], cum[i]); its
@@ -318,9 +354,11 @@ def select_pairs(batch: np.ndarray, budget: int, seed: int) -> PairSet:
     Triples are grouped by relation in first-appearance order; each
     group keeps at most ``budget`` of its unordered pairs (uniform, without
     replacement).  Deterministic given the batch order and seed.  Pairs
-    are drawn by rank, never listed: cost is O(B + budget x groups) for a
-    batch of B triples (up to the log factor of sorting B keys), however
-    skewed the heads are.
+    are drawn by rank, never listed, with one ``rng.integers`` over all
+    over-budget groups: cost is O(B + budget x groups) for a batch of B
+    triples (up to the log factor of sorting B keys), however skewed the
+    heads are.  Budgets above 200 may draw unlike ``rng.choice`` (see
+    ``_draw_ranks``).
     """
     check_count(budget, "pair budget")
     batch = triple_ids(batch, "batch")
@@ -487,9 +525,10 @@ def sample_path_pairs(store: TripleStore, batch: np.ndarray, budget: int, seed: 
     (r1, r2) and at most ``budget`` pairs with distinct heads kept per
     group.  The budget applies to each (r1, r2) group, so kept pairs grow
     with the number of groups in the batch.  Deterministic given the seed.
-    Pairs are drawn by rank, never listed: cost is O(P + budget x groups)
-    for P paths (up to the log factor of sorting P keys), however large a
-    hub's group.
+    Pairs are drawn by rank, never listed, with one ``rng.integers`` over
+    all over-budget groups: cost is O(P + budget x groups) for P paths (up
+    to the log factor of sorting P keys), however large a hub's group.
+    Budgets above 200 may draw unlike ``rng.choice`` (see ``_draw_ranks``).
     """
     check_count(budget, "path budget")
     if not isinstance(store, TripleStore):

@@ -473,6 +473,29 @@ def test_grouping_is_decided_in_sorted_runs():
     assert calls and set(calls) == {("data.py", "sorted_runs", "lexsort")}
 
 
+def test_pair_draws_are_one_integers_call():
+    """Only ``generate_synthetic`` calls ``.choice(``, and ``regularizers``
+    makes one ``.integers(`` call, outside any loop or comprehension: the
+    samplers draw every over-budget group at once, not group by group."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    choice, integers = [], []
+    for path in sorted(Path(data.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            looped = {id(inner) for loop in ast.walk(fn) if isinstance(loop, loops)
+                      for inner in ast.walk(loop)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if node.func.attr == "choice":
+                        choice.append((path.name, fn.name))
+                    elif node.func.attr == "integers" and path.name == "regularizers.py":
+                        integers.append((fn.name, id(node) in looped))
+    assert choice and set(choice) == {("data.py", "generate_synthetic")}
+    assert integers == [("_draw_ranks", False)]
+
+
 class TestCategories:
     @pytest.mark.parametrize(
         "category_of",

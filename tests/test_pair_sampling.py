@@ -15,7 +15,7 @@ from scipy.stats import chisquare
 
 from erkg.data import TripleStore, Vocab, add_reciprocals
 from erkg.errors import ConfigError
-from erkg.regularizers import sample_path_pairs, select_pairs
+from erkg.regularizers import _draw_ranks, sample_path_pairs, select_pairs
 
 from pair_oracle import sample_path_pairs_enum, select_pairs_enum
 
@@ -114,6 +114,14 @@ def test_int32_batches_give_int64_sets(hub_store):
     assert_same(paths, sample_path_pairs_enum(hub_store, batch, 8, seed=5))
 
 
+def test_numpy_integer_budgets_draw_like_ints(hub_store):
+    batch = random_batch(hub_store, 200, np.random.default_rng(4))
+    for budget in (np.int64(3), np.int32(3)):
+        assert_same(select_pairs(batch, budget, 5), select_pairs(batch, 3, 5))
+        assert_same(sample_path_pairs(hub_store, batch, budget, 5),
+                    sample_path_pairs(hub_store, batch, 3, 5))
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda store, batch: sample_path_pairs(None, batch, 4, 0), "need a TripleStore"),
     (lambda store, batch: select_pairs(batch[0], 4, 0), r"\(n, 3\) array"),
@@ -179,6 +187,52 @@ def test_hub_path_group_cost_is_bounded():
     assert paths.n == 32
     assert np.all(paths.head_a != paths.head_b)
     assert peak < 8 * 2**20
+
+
+def test_budget_without_over_budget_groups_costs_nothing(hub_store):
+    """A budget no group reaches allocates nothing per unit of budget: a
+    draw sized by the budget would take 160 MB here."""
+    batch = hub_store.train[:50]
+    budget = 2 * 10**7
+    hub_store.adjacency  # built and kept before the trace
+    tracemalloc.start()
+    try:
+        pairs = select_pairs(batch, budget, seed=0)
+        paths = sample_path_pairs(hub_store, batch, budget, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert pairs.n and paths.n
+    assert_same(pairs, select_pairs_enum(batch, budget, seed=0))
+    assert_same(paths, sample_path_pairs_enum(hub_store, batch, budget, seed=0))
+
+
+# eligible counts of each case: b + 1 (long collision chains), up to 10**6,
+# and above 2**32 (numpy's 64-bit bounded draws)
+SPANS = {"b+1": lambda b: (b + 1, b + 2), "1e6": lambda b: (b + 1, 10**6 + 1),
+         "2**32": lambda b: (2**32 + 1, 2**40)}
+
+
+@pytest.mark.parametrize("span", SPANS)
+@pytest.mark.parametrize("groups", [0, 1, 40])
+@pytest.mark.parametrize("budget", [1, 2, 3, 32, 200])
+def test_batched_draw_equals_choice_per_group(budget, groups, span):
+    """One ``rng.integers`` over every group keeps, row by row, the ranks
+    ``rng.choice`` draws group after group, and leaves the generator in
+    the same state."""
+    rng = np.random.default_rng(budget * 100 + groups)
+    for _ in range(4):
+        eligible = rng.integers(*SPANS[span](budget), groups)
+        # outside numpy's partial-shuffle regime, where the draws differ
+        assert not np.any((eligible > 10_000) & (budget > eligible // 50))
+        seed = int(rng.integers(1 << 31))
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = np.sort(_draw_ranks(fast, eligible, budget), axis=1)
+        want = np.array([np.sort(ref.choice(int(e), budget, replace=False)) for e in eligible],
+                        dtype=np.int64).reshape(groups, budget)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def test_adjacency_is_built_once_in_training_order(hub_store):
