@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -59,8 +58,6 @@ from .presets import LAMBDA_GRID, LEARNING_RATE_GRID, get_preset
 from .ranking import TIE_POLICIES, evaluate
 from .regularizers import RegularizerSpec
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
-
-logger = logging.getLogger(__name__)
 
 
 def _out_dir(path) -> Path:
@@ -147,15 +144,10 @@ def load_run_config(path, allow_grid: bool = False) -> RunConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
 
-    top = {"model", "data", "train", "regularizer", "eval", "output", "threads"}
+    top = {"model", "data", "train", "regularizer", "eval", "output"}
     if allow_grid:
         top = top | {"grid"}
     _check_keys(doc, top, "")
-    if "threads" in doc:
-        logger.warning(
-            "config key 'threads' is deprecated and ignored: erkg sets its own threads "
-            "and holds OpenBLAS to one thread while they run"
-        )
 
     model = doc.get("model")
     if model is None:

@@ -45,13 +45,13 @@ def merge_rows(parts, out: np.ndarray | None = None):
     comes back.  Each part is summed on its own into a zero block of its
     distinct rows, then added in part order, so every output row is
     ``(out or +0.0) + part 0's sum + part 1's sum + ...`` over the parts
-    that hold it.
+    that hold it.  A lone part without ``out`` returns its block as is.
     """
     csr_matvecs = lanes.scipy_function("sparse._sparsetools", "csr_matvecs")
     runs = [sorted_runs([idx]) for idx, _ in parts]
     rows = [idx[order[starts]] for (idx, _), (order, starts) in zip(parts, runs)]
     uniq, places = None, rows  # each part's distinct rows, as rows of ``out``
-    if out is None:
+    if out is None and len(parts) > 1:
         index = np.concatenate(rows)
         order, starts = sorted_runs([index])
         uniq = index[order[starts]]
@@ -61,6 +61,8 @@ def merge_rows(parts, out: np.ndarray | None = None):
         n, width = len(idx), math.prod(arr.shape[1:])
         sums = np.zeros((len(at),) + arr.shape[1:])
         csr_matvecs(len(at), n, width, np.append(starts, n), order, np.ones(n), arr, sums)
+        if out is None:
+            return at, sums
         out[at] += sums
     return uniq, out
 

@@ -39,7 +39,19 @@ a scaled copy of it), with real storage in and out:
 * ``translation`` marks ``T_r x = x + r`` (transe): the difference of
   two transformed rows loses ``r`` and their sum gains ``2 r``.  Every
   other operator is linear, ``T_r x -+ T_r y = T_r (x -+ y)``, so ER
-  evaluates each pair term once, on ``h_a -+ h_b``.
+  evaluates each pair term once, on ``h_a -+ h_b``;
+* ``chain_norm(X, at, chain, table, order, w) -> (v, GX, rel_grads)`` is
+  ER's work for one term: key k reads row ``at[k]`` of ``X`` (``at`` is
+  nondecreasing and reads every row) and the relation ids ``chain[j][k]``
+  of each hop j; ``v[k] = m(T_chain X[at[k]])``, with ``m`` the squared
+  2-norm (``order`` 2) or the cubed 3-norm of coordinate moduli (3).  It
+  returns the gradients of ``sum(w * v)``: ``GX`` on the rows of ``X``,
+  summed over their keys (``pair_sum``), and one ``(rel_ids, GR)`` part
+  per hop.  RESCAL and transe run ``apply`` and ``vjp`` key by key.  The
+  diagonal kinds need neither: ``T_chain`` scales each coordinate's
+  modulus by the product of the hops' moduli, so ``v = sum_c rho |x_c|^p``
+  with ``rho = prod_hops |r_c|^p``, ``|x_c|^p`` is taken once per row of
+  ``X``, and each hop's relation gradient comes back summed per relation.
 
 Complex operators compute on ``cview`` of the storage.  The real
 gradient, viewed as ``G = df/d(re) + i * df/d(im)``, follows
@@ -72,11 +84,13 @@ from __future__ import annotations
 
 import logging
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
 from .data import KeyedCSR
 from .errors import ConfigError, check_count, check_seed
+from .grads import merge_rows
 
 logger = logging.getLogger(__name__)
 
@@ -260,13 +274,54 @@ def _c(a: np.ndarray) -> np.ndarray:
     return cview(np.ascontiguousarray(a))
 
 
+def norm_value_grad(X: np.ndarray, order: int, complexified: bool):
+    """Row-wise penalty norms with gradients in real storage.
+
+    order 2: sum of squared entries (equals squared complex moduli).
+    order 3: sum of cubed absolute values; complex kinds cube the modulus
+    of each complex coordinate.
+    """
+    X2 = X.reshape(len(X), -1)
+    if order == 2:
+        return np.sum(X2 * X2, axis=1), 2.0 * X
+    if not complexified:
+        a = np.abs(X2)
+        return np.sum(a * a * a, axis=1), (3.0 * np.abs(X) * X)
+    Z = cview(np.ascontiguousarray(X))
+    A = np.abs(Z)
+    val = np.sum(A**3, axis=1)
+    grad = (3.0 * A * Z).view(np.float64)
+    return val, grad
+
+
+def pair_sum(at: np.ndarray, G: np.ndarray, n: int) -> np.ndarray:
+    """The rows of ``G`` summed by ``at`` (each of ``0 .. n - 1`` present)
+    through ``merge_rows``; ``G`` itself when ``at`` holds each once, in
+    order (it is nondecreasing)."""
+    return G if len(at) == n else merge_rows([(at, G)])[1]
+
+
 class _Operator:
-    """Defaults of the flags described in the module docstring."""
+    """Defaults of the flags described in the module docstring, and the
+    per-key ``chain_norm`` of ``apply`` and ``vjp``."""
 
     distance = False
     scores_adjoint = False
     complex_coords = False
     translation = False
+
+    def chain_norm(self, X, at, chain, table, order, w):
+        Y = [X[at]]
+        for rel in chain:
+            Y.append(self.apply(Y[-1], rel, table))
+        # Each hop's input is dropped once its gradient is taken.
+        v, G = norm_value_grad(Y.pop(), order, self.complex_coords)
+        G *= w[:, None]
+        rel_grads = []
+        for rel in reversed(chain):
+            G, rel_ids, GR = self.vjp(Y.pop(), rel, table, G)
+            rel_grads.append((rel_ids, GR))
+        return v, pair_sum(at, G, len(X)), rel_grads
 
 
 class _Diagonal(_Operator):
@@ -281,8 +336,44 @@ class _Diagonal(_Operator):
     adjoint = apply
     adjoint_vjp = vjp
 
+    def _power(self, X, order):
+        """``|x_c|^p`` for each coordinate c of each row."""
+        if order == 2 and self.complex_coords:
+            X2 = X * X
+            return X2[:, 0::2] + X2[:, 1::2]
+        if order == 2:
+            return X * X
+        a = np.abs(_c(X) if self.complex_coords else X)
+        return a * a * a
 
-class _ComplexDiagonal(_Operator):
+    def _power_vjp(self, X, order, G):
+        """The gradient on the storage ``X`` of ``sum(G * |x_c|^p)``;
+        consumes ``G``."""
+        if order == 3:
+            G *= np.abs(_c(X) if self.complex_coords else X)
+        if self.complex_coords:
+            G = np.repeat(G, 2, axis=1)
+        G *= float(order)
+        G *= X
+        return G
+
+    def chain_norm(self, X, at, chain, table, order, w):
+        RA = self._power(table, order)
+        hops = [RA[rel] for rel in chain]
+        wA = self._power(X, order)[at]
+        rho = reduce(np.multiply, hops) if hops else np.ones_like(wA)
+        v = np.einsum("kc,kc->k", wA, rho)
+        wA *= w[:, None]
+        rel_grads = []
+        for j, rel in enumerate(chain):
+            rel_ids, S = merge_rows([(rel, reduce(np.multiply, hops[:j] + hops[j + 1:], wA))])
+            rel_grads.append((rel_ids, self._power_vjp(table[rel_ids], order, S)))
+        del wA, hops  # the key rows go before the row sums are made
+        rho *= w[:, None]
+        return v, self._power_vjp(X, order, pair_sum(at, rho, len(X))), rel_grads
+
+
+class _ComplexDiagonal(_Diagonal):
     """``x * r`` on complex coordinates (complex); adjoint ``x * conj(r)``."""
 
     scores_adjoint = True

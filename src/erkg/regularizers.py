@@ -28,8 +28,9 @@ Both orders draw a ``PairSet`` (heads and the relation chain between
 them: one hop for same-relation pairs, two for path pairs) and score it
 with one body, ``_pair_terms``.  Its mean runs over the kept pairs, but
 its work runs over their distinct ``(h_a, h_b, relations)`` keys, each
-weighted by its count, and each term is evaluated once on ``h_a -+ h_b``,
-as every operator is linear or a translation.
+weighted by its count, and over their distinct head pairs: each term is
+evaluated once on ``h_a -+ h_b``, as every operator is linear or a
+translation, by the operator's ``chain_norm`` (see ``models``).
 
 Every penalty returns its value and adds ``scale`` times its gradient
 rows (``"eps"`` for the thresholds) to the caller's ``GradAccumulator``,
@@ -46,7 +47,10 @@ import numpy as np
 from .data import CategoryMap, TripleStore, distinct_rows, run_ids, sorted_runs
 from .errors import ConfigError, check_count, check_fields, check_seed, typed
 from .grads import GradAccumulator
-from .models import _EPS_DIST, OPERATORS, ModelKind, ModelParams, check_triples, cview, triple_ids
+from .models import (
+    _EPS_DIST, OPERATORS, ModelKind, ModelParams, check_triples, norm_value_grad, pair_sum,
+    triple_ids,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -153,26 +157,6 @@ def _sigmoid(u: np.ndarray | float):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(u, dtype=np.float64)))
 
 
-def _norm_value_grad(X: np.ndarray, order: int, complexified: bool):
-    """Row-wise penalty norms with gradients in real storage.
-
-    order 2: sum of squared entries (equals squared complex moduli).
-    order 3: sum of cubed absolute values; complex kinds cube the modulus
-    of each complex coordinate.
-    """
-    X2 = X.reshape(len(X), -1)
-    if order == 2:
-        return np.sum(X2 * X2, axis=1), 2.0 * X
-    if not complexified:
-        a = np.abs(X2)
-        return np.sum(a * a * a, axis=1), (3.0 * np.abs(X) * X)
-    Z = cview(np.ascontiguousarray(X))
-    A = np.abs(Z)
-    val = np.sum(A**3, axis=1)
-    grad = (3.0 * A * Z).view(np.float64)
-    return val, grad
-
-
 # ---------------------------------------------------------------------------
 # Baseline penalties.
 
@@ -190,7 +174,7 @@ def _norm_terms(
     tables = (params.head_table, params.relation, params.tail_table)
     value = 0.0
     for col in cols:
-        v, g = _norm_value_grad(tables[col][batch[:, col]], order, cx)
+        v, g = norm_value_grad(tables[col][batch[:, col]], order, cx)
         value = value + v
         acc.add(keys[col], batch[:, col], g * (scale / B))
     return float(value.sum() / B)
@@ -419,24 +403,35 @@ def _pair_terms(
     Pairs are labeled by their heads and the first hop of their chain;
     ``T`` applies the relation operator once per hop, along the chain.
     The mean runs over the kept pairs, the work over their distinct
-    ``(h_a, h_b, *chain)`` keys: each key's terms and gradient rows are
-    weighted by how many kept pairs share it.  Each term is evaluated once,
-    on ``h_a - h_b`` or ``h_a + h_b`` (see ``translation`` in ``models``),
-    and a term whose coefficient is 0 for every key adds no value, gradient
-    or label gradient, so it is skipped: the sum term when ``wd == 0`` or
-    every label is 1 (proximity mode without soft labels), the difference
-    term when every label is 0.  Adds ``scale`` times the gradients
-    (heads, every hop's relations, soft labels) to ``acc``.
+    ``(h_a, h_b, *chain)`` keys, each weighted by how many kept pairs share
+    it, and over their distinct head pairs: the keys are sorted head pair
+    first, and ``h_a -+ h_b`` and its distance are computed once per head
+    pair.  Each term is one ``chain_norm`` call (see
+    ``models``) on ``h_a - h_b`` or ``h_a + h_b`` (see ``translation``),
+    whose head gradients come back summed per head pair.  A term whose
+    coefficient is 0 for every key adds no value, gradient or label
+    gradient, so it is skipped: the sum term when ``wd == 0`` or every
+    label is 1 (proximity mode without soft labels), the difference term
+    when every label is 0.  Adds ``scale`` times the gradients (heads,
+    every hop's relations, soft labels) to ``acc``.
     """
     ha, hb, chain = pairs.head_a, pairs.head_b, pairs.chain
-    order, starts = sorted_runs([hb, ha, *chain])
+    order, starts = sorted_runs([*chain[::-1], ha, hb])
     first, counts = order[starts], np.diff(np.append(starts, len(order)))
-    keep, label, soft = _category_labels(ha[first], hb[first], counts, spec, categories)
-    first, counts, label, soft = first[keep], counts[keep], label[keep], soft[keep]
-    ha, hb, chain = ha[first], hb[first], [rel[first] for rel in chain]
+    ha, hb = ha[first], hb[first]
+    new_pair = np.ones(len(first), dtype=bool)  # where the head pair changes
+    new_pair[1:] = (ha[1:] != ha[:-1]) | (hb[1:] != hb[:-1])
+    keep, label, soft = _category_labels(ha, hb, counts, spec, categories)
+    if not keep.all():  # a head pair's keys are all kept or all dropped
+        first, counts, label, soft, new_pair = (
+            x[keep] for x in (first, counts, label, soft, new_pair))
+        ha, hb = ha[keep], hb[keep]
     n_pairs = int(counts.sum())
     if n_pairs == 0:
         return 0.0
+    chain = [rel[first] for rel in chain]
+    at = np.cumsum(new_pair) - 1  # each key's head pair
+    ha, hb = ha[new_pair], hb[new_pair]
     op = OPERATORS[params.kind]
     Ha, Hb = params.head_table[ha], params.head_table[hb]
     diff = Ha - Hb
@@ -448,49 +443,43 @@ def _pair_terms(
     if soft_any:
         if eps is None:
             raise ConfigError("joint labeling requires an EpsilonState")
-        at = slice(None) if soft.all() else soft  # a view, not a copy, when all are soft
-        soft_rel, d = chain[0][at], diff[at]
-        dist = np.sqrt(np.sum(d * d, axis=1))
-        _init_epsilon(eps, soft_rel, dist, counts[at])
-        label[at] = _sigmoid((eps.epsilon[soft_rel] - dist) / spec.tau)
+        at_soft = slice(None) if soft.all() else soft  # a view, not a copy, when all are soft
+        soft_rel, soft_pair = chain[0][at_soft], at[at_soft]
+        dist = np.sqrt(np.sum(diff * diff, axis=1))
+        _init_epsilon(eps, soft_rel, dist[soft_pair], counts[at_soft])
+        label[at_soft] = _sigmoid((eps.epsilon[soft_rel] - dist[soft_pair]) / spec.tau)
     w = counts * (scale / n_pairs)
     value = 0.0
     dvalue_dlabel = np.zeros(len(label))
-    g_a, g_b = np.zeros_like(diff), np.zeros_like(diff)
+    grad = {}  # sign -> gradient on h_a + sign h_b
     for sign, coef, slope in ((-1.0, label, 1.0), (1.0, (1.0 - label) * wd, -wd)):
         if not coef.any():
             continue  # zero at every key; a(1 - a) = 0 stops its label gradient too
         # T h_a + sign T h_b is T (h_a + sign h_b), with r scaled by c.
         c = 1.0 + sign if op.translation else 1.0
-        hops = chain if c else []
         table = params.relation if c == 1.0 else c * params.relation
-        X = [diff if sign < 0 else total]
-        for rel in hops:
-            X.append(op.apply(X[-1], rel, table))
-        # Each hop's input is dropped once its gradient is taken.
-        v, G = _norm_value_grad(X.pop(), spec.norm_order, op.complex_coords)
+        v, grad[sign], rel_grads = op.chain_norm(
+            diff if sign < 0 else total, at, chain if c else [], table, spec.norm_order,
+            w * coef)
         value += float(np.sum(counts * coef * v))
         dvalue_dlabel += slope * v
-        G *= (w * coef)[:, None]
-        for rel in reversed(hops):
-            G, rel_ids, GR = op.vjp(X.pop(), rel, table, G)
+        for rel_ids, GR in rel_grads:
             acc.add("rel", rel_ids, GR if c == 1.0 else c * GR)
-        g_a += G
-        if sign < 0:
-            g_b -= G
-        else:
-            g_b += G
+    del total
     if soft_any:
         # Soft labels sigmoid((eps_r - ||h_a - h_b||) / tau) pass the
         # gradient on to the thresholds and to h_a - h_b.
-        a = label[at]
-        g = (dvalue_dlabel * w)[at] * (a * (1.0 - a) / spec.tau)
-        acc.add("eps", soft_rel, g)
-        g_diff = (-g / np.maximum(dist, _EPS_DIST))[:, None] * d
-        g_a[at] += g_diff
-        g_b[at] -= g_diff
-    acc.add(params.head_key, ha, g_a)
-    acc.add(params.head_key, hb, g_b)
+        # A hard label is 0 or 1, so a (1 - a) keeps only the soft keys.
+        g = (dvalue_dlabel * w) * (label * (1.0 - label) / spec.tau)
+        acc.add("eps", soft_rel, g[at_soft])
+        g_dist = pair_sum(at, g, len(diff))
+        diff *= (-g_dist / np.maximum(dist, _EPS_DIST))[:, None]
+        grad[-1.0] = grad[-1.0] + diff if -1.0 in grad else diff
+    del diff
+    if grad:
+        g_diff, g_sum = grad.get(-1.0, 0.0), grad.get(1.0, 0.0)
+        acc.add(params.head_key, ha, g_sum + g_diff)
+        acc.add(params.head_key, hb, g_sum - g_diff)
     return value / n_pairs
 
 
@@ -553,8 +542,8 @@ def penalty_er_second_order(
     Labels follow the first-order policy applied to the path heads, with
     the first relation's threshold in joint mode.  The mean runs over the
     kept path pairs, the work over their distinct ``(h_a, h_b, r1, r2)``
-    keys, so its cost follows the distinct keys.  Added by the trainer to
-    the first-order total.
+    keys and their distinct head pairs.  Added by the trainer to the
+    first-order total.
     """
     spec = typed(spec, RegularizerSpec, "spec")
     return _pair_terms(params, path_pairs, spec, 0.0, acc, scale, categories, eps)

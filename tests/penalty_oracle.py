@@ -5,11 +5,17 @@ returns ``(value, GradSet)``; the first- and second-order ER pair terms
 are written out separately, pair by pair, with both heads transformed.
 ``erkg.regularizers`` instead adds ``scale`` times the gradient to the
 caller's accumulator, shares one pair-term body, and works on distinct
-pair keys and head differences; the two must agree up to rounding.  The
-pair labels and their batch-median thresholds are computed here over the
-listed pairs, as before that rewrite.  The relation operators are the
-gathered-row ones of ``oracles.ROW_OPERATORS``, so no operator code
-under test runs here.
+pair keys, distinct head pairs and head differences; the two must agree
+up to rounding.  The pair labels and their batch-median thresholds are
+computed here over the listed pairs, as before that rewrite.  The
+relation operators are the gathered-row ones of ``oracles.ROW_OPERATORS``,
+so no operator code under test runs here.
+
+``penalty_er_per_key`` and ``penalty_er_second_order_per_key`` keep the
+shared body as it was before it worked per head pair: distinct
+``(h_a, h_b, *chain)`` keys, each weighted by its count, with the
+relation operator applied and back-propagated key by key and hop by hop,
+and every head and relation row handed to the accumulator unsummed.
 """
 
 import logging
@@ -19,7 +25,8 @@ import numpy as np
 
 from erkg.errors import ConfigError
 from erkg.grads import GradAccumulator
-from erkg.regularizers import _EPS_DIST, N3_KINDS, _norm_value_grad, _sigmoid
+from erkg.models import norm_value_grad as _norm_value_grad
+from erkg.regularizers import _EPS_DIST, N3_KINDS, _sigmoid
 from oracles import ROW_OPERATORS
 
 logger = logging.getLogger(__name__)
@@ -259,4 +266,109 @@ def penalty_er_second_order(params, path_pairs, spec, categories=None, eps=None)
     acc.add("rel", rel2, GR2a)
     acc.add("rel", rel2, GR2b)
     _add_label_grads(acc, params, lp, vd / P, spec.tau)
+    return value, acc.finalize()
+
+
+# ---------------------------------------------------------------------------
+# The shared pair-term body, key by key.
+
+
+def _init_epsilon_weighted(eps, rels, dists, counts):
+    """Batch-median initialization over ``counts[i]`` pairs at ``dists[i]``."""
+    for r in np.unique(rels[~eps.initialized[rels]]):
+        m = rels == r
+        eps.epsilon[r] = float(np.median(np.repeat(dists[m], counts[m])))
+
+
+def _key_labels(ha, hb, counts, spec, categories):
+    """The keys a mode keeps, their hard labels, and which of them take a
+    soft (joint) label instead; ``counts`` pairs share each key."""
+    n = len(ha)
+    if spec.er_mode == "joint":
+        return np.ones(n, dtype=bool), np.zeros(n), np.ones(n, dtype=bool)
+    if categories is not None:
+        la, lb = categories.labels_for(ha), categories.labels_for(hb)
+    else:
+        la = lb = np.full(n, -1, dtype=np.int64)
+    both = (la >= 0) & (lb >= 0)
+    same = both & (la == lb)
+    soft = ~both
+    if soft.any():
+        if spec.strict_labels:
+            raise ConfigError("pair with unlabeled entity in category mode")
+        logger.warning(
+            "%d pairs lack category labels; using joint labels", int(counts[soft].sum())
+        )
+    keep = (same if spec.er_mode == "proximity" else both & ~same) | soft
+    return keep, np.where(same, 1.0, 0.0), soft
+
+
+def pair_terms_per_key(params, pairs, spec, wd, acc, scale, categories, eps):
+    """Mean labeled pair term over the distinct keys of ``pairs``; adds
+    ``scale`` times its gradient rows to ``acc``."""
+    ha, hb, chain = pairs.head_a, pairs.head_b, pairs.chain
+    first, counts = distinct([hb, ha, *chain])
+    keep, label, soft = _key_labels(ha[first], hb[first], counts, spec, categories)
+    first, counts, label, soft = first[keep], counts[keep], label[keep], soft[keep]
+    ha, hb, chain = ha[first], hb[first], [rel[first] for rel in chain]
+    n_pairs = int(counts.sum())
+    if n_pairs == 0:
+        return 0.0
+    op = ROW_OPERATORS[params.kind]
+    Ha, Hb = params.head_table[ha], params.head_table[hb]
+    diff = Ha - Hb
+    total = Ha + Hb
+    if soft.any():
+        if eps is None:
+            raise ConfigError("joint labeling requires an EpsilonState")
+        soft_rel, d = chain[0][soft], diff[soft]
+        dist = np.sqrt(np.sum(d * d, axis=1))
+        _init_epsilon_weighted(eps, soft_rel, dist, counts[soft])
+        label[soft] = _sigmoid((eps.epsilon[soft_rel] - dist) / spec.tau)
+    w = counts * (scale / n_pairs)
+    value = 0.0
+    dvalue_dlabel = np.zeros(len(label))
+    g_a, g_b = np.zeros_like(diff), np.zeros_like(diff)
+    for sign, coef, slope in ((-1.0, label, 1.0), (1.0, (1.0 - label) * wd, -wd)):
+        if not coef.any():
+            continue
+        # T h_a + sign T h_b is T (h_a + sign h_b), with r scaled by c.
+        c = 1.0 + sign if op.translation else 1.0
+        hops = chain if c else []
+        table = c * params.relation
+        X = [diff if sign < 0 else total]
+        for rel in hops:
+            X.append(op.apply(X[-1], table[rel]))
+        v, G = _norm_value_grad(X.pop(), spec.norm_order, op.complex_coords)
+        value += float(np.sum(counts * coef * v))
+        dvalue_dlabel += slope * v
+        G *= (w * coef)[:, None]
+        for rel in reversed(hops):
+            G, GR = op.vjp(X.pop(), table[rel], G)
+            acc.add("rel", rel, c * GR)
+        g_a += G
+        g_b += sign * G
+    if soft.any():
+        a = label[soft]
+        g = (dvalue_dlabel * w)[soft] * (a * (1.0 - a) / spec.tau)
+        acc.add("eps", soft_rel, g)
+        g_diff = (-g / np.maximum(dist, _EPS_DIST))[:, None] * d
+        g_a[soft] += g_diff
+        g_b[soft] -= g_diff
+    acc.add(params.head_key, ha, g_a)
+    acc.add(params.head_key, hb, g_b)
+    return value / n_pairs
+
+
+def penalty_er_per_key(params, batch, pairs, spec, categories=None, eps=None):
+    acc = GradAccumulator()
+    value = _norm_terms(params, batch, spec.norm_order, acc, (0, 2))
+    value += pair_terms_per_key(params, pairs, spec, spec.dissim_weight, acc, 1.0,
+                                categories, eps)
+    return value, acc.finalize()
+
+
+def penalty_er_second_order_per_key(params, path_pairs, spec, categories=None, eps=None):
+    acc = GradAccumulator()
+    value = pair_terms_per_key(params, path_pairs, spec, 0.0, acc, 1.0, categories, eps)
     return value, acc.finalize()

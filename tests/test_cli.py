@@ -351,16 +351,13 @@ class TestTrain:
         assert loaded.train.regularizer.epsilon_init == 2.0
         assert loaded.train.dim == 16 and loaded.reciprocals is True
 
-    def test_deprecated_threads_key_loads_with_warning(self, synth_dir, tmp_path, caplog):
-        # configs written by earlier `erkg preset` carry a top-level "threads"
+    def test_threads_key_exits_2(self, synth_dir, tmp_path, capsys):
+        # configs written by older versions of `erkg preset` carry a top-level
+        # "threads"; it is an unknown key like any other
         cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "run", threads=1)
-        doc = json.loads(cfg.read_text())
-        doc["train"]["epochs"] = 1
-        cfg.write_text(json.dumps(doc))
-        with caplog.at_level("WARNING", logger="erkg.cli"):
-            assert run_cli("train", "--config", str(cfg)) == 0
-        warnings = [r for r in caplog.records if r.name == "erkg.cli"]
-        assert len(warnings) == 1 and "threads" in warnings[0].getMessage()
+        assert run_cli("train", "--config", str(cfg)) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_determinism_byte_identical(self, synth_dir, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", synth_dir, tmp_path / "r1")

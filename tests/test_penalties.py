@@ -228,6 +228,77 @@ def test_distinct_path_keys_match_oracle():
 
 
 # ---------------------------------------------------------------------------
+# The shared body against its per-key form.
+
+
+def per_key_problems(kind, mode, order):
+    """``(params, batch, pairs, paths, spec, categories)`` on the hub and on
+    a synthetic graph.  The graph's batch repeats its first 100 rows under
+    the next relation id and keeps every same-relation pair, so
+    first-order head pairs recur under two relations; its path pairs share
+    head pairs across relation chains.  Every seventh entity is
+    unlabeled, so category modes meet soft labels.
+    """
+    yield hub_problem(kind, mode, order)
+    store, categories = generate_synthetic(300, 5, 6, 120, 0.05, 3)
+    store = add_reciprocals(store)
+    n_rel = store.vocab.n_relations
+    params = init_params(ModelKind(kind), store.vocab.n_entities, n_rel, 16, seed=5)
+    shifted = store.train[:100].copy()
+    shifted[:, 1] = (shifted[:, 1] + 1) % n_rel
+    batch = np.concatenate([store.train[:200], shifted])
+    spec = RegularizerSpec(kind="er", lam=0.37, er_mode=mode, norm_order=order, pair_budget=8,
+                           second_order=True, path_budget=8, tau=0.9, dissim_weight=0.7)
+    categories = CategoryMap({e: c for e, c in categories.category_of.items() if e % 7},
+                             categories.n_categories, categories.coverage)
+    yield (params, batch, select_pairs(batch, 1000, 17), sample_path_pairs(store, batch, 8, 29),
+           spec, categories)
+
+
+def test_per_key_problems_share_head_pairs():
+    """Both orders meet head pairs with several keys, so the per-head-pair
+    sums are exercised, not only one key per head pair."""
+    _, _, pairs, paths, _, _ = list(per_key_problems("complex", "joint", 2))[1]
+    for ps in (pairs, paths):
+        keys = np.stack([ps.head_a, ps.head_b, *ps.chain], axis=1)
+        n_keys, n_heads = len(np.unique(keys, axis=0)), len(np.unique(keys[:, :2], axis=0))
+        assert n_heads < n_keys
+
+
+@pytest.mark.parametrize("second", [False, True], ids=["first", "second"])
+@pytest.mark.parametrize("mode", ER_MODES)
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("kind", [k.value for k in ModelKind])
+def test_pair_terms_match_per_key_body(kind, order, mode, second):
+    """Values, merged gradients (scale 0.37) and thresholds initialized
+    from NaN agree with the per-key body within 1e-12."""
+    for params, batch, pairs, paths, spec, categories in per_key_problems(kind, mode, order):
+        eps_new = EpsilonState.create(params.n_relations)
+        eps_ref = eps_new.copy()
+        acc = GradAccumulator()
+        if second:
+            value = regularizers.penalty_er_second_order(
+                params, paths, spec, acc, 0.37, categories, eps_new)
+            ref_value, ref_grads = penalty_oracle.penalty_er_second_order_per_key(
+                params, paths, spec, categories, eps_ref)
+        else:
+            value = regularizers.penalty_er(
+                params, batch, pairs, spec, acc, 0.37, categories, eps_new)
+            ref_value, ref_grads = penalty_oracle.penalty_er_per_key(
+                params, batch, pairs, spec, categories, eps_ref)
+        got_grads = acc.finalize()
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+        shapes = grad_shapes(params)
+        got, ref = densify(got_grads, shapes), densify(ref_grads, shapes)
+        assert set(got_grads) <= set(ref_grads)
+        for block in shapes:
+            want = 0.37 * ref[block]
+            np.testing.assert_allclose(got[block], want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max(), err_msg=block)
+        np.testing.assert_array_equal(eps_new.epsilon, eps_ref.epsilon)
+
+
+# ---------------------------------------------------------------------------
 # Work follows distinct keys and live terms.
 
 
@@ -262,29 +333,32 @@ def test_second_order_rows_follow_distinct_keys(kind, mode):
     assert 0 < acc.rows <= 5 * len(keys)
 
 
-def count_applies(monkeypatch, kind):
+def count_terms(monkeypatch, kind):
+    """Calls of the operator's ``chain_norm``: one per pair term evaluated."""
     op = OPERATORS[ModelKind(kind)]
     calls = []
-    apply = op.apply
+    chain_norm = op.chain_norm
 
-    def counted(X, rels, table):
+    def counted(*args):
         calls.append(1)
-        return apply(X, rels, table)
+        return chain_norm(*args)
 
-    monkeypatch.setattr(op, "apply", counted)
+    monkeypatch.setattr(op, "chain_norm", counted)
     return calls
 
 
 @pytest.mark.parametrize("kind", ["complex", "rescal"])
 def test_proximity_with_hard_labels_applies_once_per_hop(kind, monkeypatch):
+    """Hard proximity labels are 1, so only the difference term runs: one
+    ``chain_norm`` call per order."""
     params, batch, pairs, paths, spec, _ = hub_problem(kind, "proximity", 2)
     categories = CategoryMap({i: i % 2 for i in range(HUB_N_ENT)}, 2, 1.0)
-    calls = count_applies(monkeypatch, kind)
+    calls = count_terms(monkeypatch, kind)
     regularizers.penalty_er(params, batch, pairs, spec, GradAccumulator(), 1.0, categories)
     assert len(calls) == 1
     regularizers.penalty_er_second_order(
         params, paths, spec, GradAccumulator(), 1.0, categories)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("kind", ["complex", "rescal"])
@@ -295,7 +369,7 @@ def test_one_soft_label_brings_back_the_sum_term(kind, monkeypatch):
     categories = CategoryMap({i: i % 2 for i in range(HUB_N_ENT - 1)}, 2, 7 / 8)
     assert np.sum((pairs.head_a == 7) | (pairs.head_b == 7)) == 2
     eps = EpsilonState.create(HUB_N_REL, 0.5)
-    calls = count_applies(monkeypatch, kind)
+    calls = count_terms(monkeypatch, kind)
     acc = GradAccumulator()
     value = regularizers.penalty_er(params, batch, pairs, spec, acc, 1.0, categories, eps)
     assert len(calls) == 2
